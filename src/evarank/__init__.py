@@ -8,11 +8,7 @@ jammer/clutter subspace projection.
 
 from .covariance import (
     CovarianceModel,
-    ModulationDiagonal,
-    SelectionMatrix,
     assemble_gamma,
-    build_modulation,
-    build_selection,
     load_matrix_binary,
     process_covariance,
     sample_covariance,
@@ -21,14 +17,10 @@ from .covariance import (
 )
 from .fields import (
     EvanescentComponent,
-    FieldSample,
     ModulatingProcessSpec,
     ProcessKind,
     modulating_indices,
     synthesize_batch,
-    synthesize_component,
-    synthesize_real_component,
-    synthesize_sum,
 )
 from .lattice import (
     LatticeRect,
@@ -69,22 +61,17 @@ __all__ = [
     "ClutterRidgeSpec",
     "DependencyCertificate",
     "EvanescentComponent",
-    "FieldSample",
     "JammerSpec",
     "LatticeRect",
     "ModulatingProcessSpec",
-    "ModulationDiagonal",
     "ProcessKind",
     "RankPrediction",
     "RegimeFlag",
-    "SelectionMatrix",
     "SlopePair",
     "StapScenario",
     "SubspaceReport",
     "TargetSpec",
     "assemble_gamma",
-    "build_modulation",
-    "build_selection",
     "dependent_point_set",
     "diophantine_shifts",
     "dominant_projection",
@@ -106,8 +93,5 @@ __all__ = [
     "spectral_gap_ratio",
     "suppression_experiment",
     "synthesize_batch",
-    "synthesize_component",
-    "synthesize_real_component",
-    "synthesize_sum",
     "verify_certificate",
 ]

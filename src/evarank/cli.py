@@ -106,7 +106,7 @@ def parse_rect(cfg: dict) -> LatticeRect:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_process(obj: dict, default_seed: int) -> ModulatingProcessSpec:
+def parse_process(obj: dict) -> ModulatingProcessSpec:
     kind_name = str(obj.get("kind", "white")).lower()
     try:
         kind = ProcessKind(kind_name)
@@ -117,13 +117,12 @@ def parse_process(obj: dict, default_seed: int) -> ModulatingProcessSpec:
             kind=kind,
             variance=float(obj.get("variance", 1.0)),
             ar_coefficient=float(obj.get("ar_coefficient", 0.0)),
-            seed=int(obj.get("seed", default_seed)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_component(obj: dict, base_seed: int, index: int) -> EvanescentComponent:
+def parse_component(obj: dict, index: int) -> EvanescentComponent:
     where = f"components[{index}]"
     a = _require(obj, "a", int, where)
     b = _require(obj, "b", int, where)
@@ -133,19 +132,19 @@ def parse_component(obj: dict, base_seed: int, index: int) -> EvanescentComponen
         raise ConfigError(f"'process' in {where} must be an object")
     try:
         slope = make_slope_pair(a, b)
-        process = parse_process(process_obj, default_seed=base_seed + index)
+        process = parse_process(process_obj)
         return EvanescentComponent(slope, omega, process)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def parse_components(cfg: dict, base_seed: int) -> list[EvanescentComponent]:
+def parse_components(cfg: dict) -> list[EvanescentComponent]:
     raw = _require(cfg, "components", list, "config")
     comps = []
     for idx, obj in enumerate(raw):
         if not isinstance(obj, dict):
             raise ConfigError(f"components[{idx}] must be an object")
-        comps.append(parse_component(obj, base_seed, idx))
+        comps.append(parse_component(obj, idx))
     return comps
 
 
@@ -246,9 +245,9 @@ def _rank_core(comps, rect: LatticeRect, real_valued: bool, rel_tol: float | Non
 
 
 def cmd_rank(cfg: dict, args) -> int:
-    base_seed = _resolve_seed(cfg, args, required=False) or 0
+    _resolve_seed(cfg, args, required=False)  # validated although rank draws nothing
     rect = parse_rect(cfg)
-    comps = parse_components(cfg, base_seed)
+    comps = parse_components(cfg)
     real_valued = _resolve_real(cfg, args)
     model, prediction, rank, spectrum = _rank_core(comps, rect, real_valued, args.tolerance)
     agree = rank == prediction.formula_value
@@ -276,11 +275,14 @@ def cmd_rank(cfg: dict, args) -> int:
 
 
 def cmd_verify(cfg: dict, args) -> int:
-    base_seed = _resolve_seed(cfg, args, required=False)
+    if _resolve_real(cfg, args):
+        raise ConfigError("verify applies to the complex-valued model only")
+    seed = _resolve_seed(cfg, args, required=False)
     rect = parse_rect(cfg)
-    comps = parse_components(cfg, base_seed or 0)
+    comps = parse_components(cfg)
     if not comps:
         raise ConfigError("verify needs at least one component")
+    model = assemble_gamma(comps, rect)
     if rect.size == 1:
         # a single column cannot depend on anything; no regime applies
         points = []
@@ -296,15 +298,14 @@ def cmd_verify(cfg: dict, args) -> int:
         raise ConfigError("'max_certificate_points' must be a positive integer")
     sampled = False
     if len(points) > cap:
-        if base_seed is None:
+        if seed is None:
             raise ConfigError("sampling the audit set needs an explicit seed")
-        rng = np.random.default_rng([base_seed, 3])
+        rng = np.random.default_rng([seed, 3])
         keep = rng.choice(len(points), size=cap, replace=False)
         points = [points[i] for i in sorted(keep)]
         sampled = True
 
     tol = args.tolerance if args.tolerance is not None else CERT_RESIDUAL_TOL
-    model = assemble_gamma(comps, rect)
     zeros = tuple(0 for _ in comps)
     failures = []
     max_residual = 0.0
@@ -351,11 +352,12 @@ def cmd_verify(cfg: dict, args) -> int:
 def cmd_simulate(cfg: dict, args) -> int:
     seed = _resolve_seed(cfg, args, required=True)
     rect = parse_rect(cfg)
-    comps = parse_components(cfg, seed)
+    comps = parse_components(cfg)
     trials = _resolve_trials(cfg, args)
-    model = assemble_gamma(comps, rect)
-    prediction = predict_rank(comps, rect)
-    snapshots = synthesize_batch(comps, rect, trials, seed)
+    real_valued = _resolve_real(cfg, args)
+    model = assemble_gamma(comps, rect, real_valued=real_valued)
+    prediction = predict_rank(comps, rect, real_valued=real_valued)
+    snapshots = synthesize_batch(comps, rect, trials, seed, real_valued=real_valued)
     estimate = sample_covariance(snapshots)
     exact_rank, _ = numerical_rank(model.gamma, rel_tol=args.tolerance)
     sample_rank, _ = numerical_rank(estimate, rel_tol=args.tolerance)
@@ -389,6 +391,8 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 
 def cmd_stap(cfg: dict, args) -> int:
+    if _resolve_real(cfg, args):
+        raise ConfigError("stap applies to the complex-valued model only")
     seed = _resolve_seed(cfg, args, required=True)
     scenario, rank_used = parse_scenario(cfg)
     trials = _resolve_trials(cfg, args)
@@ -408,15 +412,13 @@ _GRID_MULTI = (
 )
 
 
-def _grid_component(slope_ab: tuple[int, int], index: int, base_seed: int) -> EvanescentComponent:
+def _grid_component(slope_ab: tuple[int, int], index: int) -> EvanescentComponent:
     omega = (0.9 + 0.7 * index) % (2.0 * math.pi)
-    process = ModulatingProcessSpec(
-        ProcessKind.AR1, variance=1.0, ar_coefficient=0.55, seed=base_seed + index
-    )
+    process = ModulatingProcessSpec(ProcessKind.AR1, variance=1.0, ar_coefficient=0.55)
     return EvanescentComponent(make_slope_pair(*slope_ab), omega, process)
 
 
-def default_grid_cells(base_seed: int = 0) -> list[tuple[LatticeRect, list[EvanescentComponent]]]:
+def default_grid_cells() -> list[tuple[LatticeRect, list[EvanescentComponent]]]:
     """The stock sweep: every dimension pair with each single slope, plus
     the multi-component sets on the 15x15 lattice."""
     cells = []
@@ -424,18 +426,18 @@ def default_grid_cells(base_seed: int = 0) -> list[tuple[LatticeRect, list[Evane
         for m in _GRID_DIMS:
             rect = LatticeRect(n, m)
             for slope in _GRID_SLOPES:
-                cells.append((rect, [_grid_component(slope, 0, base_seed)]))
+                cells.append((rect, [_grid_component(slope, 0)]))
     rect = LatticeRect(15, 15)
     for slopes in _GRID_MULTI:
-        comps = [_grid_component(s, i, base_seed) for i, s in enumerate(slopes)]
+        comps = [_grid_component(s, i) for i, s in enumerate(slopes)]
         cells.append((rect, comps))
     return cells
 
 
-def _grid_cells_from_config(cfg: dict, base_seed: int):
+def _grid_cells_from_config(cfg: dict):
     grid = cfg.get("grid")
     if grid is None:
-        return default_grid_cells(base_seed)
+        return default_grid_cells()
     if not isinstance(grid, dict):
         raise ConfigError("'grid' must be an object")
     cells = []
@@ -448,14 +450,14 @@ def _grid_cells_from_config(cfg: dict, base_seed: int):
             for m in dims_m:
                 try:
                     rect = LatticeRect(int(n), int(m))
-                    cells.append((rect, [_grid_component((int(slope[0]), int(slope[1])), 0, base_seed)]))
+                    cells.append((rect, [_grid_component((int(slope[0]), int(slope[1])), 0)]))
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from exc
     for idx, cell in enumerate(grid.get("cells", [])):
         if not isinstance(cell, dict):
             raise ConfigError(f"grid cells[{idx}] must be an object")
         rect = parse_rect(cell)
-        comps = parse_components(cell, base_seed)
+        comps = parse_components(cell)
         cells.append((rect, comps))
     # an empty sweep is legal: header plus summary, nothing between
     return cells
@@ -466,9 +468,9 @@ def _component_label(comps) -> str:
 
 
 def cmd_grid(cfg: dict, args) -> int:
-    base_seed = _resolve_seed(cfg, args, required=False) or 0
+    _resolve_seed(cfg, args, required=False)  # validated although grid draws nothing
     real_valued = _resolve_real(cfg, args)
-    cells = _grid_cells_from_config(cfg, base_seed)
+    cells = _grid_cells_from_config(cfg)
     lines = ["N,M,components,real,predicted,numerical,agree,gap_ratio,regime"]
     passed = flagged = disagreements = 0
     for rect, comps in cells:

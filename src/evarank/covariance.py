@@ -1,95 +1,33 @@
-"""Exact covariance construction for sums of evanescent components.
+"""Exact covariance of a sum of evanescent components, kept as its factor.
 
 Each component contributes Gamma_q = D_q^H A_q^T R_q A_q D_q, where A_q
 gathers the short modulating process onto the lattice, D_q carries the
 complex modulation, and R_q is the process covariance.  Stacking the
 factors across components gives Gamma = C^H R C with R block-diagonal and
-positive definite, so the rank of Gamma is exactly the rank of C; the
-builders here keep both forms so that identity can be checked rather than
-assumed.
+positive definite, so the rank of Gamma is exactly the rank of C.  The
+model stores only the sparse factor and derives Gamma from it on demand,
+by an elementwise gather independent of the factored product, so that
+identity can be checked rather than assumed.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fields import (
     EvanescentComponent,
-    FieldSample,
     ModulatingProcessSpec,
     ProcessKind,
     check_distinct_triples,
-    modulating_indices,
+    lattice_map,
 )
-from .lattice import LatticeRect, SlopePair
+from .lattice import LatticeRect
 
 BINARY_MAGIC = b"EVCM0001"
-
-
-@dataclass
-class SelectionMatrix:
-    """0/1 gather matrix from modulating samples to lattice positions.
-
-    One 1 per column: column n*M + m selects row n*a + m*b - k_min.  Rows
-    whose index value is never attained stay identically zero (that happens
-    only when |a| > 1 and |b| > 1).
-    """
-
-    slope: SlopePair
-    rect: LatticeRect
-    k_min: int
-    k_max: int
-    row_index: np.ndarray  # shape (N*M,), row hit by each column
-
-    @property
-    def rows(self) -> int:
-        return self.k_max - self.k_min + 1
-
-    @property
-    def cols(self) -> int:
-        return self.rect.size
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        out[self.row_index, np.arange(self.cols)] = 1.0
-        return out
-
-    def distinct_column_count(self) -> int:
-        """Number of distinct columns == number of rows actually hit."""
-        return int(np.unique(self.row_index).size)
-
-
-@dataclass
-class ModulationDiagonal:
-    """Diagonal exp(-1j * omega * (n*c + m*d)) in vectorization order."""
-
-    omega: float
-    row_coords: np.ndarray  # n*c + m*d per lattice point, shape (N*M,)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return np.exp(-1j * self.omega * self.row_coords)
-
-    def dense(self) -> np.ndarray:
-        return np.diag(self.entries)
-
-
-def build_selection(slope: SlopePair, rect: LatticeRect) -> SelectionMatrix:
-    k_min, k_max = modulating_indices(slope, rect)
-    n = np.arange(rect.N)[:, None]
-    m = np.arange(rect.M)[None, :]
-    row_index = (n * slope.a + m * slope.b - k_min).reshape(rect.size)
-    return SelectionMatrix(slope, rect, k_min, k_max, row_index)
-
-
-def build_modulation(comp: EvanescentComponent, rect: LatticeRect) -> ModulationDiagonal:
-    n = np.arange(rect.N)[:, None]
-    m = np.arange(rect.M)[None, :]
-    coords = (n * comp.slope.c + m * comp.slope.d).reshape(rect.size)
-    return ModulationDiagonal(comp.omega, coords)
 
 
 def process_covariance(spec: ModulatingProcessSpec, size: int) -> np.ndarray:
@@ -109,35 +47,68 @@ def process_covariance(spec: ModulatingProcessSpec, size: int) -> np.ndarray:
     return spec.variance * ar ** lags / (1.0 - ar * ar)
 
 
+@dataclass(frozen=True)
+class FactorBlock:
+    """One component's share of C and R: lattice point j gathers process
+    sample rows[j], weighted by entry j of each carrier.  The complex model
+    has the carrier exp(-1j*omega*v), the real one cos(omega*v) and
+    sin(omega*v) sharing `cov`, with v = n*c + m*d."""
+
+    rows: np.ndarray
+    carriers: tuple[np.ndarray, ...]
+    cov: np.ndarray
+
+    def dense(self, carrier: np.ndarray) -> np.ndarray:
+        """The (len(cov), N*M) factor block of one carrier."""
+        out = np.zeros((self.cov.shape[0], self.rows.size), dtype=carrier.dtype)
+        out[self.rows, np.arange(self.rows.size)] = carrier
+        return out
+
+
 @dataclass
 class CovarianceModel:
-    """Assembled covariance with its factored form kept alongside.
+    """Covariance of a component sum, stored as its sparse factor.
 
-    `stacked` is the vertical stack of the per-component factor blocks and
-    `block_covs` the matching process covariances, so
-    Gamma == stacked^H * blockdiag(block_covs) * stacked up to roundoff.
-    In the real-valued mode each component contributes a cosine and a sine
-    block sharing one process covariance.
+    `gamma` and `stacked` (every carrier's dense factor block, stacked) are
+    built on first read, and gamma == stacked^H R stacked up to roundoff.
     """
 
     rect: LatticeRect
     components: list[EvanescentComponent]
     real_valued: bool
-    selections: list[SelectionMatrix]
-    modulations: list[ModulationDiagonal]
-    gamma: np.ndarray
-    stacked: np.ndarray
-    stacked_blocks: list[np.ndarray] = field(repr=False, default_factory=list)
-    block_covs: list[np.ndarray] = field(repr=False, default_factory=list)
+    blocks: list[FactorBlock]
+
+    @property
+    def dtype(self):
+        return np.float64 if self.real_valued else np.complex128
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Gamma by elementwise gather, one component at a time."""
+        size = self.rect.size
+        gamma = np.zeros((size, size), dtype=self.dtype)
+        for block in self.blocks:
+            gathered = block.cov[block.rows[:, None], block.rows[None, :]]
+            for w in block.carriers:
+                gamma += np.conj(w)[:, None] * gathered * w[None, :]
+        return (gamma + gamma.conj().T) / 2.0  # enforce exact Hermitian symmetry
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        dense = [block.dense(w) for block in self.blocks for w in block.carriers]
+        return np.vstack(dense) if dense else np.zeros((0, self.rect.size), dtype=self.dtype)
 
     def column(self, n: int, m: int) -> np.ndarray:
         """Column of the stacked factor for lattice point (n, m)."""
         return self.stacked[:, self.rect.vec_index(n, m)]
 
     def factored_gamma(self) -> np.ndarray:
-        out = np.zeros((self.rect.size, self.rect.size), dtype=self.gamma.dtype)
-        for block, cov in zip(self.stacked_blocks, self.block_covs):
-            out = out + block.conj().T @ cov @ block
+        """C^H R C by matrix products, densifying one carrier block at a time."""
+        out = np.zeros((self.rect.size, self.rect.size), dtype=self.dtype)
+        for block in self.blocks:
+            for w in block.carriers:
+                dense = block.dense(w)
+                out = out + dense.conj().T @ block.cov @ dense
         return out
 
     def factorization_residual(self) -> float:
@@ -146,13 +117,6 @@ class CovarianceModel:
         if denom == 0.0:
             return 0.0
         return float(np.linalg.norm(self.gamma - self.factored_gamma()) / denom)
-
-
-def _scaled_selection(sel: SelectionMatrix, weights: np.ndarray) -> np.ndarray:
-    # Dense A * diag(weights) without forming the product.
-    block = np.zeros((sel.rows, sel.cols), dtype=weights.dtype)
-    block[sel.row_index, np.arange(sel.cols)] = weights
-    return block
 
 
 def assemble_gamma(
@@ -170,69 +134,28 @@ def assemble_gamma(
             one.
 
     Returns:
-        CovarianceModel holding Gamma, the stacked factor, and the
-        per-component pieces.
+        CovarianceModel holding one FactorBlock per component; Gamma is
+        computed when first read.
     """
     components = list(components)
     check_distinct_triples(components)
-    size = rect.size
-    dtype = np.float64 if real_valued else np.complex128
-    gamma = np.zeros((size, size), dtype=dtype)
-    selections: list[SelectionMatrix] = []
-    modulations: list[ModulationDiagonal] = []
-    stacked_blocks: list[np.ndarray] = []
-    block_covs: list[np.ndarray] = []
-
+    blocks = []
     for comp in components:
-        sel = build_selection(comp.slope, rect)
-        mod = build_modulation(comp, rect)
-        cov = process_covariance(comp.process, sel.rows)
-        gathered = cov[sel.row_index[:, None], sel.row_index[None, :]]
+        rows, length, coords = lattice_map(comp, rect)
         if real_valued:
-            cosv = np.cos(comp.omega * mod.row_coords)
-            sinv = np.sin(comp.omega * mod.row_coords)
-            gamma += cosv[:, None] * gathered * cosv[None, :]
-            gamma += sinv[:, None] * gathered * sinv[None, :]
-            stacked_blocks.append(_scaled_selection(sel, cosv))
-            stacked_blocks.append(_scaled_selection(sel, sinv))
-            block_covs.extend([cov, cov])
+            carriers = (np.cos(comp.omega * coords), np.sin(comp.omega * coords))
         else:
-            phase = np.exp(1j * comp.omega * mod.row_coords)
-            gamma += phase[:, None] * gathered * phase.conj()[None, :]
-            stacked_blocks.append(_scaled_selection(sel, mod.entries))
-            block_covs.append(cov)
-        selections.append(sel)
-        modulations.append(mod)
-
-    gamma = (gamma + gamma.conj().T) / 2.0  # enforce exact Hermitian symmetry
-    stacked = (
-        np.vstack(stacked_blocks) if stacked_blocks else np.zeros((0, size), dtype=dtype)
-    )
-    return CovarianceModel(
-        rect=rect,
-        components=components,
-        real_valued=real_valued,
-        selections=selections,
-        modulations=modulations,
-        gamma=gamma,
-        stacked=stacked,
-        stacked_blocks=stacked_blocks,
-        block_covs=block_covs,
-    )
+            carriers = (np.exp(-1j * comp.omega * coords),)
+        blocks.append(FactorBlock(rows, carriers, process_covariance(comp.process, length)))
+    return CovarianceModel(rect, components, real_valued, blocks)
 
 
 def sample_covariance(snapshots) -> np.ndarray:
     """Empirical covariance (1/L) * sum of outer products e e^H.
 
-    Accepts a list of FieldSample or a 2-D array with one snapshot per row.
+    Accepts a 2-D array, or a list of vectors, with one snapshot per row.
     """
-    if isinstance(snapshots, np.ndarray):
-        data = snapshots
-    else:
-        rows = [s.vectorized if isinstance(s, FieldSample) else np.asarray(s) for s in snapshots]
-        if not rows:
-            raise ValueError("sample covariance needs at least one snapshot")
-        data = np.vstack(rows)
+    data = np.asarray(snapshots)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("snapshots must form a non-empty (L, N*M) array")
     # Entry (i, j) must be the mean of e_i * conj(e_j), snapshots as rows.

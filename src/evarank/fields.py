@@ -1,4 +1,4 @@
-"""Evanescent field components and seeded synthesis of their realizations.
+"""Evanescent field components, their lattice map, and seeded synthesis.
 
 A component pins a coprime slope (a, b), a modulation frequency omega, and a
 1-D modulating process.  Sample (n, m) of the complex component is
@@ -38,7 +38,6 @@ class ModulatingProcessSpec:
     kind: ProcessKind
     variance: float = 1.0
     ar_coefficient: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ProcessKind(self.kind))
@@ -48,8 +47,6 @@ class ModulatingProcessSpec:
             raise ValueError("AR(1) coefficient must satisfy |ar| < 1")
         if self.kind is ProcessKind.WHITE and self.ar_coefficient != 0.0:
             raise ValueError("white process takes no AR coefficient")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative int")
 
     def autocovariance(self, lag: int) -> float:
         """Model autocovariance at integer lag."""
@@ -76,23 +73,6 @@ class EvanescentComponent:
         return (self.slope.a, self.slope.b, self.omega)
 
 
-@dataclass
-class FieldSample:
-    """One realization over a rectangle, kept in both layouts.
-
-    `vectorized[n*M + m] == values[n, m]` by construction.
-    """
-
-    rect: LatticeRect
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        if self.values.shape != (self.rect.N, self.rect.M):
-            raise ValueError("values must have shape (N, M)")
-        self.vectorized = self.values.reshape(self.rect.size)
-
-
 def modulating_indices(slope: SlopePair, rect: LatticeRect) -> tuple[int, int]:
     """Inclusive range [k_min, k_max] of n*a + m*b over the rectangle.
 
@@ -116,19 +96,28 @@ def check_distinct_triples(components) -> None:
         seen.add(t)
 
 
-def _rng(seed: int, *stream: int) -> np.random.Generator:
-    return np.random.default_rng([seed, *stream])
+def lattice_map(comp: EvanescentComponent, rect: LatticeRect):
+    """(rows, length, coords) in vectorization order: each lattice point
+    reads sample n*a + m*b - k_min of the length-`length` process, and its
+    carrier phase follows the companion coordinate n*c + m*d."""
+    slope = comp.slope
+    k_min, k_max = modulating_indices(slope, rect)
+    n = np.arange(rect.N)[:, None]
+    m = np.arange(rect.M)[None, :]
+    rows = (n * slope.a + m * slope.b - k_min).reshape(rect.size)
+    coords = (n * slope.c + m * slope.d).reshape(rect.size)
+    return rows, k_max - k_min + 1, coords
 
 
 def _draw_process(
     spec: ModulatingProcessSpec,
     length: int,
     rng: np.random.Generator,
-    trials: int | None = None,
-    complex_valued: bool = True,
+    trials: int,
+    complex_valued: bool,
 ) -> np.ndarray:
-    """Stationary draws, shape (length,) or (trials, length)."""
-    shape = (length,) if trials is None else (trials, length)
+    """Stationary draws, shape (trials, length)."""
+    shape = (trials, length)
     if complex_valued:
         # Circularly symmetric: unit-variance split evenly over re/im.
         unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -145,96 +134,46 @@ def _draw_process(
     return out
 
 
-def _component_grids(comp: EvanescentComponent, rect: LatticeRect):
-    n = np.arange(rect.N)[:, None]
-    m = np.arange(rect.M)[None, :]
-    k = n * comp.slope.a + m * comp.slope.b
-    v = n * comp.slope.c + m * comp.slope.d
-    return k, v
-
-
-def synthesize_component(
-    comp: EvanescentComponent, rect: LatticeRect, realization: int = 0
-) -> FieldSample:
-    """Draws one complex realization of a single component.
-
-    Deterministic: the draw depends only on the process seed and the
-    `realization` index, never on global RNG state.
-    """
-    k, v = _component_grids(comp, rect)
-    k_min, k_max = modulating_indices(comp.slope, rect)
-    rng = _rng(comp.process.seed, realization, 0)
-    s = _draw_process(comp.process, k_max - k_min + 1, rng)
-    values = s[k - k_min] * np.exp(1j * comp.omega * v)
-    return FieldSample(rect, values)
-
-
-def synthesize_real_component(
-    comp: EvanescentComponent, rect: LatticeRect, realization: int = 0
-) -> FieldSample:
-    """Real-valued variant: cosine and sine carriers with independent
-    modulating processes of identical covariance, from two sub-streams of
-    the component seed."""
-    k, v = _component_grids(comp, rect)
-    k_min, k_max = modulating_indices(comp.slope, rect)
-    length = k_max - k_min + 1
-    s = _draw_process(comp.process, length, _rng(comp.process.seed, realization, 0),
-                      complex_valued=False)
-    t = _draw_process(comp.process, length, _rng(comp.process.seed, realization, 1),
-                      complex_valued=False)
-    phase = comp.omega * v
-    values = s[k - k_min] * np.cos(phase) + t[k - k_min] * np.sin(phase)
-    return FieldSample(rect, values)
-
-
-def synthesize_sum(
-    components, rect: LatticeRect, realization: int = 0, real_valued: bool = False
-) -> FieldSample:
-    """Superimposes independently drawn components.
-
-    Raises:
-        ValueError: when two components share the full (a, b, omega) triple;
-            such a pair is a single component and would silently double its
-            variance instead of adding an independent field.
-    """
-    components = list(components)
-    check_distinct_triples(components)
-    dtype = np.float64 if real_valued else np.complex128
-    total = np.zeros((rect.N, rect.M), dtype=dtype)
-    make = synthesize_real_component if real_valued else synthesize_component
-    for comp in components:
-        total = total + make(comp, rect, realization).values
-    return FieldSample(rect, total)
-
-
 def synthesize_batch(
     components,
     rect: LatticeRect,
     trials: int,
     seed: int,
     noise_power: float = 0.0,
+    real_valued: bool = False,
 ) -> np.ndarray:
-    """Vectorized stack of complex snapshots, shape (trials, N*M).
+    """Seeded snapshots of the component sum, shape (trials, N*M).
 
-    Component processes are drawn from streams derived from `seed` and the
-    component's position, so a batch is reproducible independently of any
-    per-component seeds used elsewhere.  Optional circular white noise of
-    the given power is added per snapshot.
+    Component q draws from the stream (seed, 1, q); one realization is a
+    batch of one, reshaped to (N, M).  The real model gives each component
+    cosine and sine carriers with two independent draws of its process.
+    Optional circular white noise of the given power is added per snapshot
+    (complex model only).
+
+    Raises:
+        ValueError: when two components share the full (a, b, omega) triple;
+            such a pair is a single component and would silently double its
+            variance instead of adding an independent field.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if real_valued and noise_power > 0.0:
+        raise ValueError("snapshot noise is circular complex; the real model takes none")
     components = list(components)
     check_distinct_triples(components)
-    out = np.zeros((trials, rect.size), dtype=np.complex128)
+    out = np.zeros((trials, rect.size), dtype=np.float64 if real_valued else np.complex128)
     for q, comp in enumerate(components):
-        k, v = _component_grids(comp, rect)
-        k_min, k_max = modulating_indices(comp.slope, rect)
-        rng = _rng(seed, 1, q)
-        s = _draw_process(comp.process, k_max - k_min + 1, rng, trials=trials)
-        phase = np.exp(1j * comp.omega * v).reshape(rect.size)
-        out += s[:, (k - k_min).reshape(rect.size)] * phase[None, :]
+        rows, length, coords = lattice_map(comp, rect)
+        rng = np.random.default_rng([seed, 1, q])
+        if real_valued:
+            carriers = (np.cos(comp.omega * coords), np.sin(comp.omega * coords))
+        else:
+            carriers = (np.exp(1j * comp.omega * coords),)
+        for carrier in carriers:
+            s = _draw_process(comp.process, length, rng, trials, not real_valued)
+            out += s[:, rows] * carrier[None, :]
     if noise_power > 0.0:
-        rng = _rng(seed, 2)
+        rng = np.random.default_rng([seed, 2])
         noise = rng.standard_normal((trials, rect.size)) + 1j * rng.standard_normal(
             (trials, rect.size)
         )

@@ -64,10 +64,6 @@ class SlopePair:
         """Index of the lattice line through (n, m): constant along (b, -a)."""
         return n * self.a + m * self.b
 
-    def row_coordinate(self, n: int, m: int) -> int:
-        """Companion coordinate n*c + m*d; advances by -sigma per unit shift."""
-        return n * self.c + m * self.d
-
     def companion_sibling(self, k: int) -> "SlopePair":
         """Another valid companion: (c, d) -> (c + k*a, d + k*b)."""
         return SlopePair(self.a, self.b, self.c + k * self.a, self.d + k * self.b)

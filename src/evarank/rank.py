@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .covariance import CovarianceModel
-from .fields import EvanescentComponent, check_distinct_triples
+from .fields import TWO_PI, check_distinct_triples
 from .lattice import LatticeRect
 
 _HALF_TURN_TOL = 1e-12
@@ -69,13 +69,13 @@ def _real_mode_degenerate(components) -> bool:
     comps = list(components)
     for comp in comps:
         w = comp.omega
-        if min(w, abs(w - math.pi), abs(w - 2 * math.pi)) < _HALF_TURN_TOL:
+        if min(w, abs(w - math.pi), abs(w - TWO_PI)) < _HALF_TURN_TOL:
             return True
     for x, y in itertools.combinations(comps, 2):
         if (x.slope.a, x.slope.b) != (y.slope.a, y.slope.b):
             continue
-        s = (x.omega + y.omega) % (2 * math.pi)
-        if min(s, 2 * math.pi - s) < _HALF_TURN_TOL:
+        s = (x.omega + y.omega) % TWO_PI
+        if min(s, TWO_PI - s) < _HALF_TURN_TOL:
             return True
     return False
 
@@ -255,12 +255,6 @@ def make_certificate(
     return DependencyCertificate(target, shifts, terms)
 
 
-def _is_effective(cert: DependencyCertificate) -> bool:
-    # A useful witness rewrites the target through other columns; tuples
-    # with zero entries can telescope back to the identity map.
-    return not cert.trivial
-
-
 def find_certificate(
     target: tuple[int, int],
     components,
@@ -290,7 +284,9 @@ def find_certificate(
             if not shift_tuple_admissible(target, shifts, components, rect):
                 continue
             cert = make_certificate(target, shifts, components, rect)
-            if require_effective and not _is_effective(cert):
+            # A useful witness rewrites the target through other columns;
+            # tuples with zero entries can telescope back to the identity map.
+            if require_effective and cert.trivial:
                 continue
             return cert
     return None
@@ -315,18 +311,6 @@ def verify_certificate(cert: DependencyCertificate, model: CovarianceModel) -> f
     return float(np.linalg.norm(target_col - acc) / denom)
 
 
-def _interior_or_raise(components, rect: LatticeRect) -> tuple[int, int]:
-    sum_a = sum(abs(c.slope.a) for c in components)
-    sum_b = sum(abs(c.slope.b) for c in components)
-    if components and (sum_a >= rect.M or sum_b >= rect.N):
-        raise ValueError(
-            "slope sums exceed the lattice (interior regime needs "
-            f"sum|a| = {sum_a} < M = {rect.M} and sum|b| = {sum_b} < N = {rect.N}); "
-            "use the numerical rank of the assembled covariance instead"
-        )
-    return sum_a, sum_b
-
-
 def dependent_point_set(components, rect: LatticeRect) -> list[tuple[int, int]]:
     """Lattice points whose factor columns are certified dependent.
 
@@ -335,7 +319,14 @@ def dependent_point_set(components, rect: LatticeRect) -> list[tuple[int, int]]:
     here admits the all-ones shift certificate.  Interior regime only.
     """
     components = list(components)
-    sum_a, _ = _interior_or_raise(components, rect)
+    sum_a = sum(abs(c.slope.a) for c in components)
+    if predict_rank(components, rect).regime_flag is RegimeFlag.OUTSIDE:
+        sum_b = sum(abs(c.slope.b) for c in components)
+        raise ValueError(
+            "slope sums exceed the lattice (interior regime needs "
+            f"sum|a| = {sum_a} < M = {rect.M} and sum|b| = {sum_b} < N = {rect.N}); "
+            "use the numerical rank of the assembled covariance instead"
+        )
     lo_n = sum(-c.slope.b for c in components if c.slope.b < 0)
     hi_n = rect.N - 1 - sum(c.slope.b for c in components if c.slope.b > 0)
     return [

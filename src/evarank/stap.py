@@ -17,6 +17,7 @@ import numpy as np
 
 from .covariance import assemble_gamma, sample_covariance
 from .fields import (
+    TWO_PI,
     EvanescentComponent,
     ModulatingProcessSpec,
     ProcessKind,
@@ -24,8 +25,6 @@ from .fields import (
 )
 from .lattice import LatticeRect, make_slope_pair
 from .rank import RankPrediction, predict_rank
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class StapScenario:
             raise ValueError("jammer angle frequencies must be distinct")
 
 
-def scenario_to_components(scenario: StapScenario, base_seed: int = 0) -> list[EvanescentComponent]:
+def scenario_to_components(scenario: StapScenario) -> list[EvanescentComponent]:
     """Expands a scenario into its interference component list.
 
     Jammers become (0, 1) components with white pulse-to-pulse modulation;
@@ -105,19 +104,12 @@ def scenario_to_components(scenario: StapScenario, base_seed: int = 0) -> list[E
     """
     comps: list[EvanescentComponent] = []
     vertical = make_slope_pair(0, 1)
-    for idx, jam in enumerate(scenario.jammers):
-        process = ModulatingProcessSpec(
-            ProcessKind.WHITE, variance=jam.power, seed=base_seed + idx
-        )
+    for jam in scenario.jammers:
+        process = ModulatingProcessSpec(ProcessKind.WHITE, variance=jam.power)
         comps.append(EvanescentComponent(vertical, jam.angle_freq, process))
     if scenario.clutter is not None:
         cl = scenario.clutter
-        process = ModulatingProcessSpec(
-            cl.kind,
-            variance=cl.power,
-            ar_coefficient=cl.ar_coefficient,
-            seed=base_seed + len(scenario.jammers),
-        )
+        process = ModulatingProcessSpec(cl.kind, variance=cl.power, ar_coefficient=cl.ar_coefficient)
         comps.append(
             EvanescentComponent(make_slope_pair(1, cl.slope), cl.ridge_freq, process)
         )
@@ -126,12 +118,8 @@ def scenario_to_components(scenario: StapScenario, base_seed: int = 0) -> list[E
 
 def interference_covariance(scenario: StapScenario) -> np.ndarray:
     """Exact interference-plus-noise covariance Gamma + noise_power * I."""
-    comps = scenario_to_components(scenario)
-    rect = scenario.rect
-    gamma = assemble_gamma(comps, rect).gamma if comps else np.zeros(
-        (rect.size, rect.size), dtype=np.complex128
-    )
-    return gamma + scenario.noise_power * np.eye(rect.size)
+    gamma = assemble_gamma(scenario_to_components(scenario), scenario.rect).gamma
+    return gamma + scenario.noise_power * np.eye(scenario.rect.size)
 
 
 def dominant_projection(covariance: np.ndarray, r: int) -> np.ndarray:
@@ -199,10 +187,7 @@ def suppression_experiment(
     rect = scenario.rect
     prediction = predict_rank(comps, rect)
     r = prediction.formula_value if rank_used is None else rank_used
-    if comps:
-        gamma_int = assemble_gamma(comps, rect).gamma
-    else:
-        gamma_int = np.zeros((rect.size, rect.size), dtype=np.complex128)
+    gamma_int = assemble_gamma(comps, rect).gamma
     snapshots = synthesize_batch(
         comps, rect, trials, seed, noise_power=scenario.noise_power
     )

@@ -40,23 +40,21 @@ def _emit(capsys, number: int, ok: bool, detail: str) -> None:
         print(f"[{status}] criterion {number}: {detail}", flush=True)
 
 
-def ar1_component(a, b, omega, seed):
-    process = ModulatingProcessSpec(ProcessKind.AR1, variance=1.0, ar_coefficient=0.55, seed=seed)
+def ar1_component(a, b, omega):
+    process = ModulatingProcessSpec(ProcessKind.AR1, variance=1.0, ar_coefficient=0.55)
     return EvanescentComponent(make_slope_pair(a, b), omega, process)
 
 
-def white_component(a, b, omega, seed, variance=1.0):
-    process = ModulatingProcessSpec(ProcessKind.WHITE, variance=variance, seed=seed)
+def white_component(a, b, omega, variance=1.0):
+    process = ModulatingProcessSpec(ProcessKind.WHITE, variance=variance)
     return EvanescentComponent(make_slope_pair(a, b), omega, process)
 
 
 def grid_cells():
-    seed = 0
     for n in GRID_DIMS:
         for m in GRID_DIMS:
             for a, b in GRID_SLOPES:
-                yield LatticeRect(n, m), [ar1_component(a, b, 0.9, seed)]
-                seed += 1
+                yield LatticeRect(n, m), [ar1_component(a, b, 0.9)]
 
 
 def multi_cells():
@@ -64,7 +62,7 @@ def multi_cells():
     omegas = (0.9, 1.6, 2.3)
     for slopes, want in ((((3, 2), (2, 1)), 105), (((3, 2), (2, -1)), 105),
                          (((3, 2), (2, 1), (1, 3)), 144)):
-        comps = [ar1_component(a, b, omegas[i], 40 + i) for i, (a, b) in enumerate(slopes)]
+        comps = [ar1_component(a, b, omegas[i]) for i, (a, b) in enumerate(slopes)]
         yield rect, comps, want
 
 
@@ -105,7 +103,7 @@ def test_criterion_3_special_case_ranks(capsys):
     for n in range(2, 17):
         for m in range(2, 17):
             rect = LatticeRect(n, m)
-            comps = [white_component(0, 1, 0.9, 7)]
+            comps = [white_component(0, 1, 0.9)]
             rank, _ = numerical_rank(assemble_gamma(comps, rect).gamma)
             if rank != m or predict_rank(comps, rect).formula_value != m:
                 failures.append(("vertical", n, m, rank))
@@ -121,7 +119,7 @@ def test_criterion_3_special_case_ranks(capsys):
             failures.append(("jammers", j, rank))
 
     for beta in (1, 2, 3):
-        comps = [ar1_component(1, beta, 1.1, 9)]
+        comps = [ar1_component(1, beta, 1.1)]
         want = 8 + 8 * beta - beta
         rank, _ = numerical_rank(assemble_gamma(comps, rect).gamma)
         if rank != want or predict_rank(comps, rect).formula_value != want:
@@ -188,11 +186,11 @@ def test_criterion_6_frequency_invariance(capsys):
         a, b = GRID_SLOPES[rng.integers(len(GRID_SLOPES))]
         rect = LatticeRect(int(n), int(m))
         maker = ar1_component if i % 2 else white_component
-        baseline = maker(a, b, 0.9, 60 + i)
+        baseline = maker(a, b, 0.9)
         base_pred = predict_rank([baseline], rect)
         base_rank, _ = numerical_rank(assemble_gamma([baseline], rect).gamma)
         omega = float(rng.uniform(0.05, 2 * np.pi - 0.05))
-        moved = maker(a, b, omega, 60 + i)
+        moved = maker(a, b, omega)
         pred = predict_rank([moved], rect)
         rank, _ = numerical_rank(assemble_gamma([moved], rect).gamma)
         if pred.formula_value != base_pred.formula_value or rank != base_rank:
@@ -212,7 +210,7 @@ def test_criterion_7_factorization_and_monte_carlo(capsys):
     factor_ok = worst <= 1e-10
 
     rect = LatticeRect(8, 8)
-    comps = [ar1_component(3, 2, 0.9, 21), white_component(2, 1, 1.6, 22)]
+    comps = [ar1_component(3, 2, 0.9), white_component(2, 1, 1.6)]
     exact = assemble_gamma(comps, rect).gamma
     trials = 100_000
     estimate = sample_covariance(synthesize_batch(comps, rect, trials, seed=20))
@@ -251,15 +249,15 @@ def test_criterion_9_outside_regime_flagging(capsys):
     cases = []
 
     rect = LatticeRect(4, 4)
-    comps = [ar1_component(1, 1, 0.3 + 0.4 * i, 30 + i) for i in range(4)]
+    comps = [ar1_component(1, 1, 0.3 + 0.4 * i) for i in range(4)]
     cases.append(("col sum saturates", rect, comps, False))
 
     rect = LatticeRect(3, 8)
-    comps = [white_component(0, 1, 0.5 + 0.9 * i, 33 + i) for i in range(3)]
+    comps = [white_component(0, 1, 0.5 + 0.9 * i) for i in range(3)]
     cases.append(("row sum saturates", rect, comps, False))
 
     rect = LatticeRect(8, 6)
-    comps = [white_component(0, 1, 0.0, 36)]
+    comps = [white_component(0, 1, 0.0)]
     cases.append(("real zero-frequency fold", rect, comps, True))
 
     ok = True

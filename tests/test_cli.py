@@ -121,6 +121,24 @@ def test_verify_passes_on_interior_config(tmp_path, capsys):
     assert report["max_residual"] <= 1e-10
 
 
+def test_verify_leaves_gamma_unread(tmp_path, capsys, monkeypatch):
+    # certificates read factor columns only; the dense Gamma is never built
+    import evarank.cli
+    from evarank.covariance import assemble_gamma
+
+    models = []
+
+    def capture(*args, **kwargs):
+        models.append(assemble_gamma(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(evarank.cli, "assemble_gamma", capture)
+    code, _, _ = run(capsys, "verify", "--config", write_config(tmp_path, INTERIOR))
+    assert code == 0
+    assert len(models) == 1
+    assert "gamma" not in vars(models[0])
+
+
 def test_verify_subsamples_with_seed(tmp_path, capsys):
     payload = dict(INTERIOR, max_certificate_points=5, seed=11)
     cfg = write_config(tmp_path, payload)
@@ -202,6 +220,28 @@ def test_simulate_seed_flag_overrides_config(tmp_path, capsys):
     assert json.loads(out)["seed"] == 9
 
 
+@pytest.mark.parametrize("real_via", ["flag", "config"])
+def test_simulate_real_model(tmp_path, capsys, real_via):
+    payload = {
+        "rect": {"N": 8, "M": 8},
+        "components": [{"a": 1, "b": 1, "omega": 0.9}],
+        "seed": 4,
+        "trials": 64,
+    }
+    _, complex_out, _ = run(capsys, "simulate", "--config", write_config(tmp_path, payload))
+    if real_via == "config":
+        argv = ("--config", write_config(tmp_path, dict(payload, real_valued=True), "real.json"))
+    else:
+        argv = ("--config", write_config(tmp_path, payload), "--real")
+    code, out, _ = run(capsys, "simulate", *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert list(report) == list(json.loads(complex_out))
+    # doubled index sums: 8*2 + 8*2 - 2*2, against 15 for the complex model
+    assert report["prediction"] == report["exact_rank"] == 28
+    assert report["sample_rank"] == report["expected_sample_rank"] == 28
+
+
 def test_simulate_binary_export_round_trips(tmp_path, capsys):
     from evarank.covariance import sample_covariance
     from evarank.fields import synthesize_batch
@@ -215,7 +255,7 @@ def test_simulate_binary_export_round_trips(tmp_path, capsys):
     assert json.loads(out)["matrix_path"] == str(dest)
 
     rect = parse_rect(payload)
-    comps = parse_components(payload, 4)
+    comps = parse_components(payload)
     want = sample_covariance(synthesize_batch(comps, rect, 32, 4))
     assert np.array_equal(load_matrix_binary(str(dest)), want)
 
@@ -269,6 +309,24 @@ def test_stap_rank_override_degrades(tmp_path, capsys):
     cfg_full = write_config(tmp_path, STAP, name="full.json")
     _, out_full, _ = run(capsys, "stap", "--config", cfg_full)
     assert json.loads(out_full)["suppression_db"] - short["suppression_db"] >= 20.0
+
+
+@pytest.mark.parametrize("verb", ["verify", "stap"])
+@pytest.mark.parametrize("real_via", ["flag", "config"])
+def test_certificate_and_stap_verbs_refuse_real_model(tmp_path, capsys, verb, real_via):
+    payload = {"verify": INTERIOR, "stap": STAP}[verb]
+    if real_via == "config":
+        cfg = write_config(tmp_path, dict(payload, real_valued=True))
+        argv = (verb, "--config", cfg)
+    else:
+        argv = (verb, "--config", write_config(tmp_path, payload), "--real")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "config"
+    assert "complex-valued model only" in diagnostic["message"]
+    assert err.count("\n") == 1
 
 
 # --- grid ---------------------------------------------------------------------

@@ -20,17 +20,17 @@ from evarank.rank import (
     verify_certificate,
 )
 
-AR1 = lambda var, ar, seed=0: ModulatingProcessSpec(ProcessKind.AR1, var, ar, seed)
-WHITE = lambda var, seed=0: ModulatingProcessSpec(ProcessKind.WHITE, var, 0.0, seed)
+AR1 = lambda var, ar: ModulatingProcessSpec(ProcessKind.AR1, var, ar)
+WHITE = lambda var: ModulatingProcessSpec(ProcessKind.WHITE, var, 0.0)
 
 
 def comp(a, b, omega, process=None):
     return EvanescentComponent(make_slope_pair(a, b), omega, process or WHITE(1.0))
 
 
-def comps_for(slopes, seed0=1):
+def comps_for(slopes):
     return [
-        comp(a, b, 0.9 + 0.7 * i, AR1(1.0, 0.5, seed0 + i))
+        comp(a, b, 0.9 + 0.7 * i, AR1(1.0, 0.5))
         for i, (a, b) in enumerate(slopes)
     ]
 
@@ -88,10 +88,10 @@ def test_real_mode_degenerate_frequencies_flagged():
         pred = predict_rank([comp(1, 1, omega, WHITE(1.0))], rect, real_valued=True)
         assert pred.regime_flag is RegimeFlag.OUTSIDE
     # mirrored pair on one slope collapses too
-    pair = [comp(1, 1, 1.0, WHITE(1.0, 1)), comp(1, 1, 2 * math.pi - 1.0, WHITE(1.0, 2))]
+    pair = [comp(1, 1, 1.0, WHITE(1.0)), comp(1, 1, 2 * math.pi - 1.0, WHITE(1.0))]
     assert predict_rank(pair, rect, real_valued=True).regime_flag is RegimeFlag.OUTSIDE
     # same frequencies on different slopes stay fine
-    ok = [comp(1, 1, 1.0, WHITE(1.0, 1)), comp(2, 1, 2 * math.pi - 1.0, WHITE(1.0, 2))]
+    ok = [comp(1, 1, 1.0, WHITE(1.0)), comp(2, 1, 2 * math.pi - 1.0, WHITE(1.0))]
     assert predict_rank(ok, rect, real_valued=True).regime_flag is RegimeFlag.INTERIOR
 
 
@@ -99,7 +99,7 @@ def test_real_mode_omega_zero_rank_halves():
     # with omega = 0 the sine carrier vanishes; the doubled formula would
     # claim 2M, the true rank is M, and the flag owns up to it
     rect = LatticeRect(6, 6)
-    c = comp(0, 1, 0.0, WHITE(1.0, 3))
+    c = comp(0, 1, 0.0, WHITE(1.0))
     pred = predict_rank([c], rect, real_valued=True)
     model = assemble_gamma([c], rect, real_valued=True)
     rank, _ = numerical_rank(model.gamma)
@@ -282,7 +282,7 @@ def test_same_slope_pair_merges_terms():
     # two components on one slope with different frequencies: the two
     # singleton shifts land on the same lattice point and merge
     rect = LatticeRect(6, 4)
-    comps = [comp(0, 1, 0.5, WHITE(1.0, 1)), comp(0, 1, 1.9, WHITE(1.0, 2))]
+    comps = [comp(0, 1, 0.5, WHITE(1.0)), comp(0, 1, 1.9, WHITE(1.0))]
     cert = make_certificate((0, 2), (1, 1), comps, rect)
     points = [p for p, _ in cert.terms]
     assert points == [(1, 2), (2, 2)]
