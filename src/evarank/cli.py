@@ -19,14 +19,21 @@ import argparse
 import json
 import math
 import sys
+import types
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import assemble_gamma, sample_covariance, save_matrix_binary, save_matrix_csv
-from .fields import EvanescentComponent, ModulatingProcessSpec, ProcessKind, synthesize_batch
+from .fields import (
+    TWO_PI,
+    EvanescentComponent,
+    ModulatingProcessSpec,
+    ProcessKind,
+    synthesize_batch,
+)
 from .lattice import LatticeRect, make_slope_pair
 from .rank import (
-    RegimeFlag,
     dependent_point_set,
     find_certificate,
     make_certificate,
@@ -62,14 +69,10 @@ def _emit(report: dict, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _finite_or_none(value: float | None) -> float | None:
-    if value is None or not math.isfinite(value):
-        return None
-    return float(value)
-
-
 # ---------------------------------------------------------------------------
-# config parsing
+# config reading
+
+REQUIRED = object()
 
 
 def load_config(path: str) -> dict:
@@ -85,152 +88,112 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, kind, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing '{key}' in {where}")
-    value = cfg[key]
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"'{key}' in {where} must be an integer")
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"'{key}' in {where} must be {kind.__name__}")
-    return value
+def _is(value, kind) -> bool:
+    if isinstance(kind, types.GenericAlias):  # list[item]
+        return isinstance(value, list) and all(_is(item, kind.__args__[0]) for item in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
-def parse_rect(cfg: dict) -> LatticeRect:
-    rect = _require(cfg, "rect", dict, "config")
+def _field(obj: dict, key: str, kind, where: str, default=REQUIRED):
+    """obj[key] checked against the JSON type `kind`; `default` when the key
+    is absent or null.  An int is a valid float, a bool is never a number."""
+    value = obj.get(key)
+    if value is None:
+        if default is REQUIRED:
+            raise ConfigError(f"missing '{key}' in {where}")
+        return default
+    if not _is(value, kind):
+        name = kind.__name__ if isinstance(kind, type) else kind
+        raise ConfigError(f"'{key}' in {where} must be {name}")
+    return float(value) if kind is float else value
+
+
+def _build(cls, obj: dict | None, where: str, table):
+    """cls(*values) read from obj by the (key, type, default) rows of
+    `table`, in constructor order; None when an optional object is absent.
+    Range rules live in the constructor; a ValueError there becomes a
+    config error naming `where`."""
+    if obj is None:
+        return None
+    values = [_field(obj, key, kind, where, default) for key, kind, default in table]
     try:
-        return LatticeRect(_require(rect, "N", int, "rect"), _require(rect, "M", int, "rect"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def parse_process(obj: dict) -> ModulatingProcessSpec:
-    kind_name = str(obj.get("kind", "white")).lower()
-    try:
-        kind = ProcessKind(kind_name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown process kind '{kind_name}'") from exc
-    try:
-        return ModulatingProcessSpec(
-            kind=kind,
-            variance=float(obj.get("variance", 1.0)),
-            ar_coefficient=float(obj.get("ar_coefficient", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def parse_component(obj: dict, index: int) -> EvanescentComponent:
-    where = f"components[{index}]"
-    a = _require(obj, "a", int, where)
-    b = _require(obj, "b", int, where)
-    omega = _require(obj, "omega", float, where)
-    process_obj = obj.get("process", {})
-    if not isinstance(process_obj, dict):
-        raise ConfigError(f"'process' in {where} must be an object")
-    try:
-        slope = make_slope_pair(a, b)
-        process = parse_process(process_obj)
-        return EvanescentComponent(slope, omega, process)
+        return cls(*values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+_RECT = (("N", int, REQUIRED), ("M", int, REQUIRED))
+_PROCESS = (("kind", str, "white"), ("variance", float, 1.0), ("ar_coefficient", float, 0.0))
+_COMPONENT = (("a", int, REQUIRED), ("b", int, REQUIRED), ("omega", float, REQUIRED))
+_JAMMER = (("angle_freq", float, REQUIRED), ("power", float, REQUIRED))
+_CLUTTER = (("slope", int, REQUIRED), ("power", float, REQUIRED), ("kind", str, "white"),
+            ("ar_coefficient", float, 0.0), ("ridge_freq", float, 0.0))
+_TARGET = (("angle_freq", float, REQUIRED), ("doppler_freq", float, REQUIRED),
+           ("amplitude", float, REQUIRED))
+_SCENARIO = (("antennas", int, REQUIRED), ("pulses", int, REQUIRED),
+             ("noise_power", float, REQUIRED))
+_SETTINGS = (("seed", int, None), ("trials", int, 64), ("real_valued", bool, False),
+             ("max_certificate_points", int, DEFAULT_VERIFY_CAP))
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """The top-level keys the verbs share, with the command-line flags merged in."""
+
+    seed: int | None
+    trials: int
+    real_valued: bool
+    max_certificate_points: int
+
+    def __post_init__(self) -> None:
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if self.max_certificate_points < 1:
+            raise ValueError("'max_certificate_points' must be a positive integer")
+
+    def require_seed(self, message="an explicit seed is required (config 'seed' or --seed)") -> int:
+        if self.seed is None:
+            raise ConfigError(message)
+        return self.seed
+
+
+def parse_rect(cfg: dict) -> LatticeRect:
+    return _build(LatticeRect, _field(cfg, "rect", dict, "config"), "rect", _RECT)
+
+
+def parse_component(obj: dict, where: str) -> EvanescentComponent:
+    process_obj = _field(obj, "process", dict, where, {})
+    process = _build(ModulatingProcessSpec, process_obj, f"{where}.process", _PROCESS)
+    return _build(
+        lambda a, b, omega: EvanescentComponent(make_slope_pair(a, b), omega, process),
+        obj, where, _COMPONENT,
+    )
+
+
 def parse_components(cfg: dict) -> list[EvanescentComponent]:
-    raw = _require(cfg, "components", list, "config")
-    comps = []
-    for idx, obj in enumerate(raw):
-        if not isinstance(obj, dict):
-            raise ConfigError(f"components[{idx}] must be an object")
-        comps.append(parse_component(obj, idx))
-    return comps
+    raw = _field(cfg, "components", list[dict], "config")
+    return [parse_component(obj, f"components[{i}]") for i, obj in enumerate(raw)]
 
 
 def parse_scenario(cfg: dict) -> tuple[StapScenario, int | None]:
-    obj = _require(cfg, "scenario", dict, "config")
-    rect = LatticeRect(
-        _require(obj, "antennas", int, "scenario"), _require(obj, "pulses", int, "scenario")
+    obj = _field(cfg, "scenario", dict, "config")
+    jammers = tuple(
+        _build(JammerSpec, jam, f"jammers[{i}]", _JAMMER)
+        for i, jam in enumerate(_field(obj, "jammers", list[dict], "scenario", []))
     )
-    jammers = []
-    for idx, jam in enumerate(obj.get("jammers", [])):
-        if not isinstance(jam, dict):
-            raise ConfigError(f"jammers[{idx}] must be an object")
-        jammers.append(
-            JammerSpec(
-                _require(jam, "angle_freq", float, f"jammers[{idx}]"),
-                _require(jam, "power", float, f"jammers[{idx}]"),
-            )
-        )
-    clutter = None
-    if obj.get("clutter") is not None:
-        cl = obj["clutter"]
-        if not isinstance(cl, dict):
-            raise ConfigError("'clutter' must be an object")
-        kind_name = str(cl.get("kind", "white")).lower()
-        try:
-            kind = ProcessKind(kind_name)
-        except ValueError as exc:
-            raise ConfigError(f"unknown clutter process kind '{kind_name}'") from exc
-        clutter = ClutterRidgeSpec(
-            slope=_require(cl, "slope", int, "clutter"),
-            power=_require(cl, "power", float, "clutter"),
-            kind=kind,
-            ar_coefficient=float(cl.get("ar_coefficient", 0.0)),
-            ridge_freq=float(cl.get("ridge_freq", 0.0)),
-        )
-    target = None
-    if obj.get("target") is not None:
-        tg = obj["target"]
-        if not isinstance(tg, dict):
-            raise ConfigError("'target' must be an object")
-        target = TargetSpec(
-            angle_freq=_require(tg, "angle_freq", float, "target"),
-            doppler_freq=_require(tg, "doppler_freq", float, "target"),
-            amplitude=_require(tg, "amplitude", float, "target"),
-        )
-    rank_used = obj.get("rank_used")
-    if rank_used is not None and (isinstance(rank_used, bool) or not isinstance(rank_used, int)):
-        raise ConfigError("'rank_used' must be an integer")
-    try:
-        scenario = StapScenario(
-            rect=rect,
-            jammers=tuple(jammers),
-            clutter=clutter,
-            noise_power=_require(obj, "noise_power", float, "scenario"),
-            target=target,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return scenario, rank_used
-
-
-def _resolve_seed(cfg: dict, args, required: bool) -> int | None:
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        if required:
-            raise ConfigError("an explicit seed is required (config 'seed' or --seed)")
-        return None
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    return seed
-
-
-def _resolve_trials(cfg: dict, args, default: int = 64) -> int:
-    trials = args.trials if args.trials is not None else cfg.get("trials", default)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigError("trials must be a positive integer")
-    return trials
-
-
-def _resolve_real(cfg: dict, args) -> bool:
-    if args.real:
-        return True
-    flag = cfg.get("real_valued", False)
-    if not isinstance(flag, bool):
-        raise ConfigError("'real_valued' must be a boolean")
-    return flag
+    clutter = _build(
+        ClutterRidgeSpec, _field(obj, "clutter", dict, "scenario", None), "clutter", _CLUTTER
+    )
+    target = _build(TargetSpec, _field(obj, "target", dict, "scenario", None), "target", _TARGET)
+    scenario = _build(
+        lambda antennas, pulses, noise_power: StapScenario(
+            LatticeRect(antennas, pulses), jammers, clutter, noise_power, target
+        ),
+        obj, "scenario", _SCENARIO,
+    )
+    return scenario, _field(obj, "rank_used", int, "scenario", None)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +207,17 @@ def _rank_core(comps, rect: LatticeRect, real_valued: bool, rel_tol: float | Non
     return model, prediction, rank, spectrum
 
 
-def cmd_rank(cfg: dict, args) -> int:
-    _resolve_seed(cfg, args, required=False)  # validated although rank draws nothing
+def cmd_rank(cfg: dict, run: RunSettings, args) -> int:
     rect = parse_rect(cfg)
     comps = parse_components(cfg)
-    real_valued = _resolve_real(cfg, args)
-    model, prediction, rank, spectrum = _rank_core(comps, rect, real_valued, args.tolerance)
+    model, prediction, rank, spectrum = _rank_core(comps, rect, run.real_valued, args.tolerance)
     agree = rank == prediction.formula_value
+    gap = spectral_gap_ratio(spectrum, rank)
     report = {
         "mode": "rank",
         "N": rect.N,
         "M": rect.M,
-        "real_valued": real_valued,
+        "real_valued": run.real_valued,
         "prediction": prediction.formula_value,
         "clamped": prediction.clamped,
         "per_component_counts": list(prediction.per_component_counts),
@@ -263,21 +225,20 @@ def cmd_rank(cfg: dict, args) -> int:
         "numerical_rank": rank,
         "agree": agree,
         "spectrum": [float(s) for s in spectrum],
-        "gap_ratio": _finite_or_none(spectral_gap_ratio(spectrum, rank)),
+        "gap_ratio": gap if gap is not None and math.isfinite(gap) else None,
         "factorization_residual": model.factorization_residual(),
         "certificates_checked": 0,
         "max_residual": None,
     }
     _emit(report, args.out)
-    if prediction.regime_flag is RegimeFlag.OUTSIDE:
+    if not prediction.trustworthy:
         return EXIT_REGIME
     return EXIT_PASS if agree else EXIT_DISAGREE
 
 
-def cmd_verify(cfg: dict, args) -> int:
-    if _resolve_real(cfg, args):
+def cmd_verify(cfg: dict, run: RunSettings, args) -> int:
+    if run.real_valued:
         raise ConfigError("verify applies to the complex-valued model only")
-    seed = _resolve_seed(cfg, args, required=False)
     rect = parse_rect(cfg)
     comps = parse_components(cfg)
     if not comps:
@@ -293,15 +254,11 @@ def cmd_verify(cfg: dict, args) -> int:
             _diagnostic("regime", str(exc))
             return EXIT_REGIME
     points_total = len(points)
-    cap = cfg.get("max_certificate_points", DEFAULT_VERIFY_CAP)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ConfigError("'max_certificate_points' must be a positive integer")
     sampled = False
-    if len(points) > cap:
-        if seed is None:
-            raise ConfigError("sampling the audit set needs an explicit seed")
+    if len(points) > run.max_certificate_points:
+        seed = run.require_seed("sampling the audit set needs an explicit seed")
         rng = np.random.default_rng([seed, 3])
-        keep = rng.choice(len(points), size=cap, replace=False)
+        keep = rng.choice(len(points), size=run.max_certificate_points, replace=False)
         points = [points[i] for i in sorted(keep)]
         sampled = True
 
@@ -349,54 +306,47 @@ def cmd_verify(cfg: dict, args) -> int:
     return EXIT_PASS if not failures else EXIT_DISAGREE
 
 
-def cmd_simulate(cfg: dict, args) -> int:
-    seed = _resolve_seed(cfg, args, required=True)
+def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
+    seed = run.require_seed()
     rect = parse_rect(cfg)
     comps = parse_components(cfg)
-    trials = _resolve_trials(cfg, args)
-    real_valued = _resolve_real(cfg, args)
-    model = assemble_gamma(comps, rect, real_valued=real_valued)
-    prediction = predict_rank(comps, rect, real_valued=real_valued)
-    snapshots = synthesize_batch(comps, rect, trials, seed, real_valued=real_valued)
+    model = assemble_gamma(comps, rect, real_valued=run.real_valued)
+    prediction = predict_rank(comps, rect, real_valued=run.real_valued)
+    snapshots = synthesize_batch(comps, rect, run.trials, seed, real_valued=run.real_valued)
     estimate = sample_covariance(snapshots)
     exact_rank, _ = numerical_rank(model.gamma, rel_tol=args.tolerance)
     sample_rank, _ = numerical_rank(estimate, rel_tol=args.tolerance)
     rel_error = float(
         np.linalg.norm(estimate - model.gamma) / max(np.linalg.norm(model.gamma), 1e-300)
     )
-    matrix_path = None
-    report_path = args.out
-    if args.out and args.out.endswith(".csv"):
-        save_matrix_csv(estimate, args.out)
-        matrix_path, report_path = args.out, None
-    elif args.out and args.out.endswith(".bin"):
-        save_matrix_binary(estimate, args.out)
-        matrix_path, report_path = args.out, None
+    # an --out path ending in .csv or .bin receives the matrix instead of the report
+    save = {".csv": save_matrix_csv, ".bin": save_matrix_binary}.get((args.out or "")[-4:])
+    if save:
+        save(estimate, args.out)
     report = {
         "mode": "simulate",
         "N": rect.N,
         "M": rect.M,
         "seed": seed,
-        "trials": trials,
+        "trials": run.trials,
         "prediction": prediction.formula_value,
         "regime_flag": prediction.regime_flag.value,
         "exact_rank": exact_rank,
         "sample_rank": sample_rank,
-        "expected_sample_rank": min(trials, exact_rank),
+        "expected_sample_rank": min(run.trials, exact_rank),
         "frobenius_rel_error": rel_error,
-        "matrix_path": matrix_path,
+        "matrix_path": args.out if save else None,
     }
-    _emit(report, report_path)
+    _emit(report, None if save else args.out)
     return EXIT_PASS
 
 
-def cmd_stap(cfg: dict, args) -> int:
-    if _resolve_real(cfg, args):
+def cmd_stap(cfg: dict, run: RunSettings, args) -> int:
+    if run.real_valued:
         raise ConfigError("stap applies to the complex-valued model only")
-    seed = _resolve_seed(cfg, args, required=True)
+    seed = run.require_seed()
     scenario, rank_used = parse_scenario(cfg)
-    trials = _resolve_trials(cfg, args)
-    report = suppression_experiment(scenario, trials=trials, seed=seed, rank_used=rank_used)
+    report = suppression_experiment(scenario, trials=run.trials, seed=seed, rank_used=rank_used)
     payload = {"mode": "stap", "antennas": scenario.rect.N, "pulses": scenario.rect.M}
     payload.update(report.to_dict())
     _emit(payload, args.out)
@@ -413,7 +363,7 @@ _GRID_MULTI = (
 
 
 def _grid_component(slope_ab: tuple[int, int], index: int) -> EvanescentComponent:
-    omega = (0.9 + 0.7 * index) % (2.0 * math.pi)
+    omega = (0.9 + 0.7 * index) % TWO_PI
     process = ModulatingProcessSpec(ProcessKind.AR1, variance=1.0, ar_coefficient=0.55)
     return EvanescentComponent(make_slope_pair(*slope_ab), omega, process)
 
@@ -435,30 +385,22 @@ def default_grid_cells() -> list[tuple[LatticeRect, list[EvanescentComponent]]]:
 
 
 def _grid_cells_from_config(cfg: dict):
-    grid = cfg.get("grid")
+    grid = _field(cfg, "grid", dict, "config", None)
     if grid is None:
         return default_grid_cells()
-    if not isinstance(grid, dict):
-        raise ConfigError("'grid' must be an object")
-    cells = []
-    dims_n = grid.get("N", list(_GRID_DIMS))
-    dims_m = grid.get("M", list(_GRID_DIMS))
-    for slope in grid.get("slopes", []):
-        if not (isinstance(slope, list) and len(slope) == 2):
-            raise ConfigError("grid slopes must be [a, b] pairs")
-        for n in dims_n:
-            for m in dims_m:
-                try:
-                    rect = LatticeRect(int(n), int(m))
-                    cells.append((rect, [_grid_component((int(slope[0]), int(slope[1])), 0)]))
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
-    for idx, cell in enumerate(grid.get("cells", [])):
-        if not isinstance(cell, dict):
-            raise ConfigError(f"grid cells[{idx}] must be an object")
-        rect = parse_rect(cell)
-        comps = parse_components(cell)
-        cells.append((rect, comps))
+    dims_n = _field(grid, "N", list[int], "grid", _GRID_DIMS)
+    dims_m = _field(grid, "M", list[int], "grid", _GRID_DIMS)
+    slopes = _field(grid, "slopes", list[list[int]], "grid", [])
+    if any(len(slope) != 2 for slope in slopes):
+        raise ConfigError("grid slopes must be [a, b] pairs")
+    cells = [
+        (LatticeRect(n, m), [_grid_component(slope, 0)])
+        for slope in slopes
+        for n in dims_n
+        for m in dims_m
+    ]
+    for cell in _field(grid, "cells", list[dict], "grid", []):
+        cells.append((parse_rect(cell), parse_components(cell)))
     # an empty sweep is legal: header plus summary, nothing between
     return cells
 
@@ -467,26 +409,23 @@ def _component_label(comps) -> str:
     return "|".join(f"{c.slope.a}:{c.slope.b}:{c.omega:.6g}" for c in comps)
 
 
-def cmd_grid(cfg: dict, args) -> int:
-    _resolve_seed(cfg, args, required=False)  # validated although grid draws nothing
-    real_valued = _resolve_real(cfg, args)
+def cmd_grid(cfg: dict, run: RunSettings, args) -> int:
     cells = _grid_cells_from_config(cfg)
     lines = ["N,M,components,real,predicted,numerical,agree,gap_ratio,regime"]
     passed = flagged = disagreements = 0
     for rect, comps in cells:
-        _, prediction, rank, spectrum = _rank_core(comps, rect, real_valued, args.tolerance)
+        _, prediction, rank, spectrum = _rank_core(comps, rect, run.real_valued, args.tolerance)
         gap = spectral_gap_ratio(spectrum, rank)
-        trustworthy = prediction.regime_flag is not RegimeFlag.OUTSIDE
         agree = rank == prediction.formula_value
-        if not trustworthy:
+        if not prediction.trustworthy:
             flagged += 1
         elif agree:
             passed += 1
         else:
             disagreements += 1
         lines.append(
-            f"{rect.N},{rect.M},{_component_label(comps)},{int(real_valued)},"
-            f"{prediction.formula_value},{rank},{int(agree and trustworthy)},"
+            f"{rect.N},{rect.M},{_component_label(comps)},{int(run.real_valued)},"
+            f"{prediction.formula_value},{rank},{int(agree and prediction.trustworthy)},"
             f"{'' if gap is None else f'{gap:.6g}'},{prediction.regime_flag.value}"
         )
     lines.append(f"SUMMARY,pass={passed},cells={len(cells)},flagged={flagged}")
@@ -506,48 +445,54 @@ def cmd_grid(cfg: dict, args) -> int:
 # entry
 
 
+_FLAGS = {
+    "--seed": {"type": int, "help": "override the config seed"},
+    "--trials": {"type": int, "help": "override the config snapshot count"},
+    "--real": {"action": "store_const", "const": True, "dest": "real_valued",
+               "help": "use the real-valued field model"},
+    "--tolerance": {"type": float,
+                    "help": "relative tolerance (singular-value cut or certificate residual)"},
+}
+
+# verb -> (handler, help, the flags it reads besides --config and --out)
+_VERBS = {
+    "rank": (cmd_rank, "predict covariance rank and check it numerically",
+             ("--seed", "--real", "--tolerance")),
+    "verify": (cmd_verify, "audit dependence certificates on the dependent block",
+               ("--seed", "--real", "--tolerance")),
+    "simulate": (cmd_simulate, "compare sample covariance against the exact one",
+                 ("--seed", "--trials", "--real", "--tolerance")),
+    "stap": (cmd_stap, "run a jammer/clutter subspace projection experiment",
+             ("--seed", "--trials", "--real")),
+    "grid": (cmd_grid, "sweep lattice sizes and component sets to CSV",
+             ("--seed", "--real", "--tolerance")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evarank",
         description="Low-rank evanescent-field covariance toolkit",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, helptext in (
-        ("rank", "predict covariance rank and check it numerically"),
-        ("verify", "audit dependence certificates on the dependent block"),
-        ("simulate", "compare sample covariance against the exact one"),
-        ("stap", "run a jammer/clutter subspace projection experiment"),
-        ("grid", "sweep lattice sizes and component sets to CSV"),
-    ):
+    for mode, (_, helptext, flags) in _VERBS.items():
         p = sub.add_parser(mode, help=helptext)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="write the report here as well")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help="relative tolerance (singular-value cut or certificate residual)",
-        )
-        p.add_argument("--trials", type=int, default=None, help="snapshot count")
-        p.add_argument("--real", action="store_true", help="use the real-valued field model")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_DISPATCH = {
-    "rank": cmd_rank,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "stap": cmd_stap,
-    "grid": cmd_grid,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = _VERBS[args.mode][0]
     try:
         cfg = load_config(args.config)
-        return _DISPATCH[args.mode](cfg, args)
+        for key, _, _ in _SETTINGS:  # a flag overrides the key it is named after
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
+        return handler(cfg, _build(RunSettings, cfg, "config", _SETTINGS), args)
     except ConfigError as exc:
         _diagnostic("config", str(exc))
         return EXIT_CONFIG

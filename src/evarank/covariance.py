@@ -190,7 +190,10 @@ def load_matrix_binary(path) -> np.ndarray:
         magic = fh.read(8)
         if magic != BINARY_MAGIC:
             raise ValueError(f"bad matrix file magic {magic!r}")
-        rows, cols = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError("matrix file header is truncated")
+        rows, cols = struct.unpack("<II", header)
         data = np.frombuffer(fh.read(), dtype="<c16")
     if data.size != rows * cols:
         raise ValueError("matrix file payload does not match header dimensions")

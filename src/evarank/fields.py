@@ -26,6 +26,12 @@ class ProcessKind(str, Enum):
     WHITE = "white"
     AR1 = "ar1"
 
+    @classmethod
+    def _missing_(cls, value):
+        # kind names are case-insensitive: "AR1" selects AR1
+        name = value.lower() if isinstance(value, str) else None
+        return next((kind for kind in cls if kind.value == name), None)
+
 
 @dataclass(frozen=True)
 class ModulatingProcessSpec:
@@ -41,8 +47,8 @@ class ModulatingProcessSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ProcessKind(self.kind))
-        if not self.variance > 0:
-            raise ValueError("process variance must be positive")
+        if not 0 < self.variance < math.inf:
+            raise ValueError("process variance must be positive and finite")
         if not abs(self.ar_coefficient) < 1:
             raise ValueError("AR(1) coefficient must satisfy |ar| < 1")
         if self.kind is ProcessKind.WHITE and self.ar_coefficient != 0.0:

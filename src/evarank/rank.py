@@ -110,23 +110,11 @@ def predict_rank(components, rect: LatticeRect, real_valued: bool = False) -> Ra
     return RankPrediction(value, clamped, counts, flag)
 
 
-def default_rank_tolerance(spectrum: np.ndarray, shape: tuple[int, int], safety: float = 1e3) -> float:
-    """Threshold safety * max(shape) * eps * sigma_max."""
-    sigma_max = float(spectrum[0]) if spectrum.size else 0.0
-    return safety * max(shape) * np.finfo(np.float64).eps * sigma_max
-
-
-def numerical_rank(
-    matrix: np.ndarray,
-    rel_tol: float | None = None,
-    abs_tol: float | None = None,
-    safety: float = 1e3,
-) -> tuple[int, np.ndarray]:
+def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
     """Counts singular values above threshold; returns (rank, spectrum).
 
-    The default threshold is safety * max(shape) * eps * sigma_max.
-    `rel_tol` replaces it with rel_tol * sigma_max; `abs_tol` with an
-    absolute cut.  Hermitian input goes through the symmetric
+    The threshold is rel_tol * sigma_max, with rel_tol defaulting to
+    1e3 * max(shape) * eps.  Hermitian input goes through the symmetric
     eigendecomposition (singular values are the eigenvalue magnitudes);
     anything else through the SVD.
 
@@ -147,13 +135,9 @@ def numerical_rank(
         spectrum = np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1]
     else:
         spectrum = np.linalg.svd(matrix, compute_uv=False)
-    if abs_tol is not None:
-        tau = abs_tol
-    elif rel_tol is not None:
-        tau = rel_tol * float(spectrum[0])
-    else:
-        tau = default_rank_tolerance(spectrum, matrix.shape, safety)
-    return int(np.count_nonzero(spectrum > tau)), spectrum
+    if rel_tol is None:
+        rel_tol = 1e3 * max(matrix.shape) * np.finfo(np.float64).eps
+    return int(np.count_nonzero(spectrum > rel_tol * float(spectrum[0]))), spectrum
 
 
 def _scale(matrix: np.ndarray) -> float:
@@ -259,22 +243,19 @@ def find_certificate(
     target: tuple[int, int],
     components,
     rect: LatticeRect,
-    max_radius: int | None = None,
-    require_effective: bool = True,
 ) -> DependencyCertificate | None:
     """Searches shift tuples outward by radius, smallest first.
 
-    Returns the first admissible certificate (effective ones only, unless
-    disabled), or None when no tuple up to `max_radius` works; the default
-    radius max(N, M) exhausts every tuple that can stay inside the lattice.
+    Returns the first admissible certificate that rewrites the target
+    through other columns, or None when no tuple up to radius max(N, M)
+    works; that radius exhausts every tuple that can stay inside the
+    lattice.
     """
     components = list(components)
     if not components:
         return None
-    if max_radius is None:
-        max_radius = max(rect.N, rect.M)
     q = len(components)
-    for radius in range(1, max_radius + 1):
+    for radius in range(1, max(rect.N, rect.M) + 1):
         candidates = sorted(
             (t for t in itertools.product(range(-radius, radius + 1), repeat=q)
              if max(abs(x) for x in t) == radius),
@@ -286,7 +267,7 @@ def find_certificate(
             cert = make_certificate(target, shifts, components, rect)
             # A useful witness rewrites the target through other columns;
             # tuples with zero entries can telescope back to the identity map.
-            if require_effective and cert.trivial:
+            if cert.trivial:
                 continue
             return cert
     return None

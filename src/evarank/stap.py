@@ -37,8 +37,8 @@ class JammerSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.angle_freq):
             raise ValueError("jammer angle frequency must be finite")
-        if not self.power > 0:
-            raise ValueError("jammer power must be positive")
+        if not 0 < self.power < math.inf:
+            raise ValueError("jammer power must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class ClutterRidgeSpec:
         object.__setattr__(self, "kind", ProcessKind(self.kind))
         if not isinstance(self.slope, int) or self.slope < 1:
             raise ValueError("clutter slope must be a positive integer")
-        if not self.power > 0:
-            raise ValueError("clutter power must be positive")
+        if not 0 < self.power < math.inf:
+            raise ValueError("clutter power must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,10 @@ class TargetSpec:
     amplitude: float
 
     def __post_init__(self) -> None:
-        if not self.amplitude > 0:
-            raise ValueError("target amplitude must be positive")
+        if not (math.isfinite(self.angle_freq) and math.isfinite(self.doppler_freq)):
+            raise ValueError("target frequencies must be finite")
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError("target amplitude must be positive and finite")
 
     def steering(self, rect: LatticeRect) -> np.ndarray:
         n = np.arange(rect.N)[:, None]
@@ -88,8 +90,8 @@ class StapScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jammers", tuple(self.jammers))
-        if not self.noise_power > 0:
-            raise ValueError("noise power must be positive")
+        if not 0 < self.noise_power < math.inf:
+            raise ValueError("noise power must be positive and finite")
         freqs = [j.angle_freq % TWO_PI for j in self.jammers]
         if len(set(freqs)) != len(freqs):
             raise ValueError("jammer angle frequencies must be distinct")
@@ -187,10 +189,10 @@ def suppression_experiment(
     rect = scenario.rect
     prediction = predict_rank(comps, rect)
     r = prediction.formula_value if rank_used is None else rank_used
-    gamma_int = assemble_gamma(comps, rect).gamma
     snapshots = synthesize_batch(
         comps, rect, trials, seed, noise_power=scenario.noise_power
     )
+    gamma_int = assemble_gamma(comps, rect).gamma
     estimate = sample_covariance(snapshots)
     projector = dominant_projection(estimate, r)
     eigenvalues = np.sort(np.linalg.eigvalsh(estimate))[::-1]

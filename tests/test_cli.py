@@ -398,9 +398,18 @@ def test_grid_default_sweep_runs(tmp_path, capsys):
 
 # --- config errors --------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "payload",
-    [
+def with_process(**process):
+    component = {"a": 1, "b": 1, "omega": 0.5, "process": process}
+    return {"rect": {"N": 8, "M": 8}, "components": [component]}
+
+
+def with_scenario(**changes):
+    return dict(STAP, scenario=dict(STAP["scenario"], **changes))
+
+
+BAD_CONFIGS = [
+    pytest.param("rank", payload, id=f"payload{i}")
+    for i, payload in enumerate([
         {"components": [{"a": 1, "b": 1, "omega": 0.5}]},
         {"rect": {"N": 8, "M": 8}},
         {"rect": {"N": 0, "M": 8}, "components": []},
@@ -408,16 +417,74 @@ def test_grid_default_sweep_runs(tmp_path, capsys):
         {"rect": {"N": 8, "M": 8}, "components": [{"a": 2, "b": 4, "omega": 0.5}]},
         {"rect": {"N": 8, "M": 8}, "components": "nope"},
         {"rect": {"N": 8, "M": 8}, "components": [], "seed": -3},
-    ],
-)
-def test_bad_configs_exit_two(tmp_path, capsys, payload):
+    ])
+] + [
+    # non-list fields
+    pytest.param("grid", {"grid": {"N": 5, "slopes": [[1, 1]]}}, id="grid-N-not-a-list"),
+    pytest.param("grid", {"grid": {"M": 5, "slopes": [[1, 1]]}}, id="grid-M-not-a-list"),
+    pytest.param("grid", {"grid": {"cells": 5}}, id="grid-cells-not-a-list"),
+    pytest.param("stap", with_scenario(jammers=5), id="jammers-not-a-list"),
+    # values of the wrong JSON type are not coerced
+    pytest.param("rank", with_process(variance="2"), id="variance-string"),
+    pytest.param("rank", with_process(variance=True), id="variance-bool"),
+    pytest.param("rank", with_process(kind="ar1", ar_coefficient="0.5"), id="ar-string"),
+    pytest.param("grid", {"grid": {"N": [4.7], "slopes": [[1, 1]]}}, id="grid-N-float"),
+    pytest.param("grid", {"grid": {"slopes": [[1.5, 1]]}}, id="grid-slope-float"),
+    # non-finite numbers are refused where the spec is built
+    pytest.param("rank", with_process(variance=float("inf")), id="variance-inf"),
+    pytest.param(
+        "stap", with_scenario(jammers=[{"angle_freq": 0.7, "power": float("inf")}]), id="jammer-inf"
+    ),
+    pytest.param("stap", with_scenario(noise_power=float("inf")), id="noise-inf"),
+    pytest.param(
+        "stap", with_scenario(clutter={"slope": 1, "power": float("inf")}), id="clutter-inf"
+    ),
+    pytest.param(
+        "stap",
+        with_scenario(target={"angle_freq": 0.4, "doppler_freq": 1.0, "amplitude": float("inf")}),
+        id="target-inf",
+    ),
+]
+
+
+@pytest.mark.parametrize("verb, payload", BAD_CONFIGS)
+def test_bad_configs_exit_two(tmp_path, capsys, verb, payload):
     cfg = write_config(tmp_path, payload)
-    code, out, err = run(capsys, "rank", "--config", cfg)
+    code, out, err = run(capsys, verb, "--config", cfg)
     assert code == 2
     assert out == ""
     diagnostic = json.loads(err)
     assert diagnostic["error"] in ("config", "value")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [("rank", "--trials"), ("verify", "--trials"), ("grid", "--trials"), ("stap", "--tolerance")],
+)
+def test_verbs_accept_only_the_flags_they_read(tmp_path, capsys, verb, flag):
+    cfg = write_config(tmp_path, INTERIOR)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", cfg, flag, "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_trials_flag_overrides_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(INTERIOR, seed=4, trials=200))
+    code, out, _ = run(capsys, "simulate", "--config", cfg, "--trials", "8")
+    assert code == 0
+    assert json.loads(out)["trials"] == 8
+
+
+def test_process_kind_is_case_insensitive(tmp_path, capsys):
+    outputs = []
+    for kind in ("ar1", "AR1"):
+        cfg = write_config(tmp_path, with_process(kind=kind, ar_coefficient=0.5))
+        code, out, _ = run(capsys, "rank", "--config", cfg)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -243,9 +243,14 @@ def test_binary_round_trip(tmp_path):
     assert len(raw) == 16 + 20 * 20 * 16
 
 
-def test_binary_rejects_bad_magic(tmp_path):
+@pytest.mark.parametrize(
+    "raw",
+    [b"NOTMAGIC" + b"\x00" * 24, b"EVCM0001\x02\x00"],
+    ids=["bad-magic", "truncated-header"],
+)
+def test_binary_rejects_bad_magic(tmp_path, raw):
     path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
+    path.write_bytes(raw)
     with pytest.raises(ValueError):
         load_matrix_binary(path)
 

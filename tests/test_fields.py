@@ -37,8 +37,14 @@ def test_process_spec_validation():
         ModulatingProcessSpec(ProcessKind.AR1, 1.0, 1.0)
     with pytest.raises(ValueError):
         ModulatingProcessSpec(ProcessKind.WHITE, 1.0, 0.5)
-    # string kinds coerce through the enum
+    for variance in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ModulatingProcessSpec(ProcessKind.WHITE, variance)
+    with pytest.raises(ValueError):
+        ModulatingProcessSpec("pink", 1.0)
+    # string kinds coerce through the enum, whatever their case
     assert ModulatingProcessSpec("white", 1.0).kind is ProcessKind.WHITE
+    assert ModulatingProcessSpec("AR1", 1.0, 0.5).kind is ProcessKind.AR1
 
 
 def test_autocovariance_model_values():

@@ -82,6 +82,19 @@ def test_spec_validation():
         ClutterRidgeSpec(0, 1.0)
     with pytest.raises(ValueError):
         StapScenario(LatticeRect(4, 4), noise_power=0.0)
+    with pytest.raises(ValueError):
+        TargetSpec(0.4, 1.0, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            JammerSpec(0.5, bad)
+        with pytest.raises(ValueError):
+            ClutterRidgeSpec(1, bad)
+        with pytest.raises(ValueError):
+            StapScenario(LatticeRect(4, 4), noise_power=bad)
+        for args in ((bad, 1.0, 2.0), (0.4, bad, 2.0), (0.4, 1.0, bad)):
+            with pytest.raises(ValueError):
+                TargetSpec(*args)
+    assert ClutterRidgeSpec(1, 1.0, kind="AR1", ar_coefficient=0.5).kind is ProcessKind.AR1
 
 
 # --- interference covariance ---------------------------------------------------
