@@ -1,7 +1,7 @@
 """Command-line front end: rank checks, certificate audits, simulations.
 
 Verbs:
-    rank      predict the covariance rank and confront it with the SVD
+    rank      predict the covariance rank and confront it with the numerical rank
     verify    audit dependence certificates over the dependent point block
     simulate  draw snapshots, compare sample covariance to the exact one
     stap      run a jammer/clutter projection experiment
@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import assemble_gamma, sample_covariance, save_matrix_binary, save_matrix_csv
+from .covariance import (
+    assemble_gamma,
+    relative_gap,
+    sample_covariance,
+    save_matrix_binary,
+    save_matrix_csv,
+)
 from .fields import (
     TWO_PI,
     EvanescentComponent,
@@ -35,6 +41,7 @@ from .fields import (
 from .lattice import LatticeRect, make_slope_pair
 from .rank import (
     dependent_point_set,
+    factor_rank,
     find_certificate,
     make_certificate,
     numerical_rank,
@@ -81,8 +88,12 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests too deeply to parse") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -203,7 +214,7 @@ def parse_scenario(cfg: dict) -> tuple[StapScenario, int | None]:
 def _rank_core(comps, rect: LatticeRect, real_valued: bool, rel_tol: float | None):
     model = assemble_gamma(comps, rect, real_valued=real_valued)
     prediction = predict_rank(comps, rect, real_valued=real_valued)
-    rank, spectrum = numerical_rank(model.gamma, rel_tol=rel_tol)
+    rank, spectrum = factor_rank(model, rel_tol=rel_tol)
     return model, prediction, rank, spectrum
 
 
@@ -314,11 +325,9 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     prediction = predict_rank(comps, rect, real_valued=run.real_valued)
     snapshots = synthesize_batch(comps, rect, run.trials, seed, real_valued=run.real_valued)
     estimate = sample_covariance(snapshots)
-    exact_rank, _ = numerical_rank(model.gamma, rel_tol=args.tolerance)
+    exact_rank, _ = factor_rank(model, rel_tol=args.tolerance)
     sample_rank, _ = numerical_rank(estimate, rel_tol=args.tolerance)
-    rel_error = float(
-        np.linalg.norm(estimate - model.gamma) / max(np.linalg.norm(model.gamma), 1e-300)
-    )
+    rel_error = relative_gap(estimate, model.gamma)
     # an --out path ending in .csv or .bin receives the matrix instead of the report
     save = {".csv": save_matrix_csv, ".bin": save_matrix_binary}.get((args.out or "")[-4:])
     if save:
@@ -488,6 +497,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = _VERBS[args.mode][0]
     try:
+        tolerance = getattr(args, "tolerance", None)
+        if tolerance is not None and not 0.0 < tolerance < math.inf:
+            raise ConfigError(f"--tolerance must be positive and finite, got {tolerance}")
         cfg = load_config(args.config)
         for key, _, _ in _SETTINGS:  # a flag overrides the key it is named after
             if getattr(args, key, None) is not None:

@@ -12,6 +12,7 @@ identity can be checked rather than assumed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,6 +72,7 @@ class CovarianceModel:
 
     `gamma` and `stacked` (every carrier's dense factor block, stacked) are
     built on first read, and gamma == stacked^H R stacked up to roundoff.
+    `whitened_factor()` folds R into the factor: gamma == F^H F.
     """
 
     rect: LatticeRect
@@ -87,11 +89,19 @@ class CovarianceModel:
         """Gamma by elementwise gather, one component at a time."""
         size = self.rect.size
         gamma = np.zeros((size, size), dtype=self.dtype)
+        gathered = np.empty((size, size))  # buffers reused across blocks and carriers
+        term = np.empty_like(gamma)
         for block in self.blocks:
-            gathered = block.cov[block.rows[:, None], block.rows[None, :]]
+            # rows are in range by construction; "clip" only spares the copy "raise" makes
+            np.take(block.cov[block.rows], block.rows, axis=1, out=gathered, mode="clip")
             for w in block.carriers:
-                gamma += np.conj(w)[:, None] * gathered * w[None, :]
-        return (gamma + gamma.conj().T) / 2.0  # enforce exact Hermitian symmetry
+                np.multiply(np.conj(w)[:, None], gathered, out=term)
+                term *= w[None, :]
+                gamma += term
+        np.conjugate(gamma.T, out=term)  # enforce exact Hermitian symmetry
+        gamma += term
+        gamma /= 2.0
+        return gamma
 
     @cached_property
     def stacked(self) -> np.ndarray:
@@ -102,21 +112,60 @@ class CovarianceModel:
         """Column of the stacked factor for lattice point (n, m)."""
         return self.stacked[:, self.rect.vec_index(n, m)]
 
+    def whitened_factor(self) -> np.ndarray:
+        """F = blockdiag(L^H) C with cov = L L^H per block, so gamma == F^H F.
+
+        Carrier block k is L^H[:, rows] * carrier: one row per process
+        sample and carrier, sum(rows) by N*M in all.  Built on every call.
+        """
+        parts = []
+        for block in self.blocks:
+            upper = np.linalg.cholesky(block.cov).T  # cov is real, so L^H = L^T
+            parts.extend(upper[:, block.rows] * w for w in block.carriers)
+        return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
+
     def factored_gamma(self) -> np.ndarray:
         """C^H R C by matrix products, densifying one carrier block at a time."""
         out = np.zeros((self.rect.size, self.rect.size), dtype=self.dtype)
         for block in self.blocks:
             for w in block.carriers:
                 dense = block.dense(w)
-                out = out + dense.conj().T @ block.cov @ dense
+                out += dense.conj().T @ block.cov @ dense
         return out
 
     def factorization_residual(self) -> float:
         """Relative Frobenius gap between Gamma and its factored form."""
-        denom = np.linalg.norm(self.gamma)
-        if denom == 0.0:
-            return 0.0
-        return float(np.linalg.norm(self.gamma - self.factored_gamma()) / denom)
+        gamma = self.gamma  # built first, so its transients and the product's never coexist
+        return relative_gap(self.factored_gamma(), gamma)
+
+
+def _norm_parts(x: np.ndarray) -> tuple[float, float]:
+    """(n, s) with ||x||_F = n * s, neither overflowed nor lost to underflow."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if 1e-100 < norm < math.inf:
+        # no partial sum of squares overflowed, and squares that underflowed are negligible
+        return norm, 1.0
+    # real division: a complex one by a subnormal scale overflows on its reciprocal
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    scale = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
+    if scale == 0.0:
+        return 0.0, 1.0
+    return math.hypot(*(float(np.linalg.norm(part / scale)) for part in parts)), scale
+
+
+def relative_gap(approx: np.ndarray, exact: np.ndarray) -> float:
+    """||approx - exact||_F / ||exact||_F, and 0.0 when exact is zero.
+
+    Scale-safe: a norm whose sum of squares would overflow or underflow is
+    taken on its array divided by its largest magnitude.  At ordinary
+    scales no array is copied, and the quotient is the plain one.
+    """
+    exact_norm, exact_scale = _norm_parts(exact)
+    if exact_norm == 0.0:
+        return 0.0
+    gap_norm, gap_scale = _norm_parts(approx - exact)
+    return (gap_norm / exact_norm) * (gap_scale / exact_scale)
 
 
 def assemble_gamma(

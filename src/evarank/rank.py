@@ -7,9 +7,10 @@ has rank
 
 in the interior regime (sum|a_q| < M and sum|b_q| < N).  This module
 computes that prediction, measures the numerical rank of an assembled
-covariance against it, and backs the count with explicit linear-dependence
-certificates: inclusion-exclusion combinations over Diophantine shifts that
-reconstruct a factor column exactly from other columns.
+covariance against it (read from the factor by `factor_rank`), and backs
+the count with explicit linear-dependence certificates: inclusion-exclusion
+combinations over Diophantine shifts that reconstruct a factor column
+exactly from other columns.
 """
 
 from __future__ import annotations
@@ -136,8 +137,35 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
     else:
         spectrum = np.linalg.svd(matrix, compute_uv=False)
     if rel_tol is None:
-        rel_tol = 1e3 * max(matrix.shape) * np.finfo(np.float64).eps
+        rel_tol = _default_rel_tol(max(matrix.shape))
     return int(np.count_nonzero(spectrum > rel_tol * float(spectrum[0]))), spectrum
+
+
+def factor_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
+    """numerical_rank of the model's Gamma, read from its whitened factor.
+
+    Gamma == F^H F, so its nonzero eigenvalues are those of the Gram of F
+    on its short side: F F^H (sum(rows) square) when F has at most N*M
+    rows, F^H F otherwise.  The cut is the one numerical_rank applies to
+    the N*M by N*M Gamma, and the spectrum is zero-padded to N*M entries,
+    so the result stands in for numerical_rank(model.gamma) without an
+    N*M by N*M eigensolve whenever sum(rows) < N*M.
+    """
+    size = model.rect.size
+    factor = model.whitened_factor()
+    if factor.shape[0] <= size:
+        gram = factor @ factor.conj().T
+    else:
+        gram = factor.conj().T @ factor
+    gram = (gram + gram.conj().T) / 2.0  # exact Hermitian symmetry
+    if rel_tol is None:
+        rel_tol = _default_rel_tol(size)
+    rank, spectrum = numerical_rank(gram, rel_tol=rel_tol)
+    return rank, np.concatenate([spectrum, np.zeros(size - spectrum.size)])
+
+
+def _default_rel_tol(dim: int) -> float:
+    return 1e3 * dim * np.finfo(np.float64).eps
 
 
 def _scale(matrix: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import assemble_gamma, sample_covariance
+from .covariance import assemble_gamma
 from .fields import (
     TWO_PI,
     EvanescentComponent,
@@ -143,6 +143,11 @@ def dominant_projection(covariance: np.ndarray, r: int) -> np.ndarray:
     return np.eye(dim, dtype=top.dtype) - top @ top.conj().T
 
 
+def _power(x: np.ndarray) -> float:
+    """Squared Frobenius norm."""
+    return float(np.vdot(x, x).real)
+
+
 @dataclass
 class SubspaceReport:
     """Outcome of one projection experiment, JSON-friendly via to_dict."""
@@ -178,39 +183,47 @@ def suppression_experiment(
 ) -> SubspaceReport:
     """Measures interference suppression of the dominant-subspace projector.
 
-    Draws `trials` interference-plus-noise snapshots, estimates their sample
-    covariance, and projects out its top eigenvectors; the subspace
-    dimension defaults to the closed-form rank prediction.  Suppression is
-    the dB ratio of exact interference power before and after projection,
-    so it reflects the true covariance, not the estimate.  Deterministic
-    for a fixed seed.
+    Draws `trials` interference-plus-noise snapshots and projects out the
+    top eigenvectors of their sample covariance; the subspace dimension
+    defaults to the closed-form rank prediction.  Suppression is the dB
+    ratio of exact interference power before and after projection, so it
+    reflects the true covariance, not the estimate.  Deterministic for a
+    fixed seed.
+
+    The sample covariance is snapshots.T @ snapshots.conj() / trials, so
+    one SVD of the (trials, N*M) snapshots gives it all: eigenvalues
+    s**2 / trials, eigenvectors the rows of Vh transposed (not conjugated).
+    With fewer trials than r, the full Vh supplies the remaining directions
+    from the null space.  With Gamma = F^H F for the interference factor F,
+    the power before is ||F||^2 and after is ||F - (F U) U^H||^2.
+
+    Raises:
+        ValueError: when r is outside [0, N*M].
     """
     comps = scenario_to_components(scenario)
     rect = scenario.rect
     prediction = predict_rank(comps, rect)
     r = prediction.formula_value if rank_used is None else rank_used
+    if not 0 <= r <= rect.size:
+        raise ValueError(f"subspace dimension {r} outside [0, {rect.size}]")
     snapshots = synthesize_batch(
         comps, rect, trials, seed, noise_power=scenario.noise_power
     )
-    gamma_int = assemble_gamma(comps, rect).gamma
-    estimate = sample_covariance(snapshots)
-    projector = dominant_projection(estimate, r)
-    eigenvalues = np.sort(np.linalg.eigvalsh(estimate))[::-1]
+    _, singular, vh = np.linalg.svd(snapshots, full_matrices=r > trials)
+    eigenvalues = np.zeros(rect.size)
+    eigenvalues[: singular.size] = singular**2 / trials
+    top = vh[:r].T
 
-    before = float(np.trace(gamma_int).real)
-    after = float(np.trace(projector @ gamma_int @ projector.conj().T).real)
-    if before <= 0.0:
-        ratio = 0.0  # nothing to suppress
-    else:
-        ratio = max(after, 0.0) / before
+    factor = assemble_gamma(comps, rect).whitened_factor()
+    before = _power(factor)
+    after = _power(factor - (factor @ top) @ top.conj().T)
+    ratio = 0.0 if before == 0.0 else after / before  # 0.0: nothing to suppress
     suppression_db = math.inf if ratio == 0.0 else -10.0 * math.log10(ratio)
 
     retention = None
     if scenario.target is not None:
         steering = scenario.target.steering(rect)
-        retention = float(
-            np.linalg.norm(projector @ steering) ** 2 / np.linalg.norm(steering) ** 2
-        )
+        retention = _power(steering - top @ (top.conj().T @ steering)) / _power(steering)
     return SubspaceReport(
         prediction=prediction,
         rank_used=r,

@@ -183,7 +183,8 @@ def test_verify_single_column_lattice_audits_nothing(tmp_path, capsys):
 
 def test_verify_impossible_tolerance_fails(tmp_path, capsys):
     cfg = write_config(tmp_path, INTERIOR)
-    code, out, _ = run(capsys, "verify", "--config", cfg, "--tolerance", "0")
+    # the smallest gate the flag accepts: it must be positive
+    code, out, _ = run(capsys, "verify", "--config", cfg, "--tolerance", "1e-300")
     report = json.loads(out)
     if report["max_residual"] == 0.0:
         pytest.skip("all residuals landed at exactly zero")
@@ -506,6 +507,102 @@ def test_config_root_must_be_object(tmp_path, capsys):
     path.write_text("[1, 2]")
     code, _, _ = run(capsys, "rank", "--config", str(path))
     assert code == 2
+
+
+def test_config_directory_is_config_error(tmp_path, capsys):
+    code, out, err = run(capsys, "rank", "--config", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "rank", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("verb", ["rank", "verify", "simulate", "grid"])
+def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, verb, value):
+    cfg = write_config(tmp_path, dict(INTERIOR, seed=4))
+    code, out, err = run(capsys, verb, "--config", cfg, "--tolerance", value)
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "config"
+    assert "--tolerance" in diagnostic["message"]
+
+
+def test_rank_at_extreme_variance_is_clean(tmp_path, capsys):
+    # 1e300 squared overflows a plain Frobenius norm; the report must not notice
+    payload = dict(INTERIOR, components=[
+        dict(c, process={"variance": 1e300}) for c in INTERIOR["components"]
+    ])
+    code, out, err = run(capsys, "rank", "--config", write_config(tmp_path, payload))
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["numerical_rank"] == report["prediction"] == 49
+    assert report["factorization_residual"] <= 1e-10
+
+
+# --- the rank and subspace questions never decompose an N*M by N*M matrix ---------
+
+REAL_SINGLE = {"rect": {"N": 8, "M": 8}, "components": [{"a": 1, "b": 1, "omega": 0.9}]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (("rank",), INTERIOR),  # 58 factor rows against 64 lattice points
+        (("rank", "--real"), REAL_SINGLE),  # 30 rows
+        (("grid",), {"grid": {"cells": [INTERIOR]}}),
+        (("grid", "--real"), {"grid": {"cells": [REAL_SINGLE]}}),
+        (("simulate",), dict(INTERIOR, seed=4, trials=32)),
+        (("stap",), STAP),  # 16 rows; 128 snapshots of 64 entries
+    ],
+    ids=["rank", "rank-real", "grid", "grid-real", "simulate", "stap"],
+)
+def test_verbs_decompose_no_full_size_matrix(tmp_path, capsys, monkeypatch, argv, payload):
+    import evarank.cli
+
+    full = (64, 64)
+    shapes = []
+    exempt = []  # set while simulate takes the rank of its sample covariance
+
+    def spy(decompose):
+        def wrapped(a, *args, **kwargs):
+            if not exempt:
+                shapes.append(np.shape(a))
+            return decompose(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    dense_calls = []
+    dense_rank = evarank.cli.numerical_rank
+
+    def cli_numerical_rank(matrix, rel_tol=None):
+        dense_calls.append(np.shape(matrix))
+        exempt.append(True)
+        try:
+            return dense_rank(matrix, rel_tol=rel_tol)
+        finally:
+            exempt.pop()
+
+    monkeypatch.setattr(evarank.cli, "numerical_rank", cli_numerical_rank)
+    code, _, err = run(capsys, argv[0], "--config", write_config(tmp_path, payload), *argv[1:])
+    assert code == 0
+    assert err == ""
+    assert shapes, "the spy saw no decomposition at all"
+    assert full not in shapes
+    assert dense_calls == ([full] if argv[0] == "simulate" else [])
 
 
 # --- process entry points --------------------------------------------------------

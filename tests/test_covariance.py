@@ -5,6 +5,7 @@ from evarank.covariance import (
     assemble_gamma,
     load_matrix_binary,
     process_covariance,
+    relative_gap,
     sample_covariance,
     save_matrix_binary,
     save_matrix_csv,
@@ -156,6 +157,30 @@ def test_factorization_identity():
     for real in (False, True):
         model = assemble_gamma(comps, rect, real_valued=real)
         assert model.factorization_residual() <= 1e-12
+
+
+def test_whitened_factor_reproduces_gamma():
+    rect = LatticeRect(8, 8)
+    comps = [comp(3, 2, 0.9, AR1(1.0, 0.5)), comp(2, -1, 1.7, WHITE(2.0))]
+    for real in (False, True):
+        model = assemble_gamma(comps, rect, real_valued=real)
+        factor = model.whitened_factor()
+        # one row per process sample and carrier
+        assert factor.shape == ((36 + 22) * (2 if real else 1), 64)
+        assert factor.dtype == model.gamma.dtype
+        assert relative_gap(factor.conj().T @ factor, model.gamma) <= 1e-12
+        assert "whitened_factor" not in vars(model)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_relative_gap_is_scale_safe(scale):
+    rng = np.random.default_rng(0)
+    exact = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    approx = exact * (1 + 1e-6)
+    gap = relative_gap(scale * approx, scale * exact)  # a RuntimeWarning fails the test
+    assert gap == pytest.approx(1e-6, rel=1e-6)
+    assert relative_gap(exact, np.zeros_like(exact)) == 0.0
+    assert relative_gap(approx, exact) == np.linalg.norm(approx - exact) / np.linalg.norm(exact)
 
 
 def test_stacked_factor_has_q_entries_per_column():

@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from evarank.cli import default_grid_cells
 from evarank.covariance import assemble_gamma
 from evarank.fields import EvanescentComponent, ModulatingProcessSpec, ProcessKind
 from evarank.lattice import LatticeRect, make_slope_pair
 from evarank.rank import (
     RegimeFlag,
     dependent_point_set,
+    factor_rank,
     find_certificate,
     independent_point_set,
     make_certificate,
@@ -157,6 +161,66 @@ def test_zero_matrix_has_rank_zero():
     rank, spectrum = numerical_rank(np.zeros((5, 5)))
     assert rank == 0
     assert np.all(spectrum == 0)
+
+
+# --- factor route against the dense oracle -----------------------------------
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+def test_factor_rank_matches_dense_oracle_on_stock_grid(real_valued):
+    for rect, comps in default_grid_cells():
+        model = assemble_gamma(comps, rect, real_valued=real_valued)
+        dense_rank, dense = numerical_rank(model.gamma)
+        rank, spectrum = factor_rank(model)
+        assert rank == dense_rank, (rect, [c.triple() for c in comps])
+        assert spectrum.shape == dense.shape == (rect.size,)
+        np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
+
+
+def test_factor_rank_spectrum_past_the_factor_rows_is_zero():
+    rect = LatticeRect(15, 15)
+    model = assemble_gamma(comps_for([(2, 1)]), rect)
+    rank, spectrum = factor_rank(model)
+    rows = model.whitened_factor().shape[0]
+    assert rank == rows == 15 * 2 + 15 * 1 - 2  # every process sample is referenced
+    assert np.all(spectrum[rows:] == 0.0)
+    assert spectral_gap_ratio(spectrum, rank) == math.inf
+
+
+def test_factor_rank_of_tall_factor_and_empty_model():
+    # more factor rows than lattice points: the Gram is taken on the N*M side
+    rect = LatticeRect(4, 4)
+    model = assemble_gamma(comps_for([(3, 2), (2, 1)]), rect, real_valued=True)
+    assert model.whitened_factor().shape[0] > rect.size
+    assert factor_rank(model)[0] == numerical_rank(model.gamma)[0] == rect.size
+    rank, spectrum = factor_rank(assemble_gamma([], rect))
+    assert rank == 0
+    assert np.array_equal(spectrum, np.zeros(rect.size))
+
+
+_SLOPES = [(0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (2, -1), (1, -2), (3, 2), (3, -1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    m=st.integers(2, 12),
+    slopes=st.lists(st.sampled_from(_SLOPES), min_size=1, max_size=3),
+    ars=st.lists(st.floats(-0.7, 0.7), min_size=3, max_size=3),
+    real_valued=st.booleans(),
+)
+def test_factor_rank_equals_dense_rank_and_formula_on_interior_configs(
+    n, m, slopes, ars, real_valued
+):
+    # well separated frequencies, away from the real model's degenerate 0 and pi
+    comps = [
+        comp(a, b, 0.5 + 1.1 * i, AR1(1.0 + i, ar))
+        for i, ((a, b), ar) in enumerate(zip(slopes, ars))
+    ]
+    rect = LatticeRect(n, m)
+    pred = predict_rank(comps, rect, real_valued=real_valued)
+    assume(pred.regime_flag is RegimeFlag.INTERIOR)
+    model = assemble_gamma(comps, rect, real_valued=real_valued)
+    assert factor_rank(model)[0] == numerical_rank(model.gamma)[0] == pred.formula_value
 
 
 # --- dependent / independent point sets ---------------------------------------

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from evarank.covariance import assemble_gamma
+from evarank.covariance import assemble_gamma, sample_covariance
+from evarank.fields import synthesize_batch
 from evarank.fields import ProcessKind
 from evarank.lattice import LatticeRect
 from evarank.rank import numerical_rank, predict_rank
@@ -190,3 +191,60 @@ def test_suppression_monotone_around_true_rank():
         for r in (14, 15, 16)
     ]
     assert values[0] <= values[1] + 1e-9 <= values[2] + 2e-9
+
+
+def test_suppression_matches_dense_reference():
+    # the dense route: eigh of the sample covariance, projector applied to Gamma
+    sc = StapScenario(
+        LatticeRect(8, 8),
+        jammers=(JammerSpec(0.7, 1e6), JammerSpec(1.8, 1e4)),
+        clutter=ClutterRidgeSpec(1, 100.0, kind=ProcessKind.AR1, ar_coefficient=0.5),
+        noise_power=1.0,
+        target=TargetSpec(0.4, 1.0, 2.0),
+    )
+    comps = scenario_to_components(sc)
+    for r in (10, 23, 31):
+        rep = suppression_experiment(sc, trials=96, seed=4, rank_used=r)
+        estimate = sample_covariance(synthesize_batch(comps, sc.rect, 96, 4, noise_power=1.0))
+        projector = dominant_projection(estimate, r)
+        gamma = assemble_gamma(comps, sc.rect).gamma
+        ratio = np.trace(projector @ gamma @ projector).real / np.trace(gamma).real
+        steering = sc.target.steering(sc.rect)
+        retention = np.linalg.norm(projector @ steering) ** 2 / np.linalg.norm(steering) ** 2
+        assert rep.residual_power_ratio == pytest.approx(ratio, rel=1e-6)
+        assert rep.target_retention == pytest.approx(retention, rel=1e-9)
+        want = np.sort(np.linalg.eigvalsh(estimate))[::-1]
+        np.testing.assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-9 * want[0])
+
+
+def test_suppression_with_fewer_trials_than_rank_used():
+    sc = StapScenario(
+        LatticeRect(8, 8),
+        jammers=(JammerSpec(0.7, 1e6), JammerSpec(1.8, 1e6)),
+        noise_power=1.0,
+        target=TargetSpec(0.4, 1.0, 2.0),
+    )
+    trials = 8
+    rep = suppression_experiment(sc, trials=trials, seed=2)
+    assert rep.rank_used == 16 > trials
+    assert rep.eigenvalues.shape == (64,)
+    assert np.all(rep.eigenvalues[:trials] > 0) and np.all(rep.eigenvalues[trials:] == 0.0)
+    again = suppression_experiment(sc, trials=trials, seed=2)
+    assert again.suppression_db == rep.suppression_db
+    assert again.target_retention == rep.target_retention
+    assert np.array_equal(again.eigenvalues, rep.eigenvalues)
+    # the projector keeps its r dimensions: growing r past the trial count
+    # removes more, and r = N*M removes everything
+    by_rank = [
+        suppression_experiment(sc, trials=trials, seed=2, rank_used=r) for r in (trials, 16, 64)
+    ]
+    assert by_rank[0].residual_power_ratio >= by_rank[1].residual_power_ratio - 1e-12
+    assert by_rank[0].target_retention > by_rank[1].target_retention
+    assert by_rank[2].residual_power_ratio < 1e-20
+    assert by_rank[2].target_retention < 1e-20
+
+
+def test_suppression_rejects_rank_outside_the_lattice():
+    for r in (-1, 65):
+        with pytest.raises(ValueError, match="subspace dimension"):
+            suppression_experiment(jammer_scenario(), trials=8, seed=1, rank_used=r)
