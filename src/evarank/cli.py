@@ -44,7 +44,6 @@ from .rank import (
     factor_rank,
     find_certificate,
     make_certificate,
-    numerical_rank,
     predict_rank,
     spectral_gap_ratio,
     verify_certificate,
@@ -68,12 +67,28 @@ def _diagnostic(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}, sort_keys=True) + "\n")
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
-    sys.stdout.write(text)
+def _save(save, payload, path: str) -> None:
+    """save(payload, path); a path that cannot be written is a config error."""
+    try:
+        save(payload, path)
+    except OSError as exc:  # a directory, a missing parent, no permission, ...
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
+def _save_text(text: str, path: str) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
+def _publish(text: str, out_path: str | None) -> None:
+    """Writes the report to --out, when given, and then to stdout."""
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _save(_save_text, text, out_path)
+    sys.stdout.write(text)
+
+
+def _emit(report: dict, out_path: str | None) -> None:
+    _publish(json.dumps(report, sort_keys=True, allow_nan=False) + "\n", out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +229,7 @@ def parse_scenario(cfg: dict) -> tuple[StapScenario, int | None]:
 def _rank_core(comps, rect: LatticeRect, real_valued: bool, rel_tol: float | None):
     model = assemble_gamma(comps, rect, real_valued=real_valued)
     prediction = predict_rank(comps, rect, real_valued=real_valued)
-    rank, spectrum = factor_rank(model, rel_tol=rel_tol)
+    rank, spectrum = factor_rank(model.whitened_factor(), rel_tol=rel_tol)
     return model, prediction, rank, spectrum
 
 
@@ -325,13 +340,14 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     prediction = predict_rank(comps, rect, real_valued=run.real_valued)
     snapshots = synthesize_batch(comps, rect, run.trials, seed, real_valued=run.real_valued)
     estimate = sample_covariance(snapshots)
-    exact_rank, _ = factor_rank(model, rel_tol=args.tolerance)
-    sample_rank, _ = numerical_rank(estimate, rel_tol=args.tolerance)
+    exact_rank, _ = factor_rank(model.whitened_factor(), rel_tol=args.tolerance)
+    # X = snapshots.conj() / sqrt(trials) has X^H X == estimate
+    sample_rank, _ = factor_rank(snapshots.conj() / math.sqrt(run.trials), rel_tol=args.tolerance)
     rel_error = relative_gap(estimate, model.gamma)
     # an --out path ending in .csv or .bin receives the matrix instead of the report
     save = {".csv": save_matrix_csv, ".bin": save_matrix_binary}.get((args.out or "")[-4:])
     if save:
-        save(estimate, args.out)
+        _save(save, estimate, args.out)
     report = {
         "mode": "simulate",
         "N": rect.N,
@@ -438,11 +454,7 @@ def cmd_grid(cfg: dict, run: RunSettings, args) -> int:
             f"{'' if gap is None else f'{gap:.6g}'},{prediction.regime_flag.value}"
         )
     lines.append(f"SUMMARY,pass={passed},cells={len(cells)},flagged={flagged}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _publish("\n".join(lines) + "\n", args.out)
     if disagreements:
         return EXIT_DISAGREE
     if flagged and not passed:

@@ -5,7 +5,8 @@ gathers the short modulating process onto the lattice, D_q carries the
 complex modulation, and R_q is the process covariance.  Stacking the
 factors across components gives Gamma = C^H R C with R block-diagonal and
 positive definite, so the rank of Gamma is exactly the rank of C.  The
-model stores only the sparse factor and derives Gamma from it on demand,
+factor blocks come from `fields.factor_block`, which synthesis shares; the
+model stores only those blocks and derives Gamma from them on demand,
 by an elementwise gather independent of the factored product, so that
 identity can be checked rather than assumed.
 """
@@ -19,51 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import (
-    EvanescentComponent,
-    ModulatingProcessSpec,
-    ProcessKind,
-    check_distinct_triples,
-    lattice_map,
-)
+from .fields import EvanescentComponent, FactorBlock, check_distinct_triples, factor_block
 from .lattice import LatticeRect
 
 BINARY_MAGIC = b"EVCM0001"
-
-
-def process_covariance(spec: ModulatingProcessSpec, size: int) -> np.ndarray:
-    """Covariance of `size` consecutive modulating samples.
-
-    White noise gives variance * I; the AR(1) family gives the symmetric
-    Toeplitz matrix with entry variance * ar^|i-j| / (1 - ar^2).  Both are
-    real and positive definite, which is what makes rank(Gamma) = rank(C)
-    an identity rather than an inequality.
-    """
-    if size < 1:
-        raise ValueError("process covariance needs a positive size")
-    if spec.kind is ProcessKind.WHITE:
-        return spec.variance * np.eye(size)
-    lags = np.abs(np.arange(size)[:, None] - np.arange(size)[None, :])
-    ar = spec.ar_coefficient
-    return spec.variance * ar ** lags / (1.0 - ar * ar)
-
-
-@dataclass(frozen=True)
-class FactorBlock:
-    """One component's share of C and R: lattice point j gathers process
-    sample rows[j], weighted by entry j of each carrier.  The complex model
-    has the carrier exp(-1j*omega*v), the real one cos(omega*v) and
-    sin(omega*v) sharing `cov`, with v = n*c + m*d."""
-
-    rows: np.ndarray
-    carriers: tuple[np.ndarray, ...]
-    cov: np.ndarray
-
-    def dense(self, carrier: np.ndarray) -> np.ndarray:
-        """The (len(cov), N*M) factor block of one carrier."""
-        out = np.zeros((self.cov.shape[0], self.rows.size), dtype=carrier.dtype)
-        out[self.rows, np.arange(self.rows.size)] = carrier
-        return out
 
 
 @dataclass
@@ -120,23 +80,17 @@ class CovarianceModel:
         """
         parts = []
         for block in self.blocks:
-            upper = np.linalg.cholesky(block.cov).T  # cov is real, so L^H = L^T
+            upper = block.cholesky().T
             parts.extend(upper[:, block.rows] * w for w in block.carriers)
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
-    def factored_gamma(self) -> np.ndarray:
-        """C^H R C by matrix products, densifying one carrier block at a time."""
-        out = np.zeros((self.rect.size, self.rect.size), dtype=self.dtype)
-        for block in self.blocks:
-            for w in block.carriers:
-                dense = block.dense(w)
-                out += dense.conj().T @ block.cov @ dense
-        return out
-
     def factorization_residual(self) -> float:
-        """Relative Frobenius gap between Gamma and its factored form."""
+        """Relative Frobenius gap between the gathered Gamma and F^H F."""
         gamma = self.gamma  # built first, so its transients and the product's never coexist
-        return relative_gap(self.factored_gamma(), gamma)
+        factor = self.whitened_factor()
+        product = factor.conj().T @ factor
+        del factor  # released before the gap allocates product - gamma
+        return relative_gap(product, gamma)
 
 
 def _norm_parts(x: np.ndarray) -> tuple[float, float]:
@@ -188,14 +142,7 @@ def assemble_gamma(
     """
     components = list(components)
     check_distinct_triples(components)
-    blocks = []
-    for comp in components:
-        rows, length, coords = lattice_map(comp, rect)
-        if real_valued:
-            carriers = (np.cos(comp.omega * coords), np.sin(comp.omega * coords))
-        else:
-            carriers = (np.exp(-1j * comp.omega * coords),)
-        blocks.append(FactorBlock(rows, carriers, process_covariance(comp.process, length)))
+    blocks = [factor_block(comp, rect, real_valued) for comp in components]
     return CovarianceModel(rect, components, real_valued, blocks)
 
 

@@ -1,4 +1,4 @@
-"""Evanescent field components, their lattice map, and seeded synthesis.
+"""Evanescent field components, their factor blocks, and seeded synthesis.
 
 A component pins a coprime slope (a, b), a modulation frequency omega, and a
 1-D modulating process.  Sample (n, m) of the complex component is
@@ -115,29 +115,62 @@ def lattice_map(comp: EvanescentComponent, rect: LatticeRect):
     return rows, k_max - k_min + 1, coords
 
 
-def _draw_process(
-    spec: ModulatingProcessSpec,
-    length: int,
-    rng: np.random.Generator,
-    trials: int,
-    complex_valued: bool,
-) -> np.ndarray:
-    """Stationary draws, shape (trials, length)."""
-    shape = (trials, length)
-    if complex_valued:
-        # Circularly symmetric: unit-variance split evenly over re/im.
-        unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    else:
-        unit = rng.standard_normal(shape)
+def process_covariance(spec: ModulatingProcessSpec, size: int) -> np.ndarray:
+    """Covariance of `size` consecutive modulating samples.
+
+    White noise gives variance * I; the AR(1) family gives the symmetric
+    Toeplitz matrix with entry variance * ar^|i-j| / (1 - ar^2).  Both are
+    real and positive definite, which is what makes rank(Gamma) = rank(C)
+    an identity rather than an inequality.
+    """
+    if size < 1:
+        raise ValueError("process covariance needs a positive size")
     if spec.kind is ProcessKind.WHITE:
-        return np.sqrt(spec.variance) * unit
+        return spec.variance * np.eye(size)
+    lags = np.abs(np.arange(size)[:, None] - np.arange(size)[None, :])
     ar = spec.ar_coefficient
-    out = np.empty(shape, dtype=unit.dtype)
-    scale = np.sqrt(spec.variance)
-    out[..., 0] = unit[..., 0] * (scale / np.sqrt(1.0 - ar * ar))
-    for k in range(1, length):
-        out[..., k] = ar * out[..., k - 1] + scale * unit[..., k]
-    return out
+    return spec.variance * ar ** lags / (1.0 - ar * ar)
+
+
+@dataclass(frozen=True)
+class FactorBlock:
+    """One component's share of C and R: lattice point j gathers process
+    sample rows[j], weighted by entry j of each carrier.  The complex model
+    has the carrier exp(-1j*omega*v), the real one cos(omega*v) and
+    sin(omega*v) sharing `cov`, with v = n*c + m*d."""
+
+    rows: np.ndarray
+    carriers: tuple[np.ndarray, ...]
+    cov: np.ndarray
+
+    def cholesky(self) -> np.ndarray:
+        """Lower-triangular L with cov = L L^T (cov is real, so L^H = L^T).
+
+        For the AR(1) family this is the recursion's own map from unit
+        innovations to stationary samples: L[k, 0] = s * ar^k / sqrt(1 - ar^2)
+        and L[k, j] = s * ar^(k-j) for 1 <= j <= k, with s = sqrt(variance).
+        Built on every call.
+        """
+        return np.linalg.cholesky(self.cov)
+
+    def dense(self, carrier: np.ndarray) -> np.ndarray:
+        """The (len(cov), N*M) factor block of one carrier."""
+        out = np.zeros((self.cov.shape[0], self.rows.size), dtype=carrier.dtype)
+        out[self.rows, np.arange(self.rows.size)] = carrier
+        return out
+
+
+def factor_block(
+    comp: EvanescentComponent, rect: LatticeRect, real_valued: bool = False
+) -> FactorBlock:
+    """The component's factor block over the rectangle: the one place its
+    carriers are built."""
+    rows, length, coords = lattice_map(comp, rect)
+    if real_valued:
+        carriers = (np.cos(comp.omega * coords), np.sin(comp.omega * coords))
+    else:
+        carriers = (np.exp(-1j * comp.omega * coords),)
+    return FactorBlock(rows, carriers, process_covariance(comp.process, length))
 
 
 def synthesize_batch(
@@ -150,9 +183,11 @@ def synthesize_batch(
 ) -> np.ndarray:
     """Seeded snapshots of the component sum, shape (trials, N*M).
 
-    Component q draws from the stream (seed, 1, q); one realization is a
-    batch of one, reshaped to (N, M).  The real model gives each component
-    cosine and sine carriers with two independent draws of its process.
+    Component q draws from the stream (seed, 1, q) one unit draw u per
+    carrier and colours it with its block's Cholesky factor L, so the
+    snapshot is x = sum_q C_q^H L_q u_q and its covariance is Gamma.  The
+    real model gives each component cosine and sine carriers with two
+    independent draws.  One realization is a batch of one, reshaped to (N, M).
     Optional circular white noise of the given power is added per snapshot
     (complex model only).
 
@@ -169,15 +204,17 @@ def synthesize_batch(
     check_distinct_triples(components)
     out = np.zeros((trials, rect.size), dtype=np.float64 if real_valued else np.complex128)
     for q, comp in enumerate(components):
-        rows, length, coords = lattice_map(comp, rect)
+        block = factor_block(comp, rect, real_valued)
+        lower = block.cholesky()
+        shape = (trials, lower.shape[0])
         rng = np.random.default_rng([seed, 1, q])
-        if real_valued:
-            carriers = (np.cos(comp.omega * coords), np.sin(comp.omega * coords))
-        else:
-            carriers = (np.exp(1j * comp.omega * coords),)
-        for carrier in carriers:
-            s = _draw_process(comp.process, length, rng, trials, not real_valued)
-            out += s[:, rows] * carrier[None, :]
+        for carrier in block.carriers:
+            if real_valued:
+                unit = rng.standard_normal(shape)
+            else:
+                # circularly symmetric: unit variance split evenly over re/im
+                unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+            out += (unit @ lower.T)[:, block.rows] * np.conj(carrier)
     if noise_power > 0.0:
         rng = np.random.default_rng([seed, 2])
         noise = rng.standard_normal((trials, rect.size)) + 1j * rng.standard_normal(

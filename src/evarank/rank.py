@@ -7,7 +7,7 @@ has rank
 
 in the interior regime (sum|a_q| < M and sum|b_q| < N).  This module
 computes that prediction, measures the numerical rank of an assembled
-covariance against it (read from the factor by `factor_rank`), and backs
+covariance against it (read from a factor by `factor_rank`), and backs
 the count with explicit linear-dependence certificates: inclusion-exclusion
 combinations over Diophantine shifts that reconstruct a factor column
 exactly from other columns.
@@ -141,19 +141,19 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
     return int(np.count_nonzero(spectrum > rel_tol * float(spectrum[0]))), spectrum
 
 
-def factor_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
-    """numerical_rank of the model's Gamma, read from its whitened factor.
+def factor_rank(factor: np.ndarray, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
+    """numerical_rank of the covariance X^H X, read from the factor X.
 
-    Gamma == F^H F, so its nonzero eigenvalues are those of the Gram of F
-    on its short side: F F^H (sum(rows) square) when F has at most N*M
-    rows, F^H F otherwise.  The cut is the one numerical_rank applies to
-    the N*M by N*M Gamma, and the spectrum is zero-padded to N*M entries,
-    so the result stands in for numerical_rank(model.gamma) without an
-    N*M by N*M eigensolve whenever sum(rows) < N*M.
+    The nonzero eigenvalues of X^H X are those of the Gram of X on its
+    short side: X X^H when X has at most N*M = X.shape[1] rows, X^H X
+    otherwise.  The cut is the one numerical_rank applies to the N*M by
+    N*M covariance, and the spectrum is zero-padded to N*M entries, so the
+    result stands in for the dense numerical_rank without an N*M by N*M
+    eigensolve whenever X is wide.  Gamma's factor is the model's
+    whitened_factor(); a sample covariance's is snapshots.conj() / sqrt(L).
     """
-    size = model.rect.size
-    factor = model.whitened_factor()
-    if factor.shape[0] <= size:
+    rows, size = factor.shape
+    if rows <= size:
         gram = factor @ factor.conj().T
     else:
         gram = factor.conj().T @ factor

@@ -193,12 +193,13 @@ def suppression_experiment(
     The sample covariance is snapshots.T @ snapshots.conj() / trials, so
     one SVD of the (trials, N*M) snapshots gives it all: eigenvalues
     s**2 / trials, eigenvectors the rows of Vh transposed (not conjugated).
-    With fewer trials than r, the full Vh supplies the remaining directions
-    from the null space.  With Gamma = F^H F for the interference factor F,
-    the power before is ||F||^2 and after is ||F - (F U) U^H||^2.
+    With Gamma = F^H F for the interference factor F, the power before is
+    ||F||^2 and after is ||F - (F U) U^H||^2.
 
     Raises:
-        ValueError: when r is outside [0, N*M].
+        ValueError: when r is outside [0, N*M], or exceeds the trial count:
+            the snapshots span at most `trials` directions, and any further
+            ones would come from an arbitrary basis of their null space.
     """
     comps = scenario_to_components(scenario)
     rect = scenario.rect
@@ -206,10 +207,12 @@ def suppression_experiment(
     r = prediction.formula_value if rank_used is None else rank_used
     if not 0 <= r <= rect.size:
         raise ValueError(f"subspace dimension {r} outside [0, {rect.size}]")
+    if 1 <= trials < r:  # a trial count below one is synthesize_batch's to refuse
+        raise ValueError(f"subspace dimension {r} exceeds the trial count {trials}")
     snapshots = synthesize_batch(
         comps, rect, trials, seed, noise_power=scenario.noise_power
     )
-    _, singular, vh = np.linalg.svd(snapshots, full_matrices=r > trials)
+    _, singular, vh = np.linalg.svd(snapshots, full_matrices=False)
     eigenvalues = np.zeros(rect.size)
     eigenvalues[: singular.size] = singular**2 / trials
     top = vh[:r].T

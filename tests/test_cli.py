@@ -539,6 +539,26 @@ def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, verb, value):
     assert "--tolerance" in diagnostic["message"]
 
 
+UNWRITABLE_OUT = [
+    (verb, target)
+    for verb in ("rank", "verify", "simulate", "stap", "grid")
+    for target in ("directory", "missing/report.json")
+] + [("simulate", "missing/matrix.bin"), ("simulate", "missing/matrix.csv")]
+
+
+@pytest.mark.parametrize("verb, target", UNWRITABLE_OUT)
+def test_unwritable_out_is_config_error(tmp_path, capsys, verb, target):
+    cfg = write_config(tmp_path, STAP if verb == "stap" else dict(INTERIOR, seed=4, trials=8))
+    out_path = tmp_path if target == "directory" else tmp_path / target
+    code, out, err = run(capsys, verb, "--config", cfg, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "config"
+    assert "--out" in diagnostic["message"]
+
+
 def test_rank_at_extreme_variance_is_clean(tmp_path, capsys):
     # 1e300 squared overflows a plain Frobenius norm; the report must not notice
     payload = dict(INTERIOR, components=[
@@ -564,45 +584,28 @@ REAL_SINGLE = {"rect": {"N": 8, "M": 8}, "components": [{"a": 1, "b": 1, "omega"
         (("rank", "--real"), REAL_SINGLE),  # 30 rows
         (("grid",), {"grid": {"cells": [INTERIOR]}}),
         (("grid", "--real"), {"grid": {"cells": [REAL_SINGLE]}}),
-        (("simulate",), dict(INTERIOR, seed=4, trials=32)),
+        (("simulate",), dict(INTERIOR, seed=4, trials=32)),  # 32 snapshots of 64 entries
         (("stap",), STAP),  # 16 rows; 128 snapshots of 64 entries
     ],
     ids=["rank", "rank-real", "grid", "grid-real", "simulate", "stap"],
 )
 def test_verbs_decompose_no_full_size_matrix(tmp_path, capsys, monkeypatch, argv, payload):
-    import evarank.cli
-
     full = (64, 64)
     shapes = []
-    exempt = []  # set while simulate takes the rank of its sample covariance
 
     def spy(decompose):
         def wrapped(a, *args, **kwargs):
-            if not exempt:
-                shapes.append(np.shape(a))
+            shapes.append(np.shape(a))
             return decompose(a, *args, **kwargs)
         return wrapped
 
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
-    dense_calls = []
-    dense_rank = evarank.cli.numerical_rank
-
-    def cli_numerical_rank(matrix, rel_tol=None):
-        dense_calls.append(np.shape(matrix))
-        exempt.append(True)
-        try:
-            return dense_rank(matrix, rel_tol=rel_tol)
-        finally:
-            exempt.pop()
-
-    monkeypatch.setattr(evarank.cli, "numerical_rank", cli_numerical_rank)
     code, _, err = run(capsys, argv[0], "--config", write_config(tmp_path, payload), *argv[1:])
     assert code == 0
     assert err == ""
     assert shapes, "the spy saw no decomposition at all"
     assert full not in shapes
-    assert dense_calls == ([full] if argv[0] == "simulate" else [])
 
 
 # --- process entry points --------------------------------------------------------

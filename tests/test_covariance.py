@@ -4,7 +4,6 @@ import pytest
 from evarank.covariance import (
     assemble_gamma,
     load_matrix_binary,
-    process_covariance,
     relative_gap,
     sample_covariance,
     save_matrix_binary,
@@ -16,6 +15,7 @@ from evarank.fields import (
     ProcessKind,
     lattice_map,
     modulating_indices,
+    process_covariance,
     synthesize_batch,
 )
 from evarank.lattice import LatticeRect, make_slope_pair

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from evarank.fields import (
     EvanescentComponent,
+    FactorBlock,
     ModulatingProcessSpec,
     ProcessKind,
+    lattice_map,
     modulating_indices,
+    process_covariance,
     synthesize_batch,
 )
 from evarank.lattice import LatticeRect, make_slope_pair
@@ -89,7 +92,82 @@ def test_index_range_covers_exactly_the_attained_values(ab):
     assert k_max - k_min + 1 == (rect.N - 1) * abs(slope.a) + (rect.M - 1) * abs(slope.b) + 1
 
 
+# --- the factor block's Cholesky factor ---------------------------------------
+
+def cholesky_of(spec, n):
+    return FactorBlock(np.arange(n), (), process_covariance(spec, n)).cholesky()
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+@pytest.mark.parametrize("ar", [-0.9, -0.3, 0.55, 0.9])
+def test_cholesky_is_the_ar1_recursion_map(ar, n):
+    # x[0] = s * u[0] / sqrt(1 - ar^2) and x[k] = ar * x[k-1] + s * u[k] is x = L u
+    variance = 1.7
+    k = np.arange(n)
+    want = np.sqrt(variance) * np.tril(float(ar) ** np.abs(k[:, None] - k[None, :]))
+    want[:, 0] /= np.sqrt(1.0 - ar * ar)
+    got = cholesky_of(AR1(variance, ar), n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_cholesky_of_white_process_is_scaled_identity(n):
+    got = cholesky_of(WHITE(2.5), n)
+    np.testing.assert_allclose(got, np.sqrt(2.5) * np.eye(n), rtol=0, atol=1e-12)
+
+
 # --- synthesis ---------------------------------------------------------------
+
+def recursion_synthesis(components, rect, trials, seed, noise_power=0.0, real_valued=False):
+    """Independent reference: the same streams and draws, each process run
+    sample by sample through its AR(1) recursion."""
+    out = np.zeros((trials, rect.size), dtype=np.float64 if real_valued else np.complex128)
+    for q, c in enumerate(components):
+        rows, length, coords = lattice_map(c, rect)
+        rng = np.random.default_rng([seed, 1, q])
+        if real_valued:
+            carriers = (np.cos(c.omega * coords), np.sin(c.omega * coords))
+        else:
+            carriers = (np.exp(1j * c.omega * coords),)
+        for carrier in carriers:
+            shape = (trials, length)
+            if real_valued:
+                unit = rng.standard_normal(shape)
+            else:
+                unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+            scale = np.sqrt(c.process.variance)
+            ar = c.process.ar_coefficient
+            s = np.empty_like(unit)
+            s[:, 0] = unit[:, 0] * scale / np.sqrt(1.0 - ar * ar)
+            for k in range(1, length):
+                s[:, k] = ar * s[:, k - 1] + scale * unit[:, k]
+            out += s[:, rows] * carrier
+    if noise_power > 0.0:
+        rng = np.random.default_rng([seed, 2])
+        shape = (trials, rect.size)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out += np.sqrt(noise_power / 2.0) * noise
+    return out
+
+
+@pytest.mark.parametrize(
+    "real_valued, noise_power",
+    [(False, 0.0), (False, 0.5), (True, 0.0)],
+    ids=["complex", "complex-noise", "real"],
+)
+def test_synthesis_matches_the_recursion(real_valued, noise_power):
+    rect = LatticeRect(9, 7)
+    comps = [
+        comp(1, 1, 0.9, WHITE(1.5)),
+        comp(2, -1, 2.0, AR1(1.0, 0.55)),
+        comp(0, 1, 1.3, AR1(2.0, -0.9)),
+        comp(3, 2, 0.4, AR1(0.5, 0.3)),
+    ]
+    got = synthesize_batch(comps, rect, 16, 11, noise_power, real_valued)
+    want = recursion_synthesis(comps, rect, 16, 11, noise_power, real_valued)
+    assert got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 def test_seeded_synthesis_is_bit_identical():
     c = comp(3, 2, 0.7, AR1(1.0, 0.6))

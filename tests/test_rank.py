@@ -7,8 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evarank.cli import default_grid_cells
-from evarank.covariance import assemble_gamma
-from evarank.fields import EvanescentComponent, ModulatingProcessSpec, ProcessKind
+from evarank.covariance import assemble_gamma, sample_covariance
+from evarank.fields import (
+    EvanescentComponent,
+    ModulatingProcessSpec,
+    ProcessKind,
+    synthesize_batch,
+)
 from evarank.lattice import LatticeRect, make_slope_pair
 from evarank.rank import (
     RegimeFlag,
@@ -170,7 +175,7 @@ def test_factor_rank_matches_dense_oracle_on_stock_grid(real_valued):
     for rect, comps in default_grid_cells():
         model = assemble_gamma(comps, rect, real_valued=real_valued)
         dense_rank, dense = numerical_rank(model.gamma)
-        rank, spectrum = factor_rank(model)
+        rank, spectrum = factor_rank(model.whitened_factor())
         assert rank == dense_rank, (rect, [c.triple() for c in comps])
         assert spectrum.shape == dense.shape == (rect.size,)
         np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
@@ -179,7 +184,7 @@ def test_factor_rank_matches_dense_oracle_on_stock_grid(real_valued):
 def test_factor_rank_spectrum_past_the_factor_rows_is_zero():
     rect = LatticeRect(15, 15)
     model = assemble_gamma(comps_for([(2, 1)]), rect)
-    rank, spectrum = factor_rank(model)
+    rank, spectrum = factor_rank(model.whitened_factor())
     rows = model.whitened_factor().shape[0]
     assert rank == rows == 15 * 2 + 15 * 1 - 2  # every process sample is referenced
     assert np.all(spectrum[rows:] == 0.0)
@@ -191,10 +196,25 @@ def test_factor_rank_of_tall_factor_and_empty_model():
     rect = LatticeRect(4, 4)
     model = assemble_gamma(comps_for([(3, 2), (2, 1)]), rect, real_valued=True)
     assert model.whitened_factor().shape[0] > rect.size
-    assert factor_rank(model)[0] == numerical_rank(model.gamma)[0] == rect.size
-    rank, spectrum = factor_rank(assemble_gamma([], rect))
+    assert factor_rank(model.whitened_factor())[0] == numerical_rank(model.gamma)[0] == rect.size
+    rank, spectrum = factor_rank(assemble_gamma([], rect).whitened_factor())
     assert rank == 0
     assert np.array_equal(spectrum, np.zeros(rect.size))
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("trials", [20, 64, 150], ids=["below", "equal", "above"])
+def test_factor_rank_of_scaled_snapshots_matches_dense_sample_rank(trials, real_valued):
+    # the sample covariance is X^H X for X = snapshots.conj() / sqrt(trials)
+    rect = LatticeRect(8, 8)
+    snapshots = synthesize_batch(
+        comps_for([(1, 1), (2, -1)]), rect, trials, seed=5, real_valued=real_valued
+    )
+    dense_rank, dense = numerical_rank(sample_covariance(snapshots))
+    rank, spectrum = factor_rank(snapshots.conj() / math.sqrt(trials))
+    assert rank == dense_rank == min(trials, 56 if real_valued else 34)
+    assert spectrum.shape == dense.shape == (rect.size,)
+    np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
 
 
 _SLOPES = [(0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (2, -1), (1, -2), (3, 2), (3, -1)]
@@ -220,7 +240,8 @@ def test_factor_rank_equals_dense_rank_and_formula_on_interior_configs(
     pred = predict_rank(comps, rect, real_valued=real_valued)
     assume(pred.regime_flag is RegimeFlag.INTERIOR)
     model = assemble_gamma(comps, rect, real_valued=real_valued)
-    assert factor_rank(model)[0] == numerical_rank(model.gamma)[0] == pred.formula_value
+    rank, _ = factor_rank(model.whitened_factor())
+    assert rank == numerical_rank(model.gamma)[0] == pred.formula_value
 
 
 # --- dependent / independent point sets ---------------------------------------

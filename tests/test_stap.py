@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import evarank.stap
+from evarank.cli import main
 from evarank.covariance import assemble_gamma, sample_covariance
 from evarank.fields import synthesize_batch
 from evarank.fields import ProcessKind
@@ -217,7 +220,9 @@ def test_suppression_matches_dense_reference():
         np.testing.assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-9 * want[0])
 
 
-def test_suppression_with_fewer_trials_than_rank_used():
+def test_suppression_with_fewer_trials_than_rank_used(tmp_path, capsys, monkeypatch):
+    # the snapshots span at most `trials` directions; a projector needing more
+    # would take them from whatever null-space basis LAPACK returns
     sc = StapScenario(
         LatticeRect(8, 8),
         jammers=(JammerSpec(0.7, 1e6), JammerSpec(1.8, 1e6)),
@@ -225,23 +230,37 @@ def test_suppression_with_fewer_trials_than_rank_used():
         target=TargetSpec(0.4, 1.0, 2.0),
     )
     trials = 8
-    rep = suppression_experiment(sc, trials=trials, seed=2)
-    assert rep.rank_used == 16 > trials
+    rep = suppression_experiment(sc, trials=trials, seed=2, rank_used=trials)
     assert rep.eigenvalues.shape == (64,)
     assert np.all(rep.eigenvalues[:trials] > 0) and np.all(rep.eigenvalues[trials:] == 0.0)
-    again = suppression_experiment(sc, trials=trials, seed=2)
+    again = suppression_experiment(sc, trials=trials, seed=2, rank_used=trials)
     assert again.suppression_db == rep.suppression_db
     assert again.target_retention == rep.target_retention
     assert np.array_equal(again.eigenvalues, rep.eigenvalues)
-    # the projector keeps its r dimensions: growing r past the trial count
-    # removes more, and r = N*M removes everything
-    by_rank = [
-        suppression_experiment(sc, trials=trials, seed=2, rank_used=r) for r in (trials, 16, 64)
-    ]
-    assert by_rank[0].residual_power_ratio >= by_rank[1].residual_power_ratio - 1e-12
-    assert by_rank[0].target_retention > by_rank[1].target_retention
-    assert by_rank[2].residual_power_ratio < 1e-20
-    assert by_rank[2].target_retention < 1e-20
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew snapshots for a refused subspace dimension")
+
+    monkeypatch.setattr(evarank.stap, "synthesize_batch", no_draws)
+    assert predict_rank(scenario_to_components(sc), sc.rect).formula_value == 16 > trials
+    for r in (None, trials + 1, 16, 64):
+        with pytest.raises(ValueError, match="exceeds the trial count"):
+            suppression_experiment(sc, trials=trials, seed=2, rank_used=r)
+    cfg = tmp_path / "stap.json"
+    cfg.write_text(json.dumps({
+        "scenario": {
+            "antennas": 8,
+            "pulses": 8,
+            "jammers": [{"angle_freq": 0.7, "power": 1e6}, {"angle_freq": 1.8, "power": 1e6}],
+            "noise_power": 1.0,
+        },
+        "seed": 2,
+        "trials": trials,
+    }))
+    assert main(["stap", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "value"
 
 
 def test_suppression_rejects_rank_outside_the_lattice():
