@@ -152,16 +152,21 @@ def factor_rank(factor: np.ndarray, rel_tol: float | None = None) -> tuple[int, 
     eigensolve whenever X is wide.  Gamma's factor is the model's
     whitened_factor(); a sample covariance's is snapshots.conj() / sqrt(L).
     """
+    size = factor.shape[1]
+    if rel_tol is None:
+        rel_tol = _default_rel_tol(size)
+    rank, spectrum = numerical_rank(_short_gram(factor), rel_tol=rel_tol)
+    return rank, np.concatenate([spectrum, np.zeros(size - spectrum.size)])
+
+
+def _short_gram(factor: np.ndarray) -> np.ndarray:
+    """The Gram of X on its short side, X X^H or X^H X, exactly Hermitian."""
     rows, size = factor.shape
     if rows <= size:
         gram = factor @ factor.conj().T
     else:
         gram = factor.conj().T @ factor
-    gram = (gram + gram.conj().T) / 2.0  # exact Hermitian symmetry
-    if rel_tol is None:
-        rel_tol = _default_rel_tol(size)
-    rank, spectrum = numerical_rank(gram, rel_tol=rel_tol)
-    return rank, np.concatenate([spectrum, np.zeros(size - spectrum.size)])
+    return (gram + gram.conj().T) / 2.0
 
 
 def _default_rel_tol(dim: int) -> float:

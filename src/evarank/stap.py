@@ -11,6 +11,7 @@ dominant eigenvectors to project away.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,11 @@ from .fields import (
     synthesize_batch,
 )
 from .lattice import LatticeRect, make_slope_pair
-from .rank import RankPrediction, predict_rank
+from .rank import RankPrediction, _short_gram, predict_rank
+
+# Squared norms of the draws reach N*M * trials * their mean power; a draw's
+# squared sum exceeds 100 times its mean with probability of about exp(-100).
+_POWER_HEADROOM = 1e2
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,23 @@ def dominant_projection(covariance: np.ndarray, r: int) -> np.ndarray:
     return np.eye(dim, dtype=top.dtype) - top @ top.conj().T
 
 
+def _refuse_overflow(scenario: StapScenario, comps, trials: int) -> None:
+    """Raises ValueError when the squared norms taken below would overflow."""
+    limit = sys.float_info.max / (_POWER_HEADROOM * scenario.rect.size)
+    draws = scenario.noise_power + sum(c.process.variance for c in comps)
+    if trials > limit / draws:  # an int compared, never converted: trials may be huge
+        raise ValueError(
+            f"snapshot power overflows float64: N*M * trials * {draws:g} "
+            f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
+        )
+    target = scenario.target
+    if target is not None and target.amplitude * target.amplitude > limit:
+        raise ValueError(
+            f"target power overflows float64: N*M * {target.amplitude:g}**2 "
+            f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
+        )
+
+
 def _power(x: np.ndarray) -> float:
     """Squared Frobenius norm."""
     return float(np.vdot(x, x).real)
@@ -190,16 +212,21 @@ def suppression_experiment(
     reflects the true covariance, not the estimate.  Deterministic for a
     fixed seed.
 
-    The sample covariance is snapshots.T @ snapshots.conj() / trials, so
-    one SVD of the (trials, N*M) snapshots gives it all: eigenvalues
-    s**2 / trials, eigenvectors the rows of Vh transposed (not conjugated).
-    With Gamma = F^H F for the interference factor F, the power before is
-    ||F||^2 and after is ||F - (F U) U^H||^2.
+    The sample covariance is Y^H Y for Y = snapshots.conj() / sqrt(trials),
+    and it is never formed.  With fewer trials than N*M, one eigh of the
+    trials-by-trials Gram Y Y^H gives its nonzero eigenvalues, and Y^H u,
+    normalized column by column, its top-r eigenvectors.  Otherwise one thin
+    SVD of the snapshots does: eigenvalues s**2 / trials, eigenvectors the
+    rows of Vh transposed (not conjugated).  With Gamma = F^H F for the
+    interference factor F, the power before is ||F||^2 and after is
+    ||F - (F U) U^H||^2.
 
     Raises:
         ValueError: when r is outside [0, N*M], or exceeds the trial count:
             the snapshots span at most `trials` directions, and any further
             ones would come from an arbitrary basis of their null space.
+            Also when the squared norms of the draws or of the target
+            steering vector would overflow float64.
     """
     comps = scenario_to_components(scenario)
     rect = scenario.rect
@@ -209,13 +236,20 @@ def suppression_experiment(
         raise ValueError(f"subspace dimension {r} outside [0, {rect.size}]")
     if 1 <= trials < r:  # a trial count below one is synthesize_batch's to refuse
         raise ValueError(f"subspace dimension {r} exceeds the trial count {trials}")
+    _refuse_overflow(scenario, comps, trials)
     snapshots = synthesize_batch(
         comps, rect, trials, seed, noise_power=scenario.noise_power
     )
-    _, singular, vh = np.linalg.svd(snapshots, full_matrices=False)
     eigenvalues = np.zeros(rect.size)
-    eigenvalues[: singular.size] = singular**2 / trials
-    top = vh[:r].T
+    if trials < rect.size:
+        values, vectors = np.linalg.eigh(_short_gram(snapshots.conj() / math.sqrt(trials)))
+        eigenvalues[:trials] = np.clip(values[::-1], 0.0, None)
+        top = snapshots.T @ vectors[:, trials - r:]  # Y^H u, up to a scale
+        top /= np.linalg.norm(top, axis=0)  # not sqrt(eigenvalue): it can round to <= 0
+    else:
+        _, singular, vh = np.linalg.svd(snapshots, full_matrices=False)
+        eigenvalues[: singular.size] = singular**2 / trials
+        top = vh[:r].T
 
     factor = assemble_gamma(comps, rect).whitened_factor()
     before = _power(factor)

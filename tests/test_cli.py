@@ -586,8 +586,9 @@ REAL_SINGLE = {"rect": {"N": 8, "M": 8}, "components": [{"a": 1, "b": 1, "omega"
         (("grid", "--real"), {"grid": {"cells": [REAL_SINGLE]}}),
         (("simulate",), dict(INTERIOR, seed=4, trials=32)),  # 32 snapshots of 64 entries
         (("stap",), STAP),  # 16 rows; 128 snapshots of 64 entries
+        (("stap",), dict(STAP, trials=32)),  # 32 snapshots: the trials x trials Gram
     ],
-    ids=["rank", "rank-real", "grid", "grid-real", "simulate", "stap"],
+    ids=["rank", "rank-real", "grid", "grid-real", "simulate", "stap", "stap-wide"],
 )
 def test_verbs_decompose_no_full_size_matrix(tmp_path, capsys, monkeypatch, argv, payload):
     full = (64, 64)

@@ -196,7 +196,8 @@ def test_suppression_monotone_around_true_rank():
     assert values[0] <= values[1] + 1e-9 <= values[2] + 2e-9
 
 
-def test_suppression_matches_dense_reference():
+@pytest.mark.parametrize("trials", [48, 96])  # the Gram route below N*M = 64, the SVD above
+def test_suppression_matches_dense_reference(trials):
     # the dense route: eigh of the sample covariance, projector applied to Gamma
     sc = StapScenario(
         LatticeRect(8, 8),
@@ -207,8 +208,8 @@ def test_suppression_matches_dense_reference():
     )
     comps = scenario_to_components(sc)
     for r in (10, 23, 31):
-        rep = suppression_experiment(sc, trials=96, seed=4, rank_used=r)
-        estimate = sample_covariance(synthesize_batch(comps, sc.rect, 96, 4, noise_power=1.0))
+        rep = suppression_experiment(sc, trials=trials, seed=4, rank_used=r)
+        estimate = sample_covariance(synthesize_batch(comps, sc.rect, trials, 4, noise_power=1.0))
         projector = dominant_projection(estimate, r)
         gamma = assemble_gamma(comps, sc.rect).gamma
         ratio = np.trace(projector @ gamma @ projector).real / np.trace(gamma).real
@@ -267,3 +268,70 @@ def test_suppression_rejects_rank_outside_the_lattice():
     for r in (-1, 65):
         with pytest.raises(ValueError, match="subspace dimension"):
             suppression_experiment(jammer_scenario(), trials=8, seed=1, rank_used=r)
+
+
+def _stap_config(tmp_path, trials, power=1e6, target=None):
+    scenario = {
+        "antennas": 8,
+        "pulses": 8,
+        "jammers": [{"angle_freq": 0.7, "power": power}],
+        "noise_power": 1.0,
+    }
+    if target is not None:
+        scenario["target"] = target
+    cfg = tmp_path / "stap.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "seed": 2, "trials": trials}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("trials", [32, 128])  # the Gram route and the SVD route
+@pytest.mark.parametrize("power", [1e300, 1e306])
+def test_stap_at_extreme_power(tmp_path, capfd, trials, power):
+    # N*M * trials * 1e306 overflows float64: refused before any draw, without a
+    # numpy warning; 1e300 leaves room and runs clean
+    code = main(["stap", "--config", _stap_config(tmp_path, trials, power)])
+    captured = capfd.readouterr()
+    if power == 1e300:
+        assert code == 0
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["rank_used"] == 8
+        assert report["suppression_db"] >= 40.0
+        assert all(math.isfinite(x) for x in report["eigenvalues"])
+    else:
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        diagnostic = json.loads(lines[0])
+        assert diagnostic["error"] == "value"
+        assert "overflows" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("amplitude", [1e150, 1e160])
+def test_stap_at_extreme_target_amplitude(tmp_path, capfd, amplitude):
+    # the retention divides by N*M * amplitude**2, which overflows at 1e160
+    target = {"angle_freq": 0.4, "doppler_freq": 1.0, "amplitude": amplitude}
+    code = main(["stap", "--config", _stap_config(tmp_path, 32, target=target)])
+    captured = capfd.readouterr()
+    if amplitude == 1e150:
+        assert code == 0
+        assert captured.err == ""
+        assert 0.0 <= json.loads(captured.out)["target_retention"] <= 1.0
+    else:
+        assert code == 2
+        assert captured.out == ""
+        diagnostic = json.loads(captured.err)
+        assert diagnostic["error"] == "value"
+        assert "target power overflows" in diagnostic["message"]
+
+
+def test_overflow_refusal_comes_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew snapshots for a refused power")
+
+    monkeypatch.setattr(evarank.stap, "synthesize_batch", no_draws)
+    sc = StapScenario(LatticeRect(8, 8), jammers=(JammerSpec(0.7, 1e306),), noise_power=1.0)
+    for trials in (32, 128, 10**400):  # a trial count too large for a float still compares
+        with pytest.raises(ValueError, match="snapshot power overflows"):
+            suppression_experiment(sc, trials=trials, seed=1)
