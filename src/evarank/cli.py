@@ -26,7 +26,6 @@ import numpy as np
 
 from .covariance import (
     assemble_gamma,
-    relative_gap,
     sample_covariance,
     save_matrix_binary,
     save_matrix_csv,
@@ -343,7 +342,7 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     exact_rank, _ = factor_rank(model.whitened_factor(), rel_tol=args.tolerance)
     # X = snapshots.conj() / sqrt(trials) has X^H X == estimate
     sample_rank, _ = factor_rank(snapshots.conj() / math.sqrt(run.trials), rel_tol=args.tolerance)
-    rel_error = relative_gap(estimate, model.gamma)
+    rel_error = model.gap_to(estimate)
     # an --out path ending in .csv or .bin receives the matrix instead of the report
     save = {".csv": save_matrix_csv, ".bin": save_matrix_binary}.get((args.out or "")[-4:])
     if save:

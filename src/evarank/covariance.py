@@ -8,7 +8,8 @@ positive definite, so the rank of Gamma is exactly the rank of C.  The
 factor blocks come from `fields.factor_block`, which synthesis shares; the
 model stores only those blocks and derives Gamma from them on demand,
 by an elementwise gather independent of the factored product, so that
-identity can be checked rather than assumed.
+identity can be checked rather than assumed.  The checks gather Gamma in
+row tiles of its upper triangle and never hold it whole.
 """
 
 from __future__ import annotations
@@ -46,22 +47,36 @@ class CovarianceModel:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Gamma by elementwise gather, one component at a time."""
-        size = self.rect.size
-        gamma = np.zeros((size, size), dtype=self.dtype)
-        gathered = np.empty((size, size))  # buffers reused across blocks and carriers
-        term = np.empty_like(gamma)
-        for block in self.blocks:
-            # rows are in range by construction; "clip" only spares the copy "raise" makes
-            np.take(block.cov[block.rows], block.rows, axis=1, out=gathered, mode="clip")
-            for w in block.carriers:
-                np.multiply(np.conj(w)[:, None], gathered, out=term)
-                term *= w[None, :]
-                gamma += term
-        np.conjugate(gamma.T, out=term)  # enforce exact Hermitian symmetry
-        gamma += term
+        """Gamma by elementwise gather, then made exactly Hermitian."""
+        gamma = self._gamma_rows()(0, self.rect.size)
+        gamma += gamma.conj().T
         gamma /= 2.0
         return gamma
+
+    def _gamma_rows(self, unit: float = 1.0):
+        """rows(lo, hi) -> Gamma[lo:hi, lo:] / unit, by elementwise gather.
+
+        Per carrier w, Y = (cov / unit)[:, rows] * w is taken once, so
+        Gamma[i, j] = sum over carriers of conj(w[i]) * Y[rows[i], j]: a row
+        tile is a row gather, never a product.  `unit` is a power of two, so
+        the division is exact.
+        """
+        size = self.rect.size
+        parts = [
+            ((block.cov / unit)[:, block.rows] * w, block.rows, np.conj(w))
+            for block in self.blocks
+            for w in block.carriers
+        ]
+
+        def rows(lo: int, hi: int) -> np.ndarray:
+            tile = None
+            for y, index, conj_w in parts:
+                term = y[index[lo:hi], lo:]
+                term *= conj_w[lo:hi, None]
+                tile = term if tile is None else np.add(tile, term, out=tile)
+            return np.zeros((hi - lo, size - lo), self.dtype) if tile is None else tile
+
+        return rows
 
     @cached_property
     def stacked(self) -> np.ndarray:
@@ -86,11 +101,58 @@ class CovarianceModel:
 
     def factorization_residual(self) -> float:
         """Relative Frobenius gap between the gathered Gamma and F^H F."""
-        gamma = self.gamma  # built first, so its transients and the product's never coexist
+        unit = self._unit()
         factor = self.whitened_factor()
-        product = factor.conj().T @ factor
-        del factor  # released before the gap allocates product - gamma
-        return relative_gap(product, gamma)
+        factor /= math.sqrt(unit)  # exact: unit is a power of four
+        return self._tiled_gap(lambda lo, hi: factor[:, lo:hi].conj().T @ factor[:, lo:], unit)
+
+    def gap_to(self, matrix: np.ndarray) -> float:
+        """||matrix - Gamma||_F / ||Gamma||_F for a Hermitian N*M x N*M
+        matrix, without building Gamma; 0.0 when Gamma is zero."""
+        unit = self._unit()
+        return self._tiled_gap(lambda lo, hi: matrix[lo:hi, lo:] / unit, unit)
+
+    def _unit(self) -> float:
+        """A power of four within a factor of two of max diag Gamma, so that
+        Gamma / unit has entries of order one at any variance."""
+        diag = sum(
+            (np.diagonal(block.cov)[block.rows] * np.abs(w) ** 2
+             for block in self.blocks for w in block.carriers),
+            np.zeros(self.rect.size),
+        )
+        half = min(max(math.frexp(float(diag.max()))[1] // 2, -_UNIT_HALF_EXP), _UNIT_HALF_EXP)
+        return math.ldexp(1.0, 2 * half)
+
+    def _tiled_gap(self, approx_rows, unit: float) -> float:
+        """||A - Gamma||_F / ||Gamma||_F for a Hermitian A whose row tiles
+        approx_rows(lo, hi) returns as A[lo:hi, lo:] / unit.
+
+        Both matrices are Hermitian, so each tile's leading square counts
+        once and the rest of its rows twice; no N*M x N*M array is held.
+        """
+        size = self.rect.size
+        exact_rows = self._gamma_rows(unit)
+        exact_sq = gap_sq = 0.0
+        for lo in range(0, size, _TILE_ROWS):
+            hi = min(lo + _TILE_ROWS, size)
+            exact = exact_rows(lo, hi)
+            exact_sq += _upper_sum_sq(exact, hi - lo)
+            gap = approx_rows(lo, hi) - exact
+            gap_sq += _upper_sum_sq(gap, hi - lo)
+        if exact_sq == 0.0:
+            return 0.0
+        return math.sqrt(gap_sq) / math.sqrt(exact_sq)
+
+
+_TILE_ROWS = 256
+_UNIT_HALF_EXP = 510  # 4**-510 and 4**510 are both normal floats
+
+
+def _upper_sum_sq(tile: np.ndarray, width: int) -> float:
+    """Squared Frobenius norm of a Hermitian matrix's share that a row tile
+    covers: its leading width x width square once, its other columns twice."""
+    square = tile[:, :width]
+    return 2.0 * np.vdot(tile, tile).real - np.vdot(square, square).real
 
 
 def _norm_parts(x: np.ndarray) -> tuple[float, float]:
@@ -109,7 +171,8 @@ def _norm_parts(x: np.ndarray) -> tuple[float, float]:
 
 
 def relative_gap(approx: np.ndarray, exact: np.ndarray) -> float:
-    """||approx - exact||_F / ||exact||_F, and 0.0 when exact is zero.
+    """||approx - exact||_F / ||exact||_F, and 0.0 when exact is zero: the
+    dense reference for the model's tiled gaps.
 
     Scale-safe: a norm whose sum of squares would overflow or underflow is
     taken on its array divided by its largest magnitude.  At ordinary

@@ -572,6 +572,42 @@ def test_rank_at_extreme_variance_is_clean(tmp_path, capsys):
     assert report["factorization_residual"] <= 1e-10
 
 
+SCALED_COMPONENTS = [
+    {"a": 3, "b": 2, "omega": 0.9, "process": {"kind": "ar1", "ar_coefficient": 0.5}},
+    {"a": 2, "b": -1, "omega": 1.6, "process": {"kind": "white"}},
+]
+
+
+@pytest.mark.parametrize("variance", [1e-300, 1e-150, 1e150, 1e300])
+@pytest.mark.parametrize("side", [20, 24])  # 400 and 576 lattice points: two and three row tiles
+@pytest.mark.parametrize("argv", [("rank",), ("rank", "--real"), ("simulate",)],
+                         ids=["rank", "rank-real", "simulate"])
+def test_tiled_gaps_at_extreme_variance(tmp_path, capsys, argv, side, variance):
+    def report(var):
+        payload = {
+            "rect": {"N": side, "M": side},
+            "seed": 4,
+            "trials": 48,
+            "components": [
+                dict(c, process=dict(c["process"], variance=var)) for c in SCALED_COMPONENTS
+            ],
+        }
+        cfg = write_config(tmp_path, payload, f"variance-{var}.json")
+        code, out, err = run(capsys, argv[0], "--config", cfg, *argv[1:])
+        assert code == 0
+        assert err == ""
+        return json.loads(out)
+
+    got, baseline = report(variance), report(1.0)
+    if argv[0] == "rank":
+        assert got["numerical_rank"] == baseline["numerical_rank"] == got["prediction"]
+        # exactly zero would mean the squared norms underflowed, not that F^H F == Gamma
+        assert 0.0 < got["factorization_residual"] <= 1e-10
+    else:  # the snapshots scale with the variance, so the relative error does not
+        want = baseline["frobenius_rel_error"]
+        assert got["frobenius_rel_error"] == pytest.approx(want, rel=1e-9)
+
+
 # --- the rank and subspace questions never decompose an N*M by N*M matrix ---------
 
 REAL_SINGLE = {"rect": {"N": 8, "M": 8}, "components": [{"a": 1, "b": 1, "omega": 0.9}]}
@@ -607,6 +643,30 @@ def test_verbs_decompose_no_full_size_matrix(tmp_path, capsys, monkeypatch, argv
     assert err == ""
     assert shapes, "the spy saw no decomposition at all"
     assert full not in shapes
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (("rank",), INTERIOR),
+        (("rank", "--real"), REAL_SINGLE),
+        (("grid",), {"grid": {"cells": [INTERIOR]}}),
+        (("simulate",), dict(INTERIOR, seed=4, trials=32)),
+        (("simulate", "--real"), dict(REAL_SINGLE, seed=4, trials=32)),
+    ],
+    ids=["rank", "rank-real", "grid", "simulate", "simulate-real"],
+)
+def test_verbs_never_read_gamma(tmp_path, capsys, monkeypatch, argv, payload):
+    # the residual and the sample error gather Gamma by row tiles, never whole
+    from evarank.covariance import CovarianceModel
+
+    def unread(model):
+        raise AssertionError("CovarianceModel.gamma was read")
+
+    monkeypatch.setattr(CovarianceModel, "gamma", property(unread))
+    code, _, err = run(capsys, argv[0], "--config", write_config(tmp_path, payload), *argv[1:])
+    assert code == 0
+    assert err == ""
 
 
 # --- process entry points --------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from evarank.covariance import (
 )
 from evarank.fields import (
     EvanescentComponent,
+    FactorBlock,
     ModulatingProcessSpec,
     ProcessKind,
     lattice_map,
@@ -234,6 +237,71 @@ def test_empty_component_set_gives_zero_matrix():
     assert np.all(model.gamma == 0)
     assert model.stacked.shape == (0, 9)
     assert model.factorization_residual() == 0.0
+
+
+# --- the tiled gap against the dense reference -------------------------------
+
+# N*M of 1, 255, 256, 257 and 600: one tile, below, at and across the 256-row edge
+TILE_EDGE_RECTS = [LatticeRect(1, 1), LatticeRect(15, 17), LatticeRect(16, 16),
+                   LatticeRect(1, 257), LatticeRect(24, 25)]
+TILED_COMPS = [comp(3, 2, 0.9, AR1(1.3, 0.5)), comp(2, -1, 1.7, WHITE(0.8))]
+
+
+def perturb_one_cholesky_row(monkeypatch):
+    """F^H F != Gamma: the middle row of each block's L is scaled by 1 + 1e-6."""
+    original = FactorBlock.cholesky
+
+    def perturbed(block):
+        lower = original(block)
+        lower[lower.shape[0] // 2] *= 1 + 1e-6
+        return lower
+
+    monkeypatch.setattr(FactorBlock, "cholesky", perturbed)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("rect", TILE_EDGE_RECTS, ids=lambda r: f"nm{r.size}")
+def test_tiled_residual_matches_dense_reference(monkeypatch, rect, real):
+    perturb_one_cholesky_row(monkeypatch)
+    model = assemble_gamma(TILED_COMPS, rect, real_valued=real)
+    factor = model.whitened_factor()
+    dense = relative_gap(factor.conj().T @ factor, model.gamma)
+    assert dense > 1e-8  # the injected mismatch shows
+    assert model.factorization_residual() == pytest.approx(dense, rel=1e-9)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("rect", TILE_EDGE_RECTS, ids=lambda r: f"nm{r.size}")
+def test_tiled_gap_to_estimate_matches_dense_reference(rect, real):
+    model = assemble_gamma(TILED_COMPS, rect, real_valued=real)
+    snapshots = synthesize_batch(TILED_COMPS, rect, 16, seed=3, real_valued=real)
+    estimate = sample_covariance(snapshots)
+    dense = relative_gap(estimate, model.gamma)
+    assert dense > 1e-3
+    assert model.gap_to(estimate) == pytest.approx(dense, rel=1e-9)
+
+
+def test_empty_component_set_gap_is_exactly_zero():
+    rect = LatticeRect(20, 20)  # two tiles
+    model = assemble_gamma([], rect)
+    assert model.gap_to(np.eye(rect.size, dtype=complex)) == 0.0
+    assert model.factorization_residual() == 0.0
+    assert "gamma" not in vars(model)
+
+
+def test_residual_holds_no_full_size_array():
+    rect = LatticeRect(32, 64)
+    model = assemble_gamma([comp(1, 0, 0.9, AR1(1.0, 0.5))], rect)
+    full = rect.size ** 2 * 16
+    tracemalloc.start()
+    try:
+        residual = model.factorization_residual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak < full / 2
+    assert "gamma" not in vars(model)
 
 
 # --- sample covariance -------------------------------------------------------
