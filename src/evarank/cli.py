@@ -228,14 +228,17 @@ def parse_scenario(cfg: dict) -> tuple[StapScenario, int | None]:
 def _rank_core(comps, rect: LatticeRect, real_valued: bool, rel_tol: float | None):
     model = assemble_gamma(comps, rect, real_valued=real_valued)
     prediction = predict_rank(comps, rect, real_valued=real_valued)
-    rank, spectrum = factor_rank(model.whitened_factor(), rel_tol=rel_tol)
-    return model, prediction, rank, spectrum
+    factor = model.whitened_factor()
+    rank, spectrum = factor_rank(factor, rel_tol=rel_tol)
+    return model, factor, prediction, rank, spectrum
 
 
 def cmd_rank(cfg: dict, run: RunSettings, args) -> int:
     rect = parse_rect(cfg)
     comps = parse_components(cfg)
-    model, prediction, rank, spectrum = _rank_core(comps, rect, run.real_valued, args.tolerance)
+    model, factor, prediction, rank, spectrum = _rank_core(
+        comps, rect, run.real_valued, args.tolerance
+    )
     agree = rank == prediction.formula_value
     gap = spectral_gap_ratio(spectrum, rank)
     report = {
@@ -251,7 +254,7 @@ def cmd_rank(cfg: dict, run: RunSettings, args) -> int:
         "agree": agree,
         "spectrum": [float(s) for s in spectrum],
         "gap_ratio": gap if gap is not None and math.isfinite(gap) else None,
-        "factorization_residual": model.factorization_residual(),
+        "factorization_residual": model.factorization_residual(factor),
         "certificates_checked": 0,
         "max_residual": None,
     }
@@ -293,6 +296,9 @@ def cmd_verify(cfg: dict, run: RunSettings, args) -> int:
     max_residual = 0.0
     checked = 0
     for point in points:
+        # The zero-shift certificate is the identity and reads 0.0 by construction.
+        # It stays while perfbench's tracer finds make_certificate here by name and
+        # certificates_checked counts it; ROADMAP item 1 moves the tracer to a channel.
         trivial = make_certificate(point, zeros, comps, rect)
         trivial_residual = verify_certificate(trivial, model)
         checked += 1
@@ -438,7 +444,8 @@ def cmd_grid(cfg: dict, run: RunSettings, args) -> int:
     lines = ["N,M,components,real,predicted,numerical,agree,gap_ratio,regime"]
     passed = flagged = disagreements = 0
     for rect, comps in cells:
-        _, prediction, rank, spectrum = _rank_core(comps, rect, run.real_valued, args.tolerance)
+        # sliced, so no cell's factor stays alive while the next one is built
+        prediction, rank, spectrum = _rank_core(comps, rect, run.real_valued, args.tolerance)[2:]
         gap = spectral_gap_ratio(spectrum, rank)
         agree = rank == prediction.formula_value
         if not prediction.trustworthy:

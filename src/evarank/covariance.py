@@ -83,10 +83,6 @@ class CovarianceModel:
         dense = [block.dense(w) for block in self.blocks for w in block.carriers]
         return np.vstack(dense) if dense else np.zeros((0, self.rect.size), dtype=self.dtype)
 
-    def column(self, n: int, m: int) -> np.ndarray:
-        """Column of the stacked factor for lattice point (n, m)."""
-        return self.stacked[:, self.rect.vec_index(n, m)]
-
     def whitened_factor(self) -> np.ndarray:
         """F = blockdiag(L^H) C with cov = L L^H per block, so gamma == F^H F.
 
@@ -99,12 +95,13 @@ class CovarianceModel:
             parts.extend(upper[:, block.rows] * w for w in block.carriers)
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
-    def factorization_residual(self) -> float:
-        """Relative Frobenius gap between the gathered Gamma and F^H F."""
+    def factorization_residual(self, factor: np.ndarray) -> float:
+        """Relative Frobenius gap between the gathered Gamma and F^H F, for
+        the caller's F = whitened_factor(); F itself is left as it is."""
         unit = self._unit()
-        factor = self.whitened_factor()
-        factor /= math.sqrt(unit)  # exact: unit is a power of four
-        return self._tiled_gap(lambda lo, hi: factor[:, lo:hi].conj().T @ factor[:, lo:], unit)
+        # exact: unit is a power of four, and F^H F / unit cannot overflow
+        return self._tiled_gap(lambda lo, hi: (factor[:, lo:hi] / unit).conj().T @ factor[:, lo:],
+                               unit)
 
     def gap_to(self, matrix: np.ndarray) -> float:
         """||matrix - Gamma||_F / ||Gamma||_F for a Hermitian N*M x N*M

@@ -1,8 +1,12 @@
-"""Integer lattice geometry: slope pairs, half-plane total orders, Diophantine shifts.
+"""Integer lattice geometry: slope pairs, the lattice rectangle, and the
+half-plane total order.
 
 Everything downstream (field synthesis, covariance structure, rank counting)
 reduces to arithmetic on a coprime slope pair (a, b) over a finite N-by-M
 lattice rectangle, so the primitives live here and stay dependency-free.
+The points of the rectangle on one line of a slope are the shifts
+(n + t*b, m - t*a) of any one of them: `fields.lattice_map` gives them one
+process row, and `rank.find_certificate` shifts by one step along each line.
 """
 
 from __future__ import annotations
@@ -63,10 +67,6 @@ class SlopePair:
     def column_index(self, n: int, m: int) -> int:
         """Index of the lattice line through (n, m): constant along (b, -a)."""
         return n * self.a + m * self.b
-
-    def companion_sibling(self, k: int) -> "SlopePair":
-        """Another valid companion: (c, d) -> (c + k*a, d + k*b)."""
-        return SlopePair(self.a, self.b, self.c + k * self.a, self.d + k * self.b)
 
 
 def make_slope_pair(a: int, b: int) -> SlopePair:
@@ -152,39 +152,3 @@ def rnshp_precedes(p1: tuple[int, int], p2: tuple[int, int], slope: SlopePair) -
     if m != 0:
         return m < 0
     return n <= 0
-
-
-def _shift_bounds(x: int, step: int, hi: int) -> tuple[int, int]:
-    # Integer t with 0 <= x + t*step <= hi; caller guarantees 0 <= x <= hi.
-    if step == 0:
-        return (-math.inf, math.inf)  # type: ignore[return-value]
-    if step > 0:
-        return (-(x // step), (hi - x) // step)
-    step = -step
-    return (-((hi - x) // step), x // step)
-
-
-def diophantine_shifts(point: tuple[int, int], slope: SlopePair, rect: LatticeRect) -> list[int]:
-    """All integers t for which (n + t*b, m - t*a) stays inside the rectangle.
-
-    These are exactly the lattice points sharing the line index n*a + m*b
-    with `point`; coprimality of (a, b) makes the parametrization complete.
-    Always contains t = 0.
-
-    Args:
-        point: lattice point (n, m), must lie in `rect`.
-        slope: direction whose line family is being traced.
-        rect: lattice rectangle bounding the shifts.
-
-    Returns:
-        Sorted list of admissible shift integers.
-    """
-    n, m = point
-    if not rect.contains(n, m):
-        raise ValueError(f"point ({n}, {m}) outside {rect.N}x{rect.M} lattice")
-    lo_n, hi_n = _shift_bounds(n, slope.b, rect.N - 1)
-    lo_m, hi_m = _shift_bounds(m, -slope.a, rect.M - 1)
-    lo = max(lo_n, lo_m)
-    hi = min(hi_n, hi_m)
-    # (a, b) != (0, 0), so at least one coordinate bounds t.
-    return list(range(int(lo), int(hi) + 1))

@@ -9,8 +9,9 @@ in the interior regime (sum|a_q| < M and sum|b_q| < N).  This module
 computes that prediction, measures the numerical rank of an assembled
 covariance against it (read from a factor by `factor_rank`), and backs
 the count with explicit linear-dependence certificates: inclusion-exclusion
-combinations over Diophantine shifts that reconstruct a factor column
-exactly from other columns.
+combinations over shifts along the slope lines that reconstruct a factor
+column exactly from other columns.  Every point of the dependent block has
+the canonical one, the all-ones shift tuple, and no search is made.
 """
 
 from __future__ import annotations
@@ -202,10 +203,6 @@ class DependencyCertificate:
     shifts: tuple[int, ...]
     terms: tuple[tuple[tuple[int, int], complex], ...]
 
-    @property
-    def trivial(self) -> bool:
-        return len(self.terms) == 1 and self.terms[0] == (self.target, 1.0 + 0.0j)
-
 
 def _subset_point(
     target: tuple[int, int], shifts, components, subset
@@ -277,52 +274,54 @@ def find_certificate(
     components,
     rect: LatticeRect,
 ) -> DependencyCertificate | None:
-    """Searches shift tuples outward by radius, smallest first.
+    """The canonical certificate of `target`, on the all-ones shift tuple.
 
-    Returns the first admissible certificate that rewrites the target
-    through other columns, or None when no tuple up to radius max(N, M)
-    works; that radius exhausts every tuple that can stay inside the
-    lattice.
+    Its subset shifts all stay inside exactly on `dependent_point_set`'s
+    block, so off that block the one admissibility check returns None.
+    Every term precedes the target in the (m, -n) order: a shift lowers m
+    by its sum of a's, and one with every a == 0 raises n.
+
+    Raises:
+        ValueError: when `target` lies outside the rectangle.
     """
     components = list(components)
+    if not rect.contains(*target):
+        raise ValueError(f"target {target} outside {rect.N}x{rect.M} lattice")
     if not components:
         return None
-    q = len(components)
-    for radius in range(1, max(rect.N, rect.M) + 1):
-        candidates = sorted(
-            (t for t in itertools.product(range(-radius, radius + 1), repeat=q)
-             if max(abs(x) for x in t) == radius),
-            key=lambda t: t.count(0),
-        )
-        for shifts in candidates:
-            if not shift_tuple_admissible(target, shifts, components, rect):
-                continue
-            cert = make_certificate(target, shifts, components, rect)
-            # A useful witness rewrites the target through other columns;
-            # tuples with zero entries can telescope back to the identity map.
-            if cert.trivial:
-                continue
-            return cert
-    return None
+    shifts = (1,) * len(components)
+    if not shift_tuple_admissible(target, shifts, components, rect):
+        return None
+    return make_certificate(target, shifts, components, rect)
 
 
 def verify_certificate(cert: DependencyCertificate, model: CovarianceModel) -> float:
-    """Relative residual of the certificate against the stacked factor.
+    """Relative residual of the certificate against the model's factor.
 
     Computes ||col(target) - sum coeff * col(point)|| / ||col(target)||
-    on the model's stacked factor columns.  Exact identities sit at
-    roundoff; the trivial certificate returns 0.0 bit-exactly.
+    over the stacked factor columns, read from the sparse factor blocks:
+    in each block and carrier w, point j holds w[j] at row rows[j], so the
+    block's share of the sum is one bincount over the terms' rows.  Exact
+    identities sit at roundoff; the trivial certificate returns 0.0
+    bit-exactly.
     """
     if model.real_valued:
         raise ValueError("dependence certificates apply to the complex-valued model")
-    target_col = model.column(*cert.target)
-    denom = float(np.linalg.norm(target_col))
-    if denom == 0.0:
+    if not model.blocks:
         raise ValueError("target column is zero; no components present")
-    acc = np.zeros_like(target_col)
-    for point, coeff in cert.terms:
-        acc = acc + coeff * model.column(*point)
-    return float(np.linalg.norm(target_col - acc) / denom)
+    target = model.rect.vec_index(*cert.target)
+    points = np.array([model.rect.vec_index(*p) for p, _ in cert.terms], dtype=np.intp)
+    coeffs = np.array([c for _, c in cert.terms], dtype=complex)
+    heads, gaps = [], []
+    for block in model.blocks:
+        rows, size = block.rows[points], block.cov.shape[0]
+        for w in block.carriers:
+            terms = coeffs * w[points]
+            gap = np.bincount(rows, terms.real, size) + 1j * np.bincount(rows, terms.imag, size)
+            gap[block.rows[target]] -= w[target]  # |sum - col| == |col - sum|
+            heads.append(w[target])
+            gaps.append(gap)
+    return float(np.linalg.norm(np.concatenate(gaps)) / np.linalg.norm(heads))
 
 
 def dependent_point_set(components, rect: LatticeRect) -> list[tuple[int, int]]:

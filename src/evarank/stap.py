@@ -214,12 +214,12 @@ def suppression_experiment(
 
     The sample covariance is Y^H Y for Y = snapshots.conj() / sqrt(trials),
     and it is never formed.  With fewer trials than N*M, one eigh of the
-    trials-by-trials Gram Y Y^H gives its nonzero eigenvalues, and Y^H u,
-    normalized column by column, its top-r eigenvectors.  Otherwise one thin
-    SVD of the snapshots does: eigenvalues s**2 / trials, eigenvectors the
-    rows of Vh transposed (not conjugated).  With Gamma = F^H F for the
-    interference factor F, the power before is ||F||^2 and after is
-    ||F - (F U) U^H||^2.
+    trials-by-trials Gram Y Y^H gives its nonzero eigenvalues, and a reduced
+    QR of Y^H u an orthonormal basis of its top-r eigenvectors.  Otherwise
+    one thin SVD of the snapshots does: eigenvalues s**2 / trials,
+    eigenvectors the rows of Vh transposed (not conjugated).  With
+    Gamma = F^H F for the interference factor F, the power before is
+    ||F||^2 and after is ||F - (F U) U^H||^2.
 
     Raises:
         ValueError: when r is outside [0, N*M], or exceeds the trial count:
@@ -244,8 +244,9 @@ def suppression_experiment(
     if trials < rect.size:
         values, vectors = np.linalg.eigh(_short_gram(snapshots.conj() / math.sqrt(trials)))
         eigenvalues[:trials] = np.clip(values[::-1], 0.0, None)
-        top = snapshots.T @ vectors[:, trials - r:]  # Y^H u, up to a scale
-        top /= np.linalg.norm(top, axis=0)  # not sqrt(eigenvalue): it can round to <= 0
+        # Y^H u spans the subspace; QR, not column norms, keeps U orthonormal
+        # where u has lost accuracy on eigenvalues far below the largest
+        top, _ = np.linalg.qr(snapshots.T @ vectors[:, trials - r:])
     else:
         _, singular, vh = np.linalg.svd(snapshots, full_matrices=False)
         eigenvalues[: singular.size] = singular**2 / trials

@@ -203,10 +203,9 @@ def test_criterion_6_frequency_invariance(capsys):
 
 def test_criterion_7_factorization_and_monte_carlo(capsys):
     worst = 0.0
-    for rect, comps in grid_cells():
-        worst = max(worst, assemble_gamma(comps, rect).factorization_residual())
-    for rect, comps, _ in multi_cells():
-        worst = max(worst, assemble_gamma(comps, rect).factorization_residual())
+    for rect, comps in [*grid_cells(), *((r, c) for r, c, _ in multi_cells())]:
+        model = assemble_gamma(comps, rect)
+        worst = max(worst, model.factorization_residual(model.whitened_factor()))
     factor_ok = worst <= 1e-10
 
     rect = LatticeRect(8, 8)

@@ -107,6 +107,23 @@ def test_rank_real_flag(tmp_path, capsys):
     assert real["agree"] is True
 
 
+def test_rank_builds_the_whitened_factor_once(tmp_path, capsys, monkeypatch):
+    # the rank and the factorization residual read the same F
+    from evarank.covariance import CovarianceModel
+
+    calls = []
+    original = CovarianceModel.whitened_factor
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(CovarianceModel, "whitened_factor", counted)
+    code, _, _ = run(capsys, "rank", "--config", write_config(tmp_path, INTERIOR))
+    assert code == 0
+    assert len(calls) == 1
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_passes_on_interior_config(tmp_path, capsys):
@@ -122,7 +139,8 @@ def test_verify_passes_on_interior_config(tmp_path, capsys):
 
 
 def test_verify_leaves_gamma_unread(tmp_path, capsys, monkeypatch):
-    # certificates read factor columns only; the dense Gamma is never built
+    # certificates read the sparse factor blocks only: neither the dense
+    # Gamma nor the dense stacked factor is ever built
     import evarank.cli
     from evarank.covariance import assemble_gamma
 
@@ -137,6 +155,7 @@ def test_verify_leaves_gamma_unread(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(models) == 1
     assert "gamma" not in vars(models[0])
+    assert "stacked" not in vars(models[0])
 
 
 def test_verify_subsamples_with_seed(tmp_path, capsys):

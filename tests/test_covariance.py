@@ -21,7 +21,7 @@ from evarank.fields import (
     process_covariance,
     synthesize_batch,
 )
-from evarank.lattice import LatticeRect, make_slope_pair
+from evarank.lattice import LatticeRect, SlopePair, make_slope_pair
 
 AR1 = lambda var, ar: ModulatingProcessSpec(ProcessKind.AR1, var, ar)
 WHITE = lambda var: ModulatingProcessSpec(ProcessKind.WHITE, var, 0.0)
@@ -159,7 +159,10 @@ def test_factorization_identity():
     comps = [comp(3, 2, 0.9, AR1(1.0, 0.5)), comp(2, -1, 1.7, WHITE(1.0))]
     for real in (False, True):
         model = assemble_gamma(comps, rect, real_valued=real)
-        assert model.factorization_residual() <= 1e-12
+        factor = model.whitened_factor()
+        kept = factor.copy()
+        assert model.factorization_residual(factor) <= 1e-12
+        assert np.array_equal(factor, kept)  # the caller's factor is not scaled in place
 
 
 def test_whitened_factor_reproduces_gamma():
@@ -208,7 +211,8 @@ def test_eigenvalues_invariant_under_companion_choice():
     base = make_slope_pair(3, 2)
     spec = AR1(1.0, 0.6)
     eigs = []
-    for slope in (base, base.companion_sibling(1), base.companion_sibling(-2)):
+    siblings = [SlopePair(3, 2, base.c + k * 3, base.d + k * 2) for k in (1, -2)]
+    for slope in [base] + siblings:
         c = EvanescentComponent(slope, 0.9, spec)
         eigs.append(np.sort(np.linalg.eigvalsh(assemble_gamma([c], rect).gamma)))
     assert np.allclose(eigs[0], eigs[1], rtol=1e-10, atol=1e-10 * eigs[0].max())
@@ -228,7 +232,7 @@ def test_model_stores_only_the_factor_until_read():
     assert set(vars(model)) == {"rect", "components", "real_valued", "blocks"}
     assert model.gamma.shape == (1024, 1024)
     assert "gamma" in vars(model) and "stacked" not in vars(model)
-    assert model.column(5, 7).shape == (model.stacked.shape[0],)
+    assert model.stacked.shape == (sum(b.cov.shape[0] for b in model.blocks), rect.size)
     assert "stacked" in vars(model)
 
 
@@ -236,7 +240,7 @@ def test_empty_component_set_gives_zero_matrix():
     model = assemble_gamma([], LatticeRect(3, 3))
     assert np.all(model.gamma == 0)
     assert model.stacked.shape == (0, 9)
-    assert model.factorization_residual() == 0.0
+    assert model.factorization_residual(model.whitened_factor()) == 0.0
 
 
 # --- the tiled gap against the dense reference -------------------------------
@@ -267,7 +271,7 @@ def test_tiled_residual_matches_dense_reference(monkeypatch, rect, real):
     factor = model.whitened_factor()
     dense = relative_gap(factor.conj().T @ factor, model.gamma)
     assert dense > 1e-8  # the injected mismatch shows
-    assert model.factorization_residual() == pytest.approx(dense, rel=1e-9)
+    assert model.factorization_residual(factor) == pytest.approx(dense, rel=1e-9)
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -285,7 +289,7 @@ def test_empty_component_set_gap_is_exactly_zero():
     rect = LatticeRect(20, 20)  # two tiles
     model = assemble_gamma([], rect)
     assert model.gap_to(np.eye(rect.size, dtype=complex)) == 0.0
-    assert model.factorization_residual() == 0.0
+    assert model.factorization_residual(model.whitened_factor()) == 0.0
     assert "gamma" not in vars(model)
 
 
@@ -295,7 +299,7 @@ def test_residual_holds_no_full_size_array():
     full = rect.size ** 2 * 16
     tracemalloc.start()
     try:
-        residual = model.factorization_residual()
+        residual = model.factorization_residual(model.whitened_factor())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

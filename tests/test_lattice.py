@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evarank.lattice import (
-    LatticeRect,
-    SlopePair,
-    diophantine_shifts,
-    make_slope_pair,
-    rnshp_precedes,
-)
+from evarank.fields import EvanescentComponent, ModulatingProcessSpec, ProcessKind, lattice_map
+from evarank.lattice import LatticeRect, SlopePair, make_slope_pair, rnshp_precedes
+from evarank.rank import find_certificate, shift_tuple_admissible
 
 # Every coprime direction with |a|, |b| <= 3; wide enough to hit the axis
 # conventions, both b signs, and the a > 1 canonical-companion branch.
@@ -63,9 +59,10 @@ def test_non_integer_slope_rejected():
 
 
 def test_companion_sibling_stays_valid():
+    # (c + k*a, d + k*b) keeps a*d - b*c, so SlopePair accepts every sibling
     s = make_slope_pair(3, 2)
     for k in (-2, -1, 1, 5):
-        sib = s.companion_sibling(k)
+        sib = SlopePair(s.a, s.b, s.c + k * s.a, s.d + k * s.b)
         assert sib.a * sib.d - sib.b * sib.c == 1
         assert (sib.a, sib.b) == (3, 2)
 
@@ -134,7 +131,18 @@ def test_strictness_dichotomy():
         assert np.array_equal(prec & off, ~prec.T & off)
 
 
-# --- Diophantine shifts ------------------------------------------------------
+# --- shifts along a slope line ------------------------------------------------
+
+def _component(slope):
+    return EvanescentComponent(slope, 0.5, ModulatingProcessSpec(ProcessKind.WHITE))
+
+
+def _line_family(point, slope, rect):
+    """The points lattice_map gives `point`'s process row: its slope line."""
+    rows, _, _ = lattice_map(_component(slope), rect)
+    row = rows[rect.vec_index(*point)]
+    return {q for q, r in zip(rect.points(), rows) if r == row}
+
 
 def _brute_force_shifts(point, slope, rect):
     n, m = point
@@ -151,9 +159,10 @@ def test_shifts_match_brute_force(a, b, dims):
     slope = make_slope_pair(a, b)
     rect = LatticeRect(*dims)
     for point in rect.points():
-        assert diophantine_shifts(point, slope, rect) == _brute_force_shifts(
-            point, slope, rect
-        )
+        n, m = point
+        assert _line_family(point, slope, rect) == {
+            (n + t * slope.b, m - t * slope.a) for t in _brute_force_shifts(point, slope, rect)
+        }
 
 
 def test_shifts_always_contain_zero():
@@ -161,29 +170,29 @@ def test_shifts_always_contain_zero():
     for a, b in SMALL_SLOPES:
         slope = make_slope_pair(a, b)
         for point in rect.points():
-            assert 0 in diophantine_shifts(point, slope, rect)
+            assert shift_tuple_admissible(point, (0,), [_component(slope)], rect)
 
 
 def test_vertical_shift_family_walks_the_row():
     # (0, 1) moves n by t and leaves m alone, so from the origin of a 4x4
     # lattice all four columns of row m=0 are reachable
     rect = LatticeRect(4, 4)
-    assert diophantine_shifts((0, 0), make_slope_pair(0, 1), rect) == [0, 1, 2, 3]
+    assert _line_family((0, 0), make_slope_pair(0, 1), rect) == {(t, 0) for t in range(4)}
 
 
 def test_shift_example_diagonal():
     rect = LatticeRect(4, 4)
     slope = make_slope_pair(1, 1)
     # from (0, 3): (t, 3 - t) stays inside for t in 0..3
-    assert diophantine_shifts((0, 3), slope, rect) == [0, 1, 2, 3]
+    assert _line_family((0, 3), slope, rect) == {(t, 3 - t) for t in range(4)}
     # from (0, 0): (t, -t) leaves immediately in both directions
-    assert diophantine_shifts((0, 0), slope, rect) == [0]
+    assert _line_family((0, 0), slope, rect) == {(0, 0)}
 
 
 def test_shift_point_outside_rect_rejected():
     rect = LatticeRect(4, 4)
     with pytest.raises(ValueError):
-        diophantine_shifts((4, 0), make_slope_pair(1, 1), rect)
+        find_certificate((4, 0), [_component(make_slope_pair(1, 1))], rect)
 
 
 def test_shifts_partition_equal_line_index():
@@ -194,7 +203,7 @@ def test_shifts_partition_equal_line_index():
         for p in rect.points():
             family = {
                 (p[0] + t * slope.b, p[1] - t * slope.a)
-                for t in diophantine_shifts(p, slope, rect)
+                for t in _brute_force_shifts(p, slope, rect)
             }
             same_index = {
                 q for q in rect.points()

@@ -221,6 +221,21 @@ def test_suppression_matches_dense_reference(trials):
         np.testing.assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-9 * want[0])
 
 
+@pytest.mark.parametrize("power, r", [(1e10, 30), (1e14, 16)])
+def test_gram_route_matches_svd_far_below_the_jammer(power, r):
+    # r reaches eigenvalues some 1e-16 of the largest: the Gram route's basis
+    # must stay orthonormal there, as the SVD's does
+    sc = StapScenario(LatticeRect(8, 8), jammers=(JammerSpec(0.7, power),), noise_power=1e-6)
+    rep = suppression_experiment(sc, trials=32, seed=1, rank_used=r)  # 32 < N*M: Gram route
+    comps = scenario_to_components(sc)
+    snapshots = synthesize_batch(comps, sc.rect, 32, 1, noise_power=1e-6)
+    top = np.linalg.svd(snapshots, full_matrices=False)[2][:r].T
+    factor = assemble_gamma(comps, sc.rect).whitened_factor()
+    after = np.linalg.norm(factor - (factor @ top) @ top.conj().T) ** 2
+    svd_db = -10.0 * math.log10(after / np.linalg.norm(factor) ** 2)
+    assert abs(rep.suppression_db - svd_db) <= 1.0
+
+
 def test_suppression_with_fewer_trials_than_rank_used(tmp_path, capsys, monkeypatch):
     # the snapshots span at most `trials` directions; a projector needing more
     # would take them from whatever null-space basis LAPACK returns
