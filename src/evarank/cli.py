@@ -44,6 +44,7 @@ from .rank import (
     find_certificate,
     make_certificate,
     predict_rank,
+    shift_tuple_admissible,
     spectral_gap_ratio,
     verify_certificate,
 )
@@ -291,35 +292,38 @@ def cmd_verify(cfg: dict, run: RunSettings, args) -> int:
         sampled = True
 
     tol = args.tolerance if args.tolerance is not None else CERT_RESIDUAL_TOL
-    zeros = tuple(0 for _ in comps)
+    # Both certificates are the same at every point up to translation, so each
+    # is built once and verify_certificate reads its translates in one pass.
+    targets = np.array(points, dtype=np.int64).reshape(-1, 2)
+    admissible = shift_tuple_admissible(targets, (1,) * len(comps), comps, rect)
+    # The zero-shift certificate is the identity and reads 0.0 by construction.
+    # It stays while perfbench's tracer finds make_certificate here by name and
+    # certificates_checked counts it; ROADMAP item 1 moves the tracer to a channel.
+    identity = make_certificate((0, 0), (0,) * len(comps), comps, rect)
+    trivial = verify_certificate(identity, model, at=targets)
+    residuals = np.zeros(len(points))
     failures = []
-    max_residual = 0.0
-    checked = 0
-    for point in points:
-        # The zero-shift certificate is the identity and reads 0.0 by construction.
-        # It stays while perfbench's tracer finds make_certificate here by name and
-        # certificates_checked counts it; ROADMAP item 1 moves the tracer to a channel.
-        trivial = make_certificate(point, zeros, comps, rect)
-        trivial_residual = verify_certificate(trivial, model)
-        checked += 1
-        if trivial_residual != 0.0:
-            failures.append({"point": list(point), "kind": "trivial", "residual": trivial_residual})
-        cert = find_certificate(point, comps, rect)
-        if cert is None:
-            failures.append({"point": list(point), "kind": "missing", "residual": None})
-            continue
-        residual = verify_certificate(cert, model)
-        checked += 1
-        max_residual = max(max_residual, residual)
-        if residual > tol:
-            failures.append(
-                {
-                    "point": list(point),
-                    "kind": "residual",
-                    "shifts": list(cert.shifts),
-                    "residual": residual,
-                }
-            )
+    if admissible.any():
+        cert = find_certificate(points[int(np.argmax(admissible))], comps, rect)
+        shifts = list(cert.shifts)
+        # rank <= N*M - |block| by induction needs every term strictly earlier in
+        # the (m, -n) order; translation keeps the order, so one check covers all
+        late = [p for p, _ in cert.terms if (p[1], -p[0]) >= (cert.target[1], -cert.target[0])]
+        if late:
+            failures.append({"point": list(cert.target), "kind": "order", "term": list(late[0]),
+                             "shifts": shifts, "residual": None})
+        residuals[admissible] = verify_certificate(cert, model, at=targets[admissible])
+    for i in np.flatnonzero((trivial != 0.0) | ~admissible | (residuals > tol)):
+        point = list(points[i])
+        if trivial[i] != 0.0:
+            failures.append({"point": point, "kind": "trivial", "residual": float(trivial[i])})
+        if not admissible[i]:
+            failures.append({"point": point, "kind": "missing", "residual": None})
+        elif residuals[i] > tol:
+            failures.append({"point": point, "kind": "residual", "shifts": shifts,
+                             "residual": float(residuals[i])})
+    max_residual = float(residuals[admissible].max(initial=0.0))
+    checked = len(points) + int(np.count_nonzero(admissible))
     report = {
         "mode": "verify",
         "N": rect.N,

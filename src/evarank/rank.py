@@ -11,7 +11,9 @@ covariance against it (read from a factor by `factor_rank`), and backs
 the count with explicit linear-dependence certificates: inclusion-exclusion
 combinations over shifts along the slope lines that reconstruct a factor
 column exactly from other columns.  Every point of the dependent block has
-the canonical one, the all-ones shift tuple, and no search is made.
+the canonical one, the all-ones shift tuple, and no search is made.  Its
+coefficients do not depend on the target, so one certificate, translated,
+is checked at every point in a single pass.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .fields import TWO_PI, check_distinct_triples
 from .lattice import LatticeRect
 
 _HALF_TURN_TOL = 1e-12
+# (point, term) pairs per chunk when verify_certificate checks many points
+_CHUNK_PAIRS = 1 << 16
 
 
 class RegimeFlag(str, Enum):
@@ -215,15 +219,27 @@ def _subset_point(
 
 
 def shift_tuple_admissible(
-    target: tuple[int, int], shifts, components, rect: LatticeRect
-) -> bool:
-    """True when every nonempty-subset shift of `target` stays in the lattice."""
+    target, shifts, components, rect: LatticeRect
+) -> bool | np.ndarray:
+    """True when every nonempty-subset shift of `target` stays in the lattice.
+
+    `target` may also be a (P, 2) array of points: the answer is then a
+    boolean array, from one containment test over all points and subsets.
+    """
     q = len(components)
-    for size in range(1, q + 1):
-        for subset in itertools.combinations(range(q), size):
-            if not rect.contains(*_subset_point(target, shifts, components, subset)):
-                return False
-    return True
+    offsets = np.array(
+        [_subset_point((0, 0), shifts, components, subset)
+         for size in range(1, q + 1) for subset in itertools.combinations(range(q), size)],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    inside = _inside(np.asarray(target, dtype=np.int64)[..., None, :] + offsets, rect).all(axis=-1)
+    return inside if inside.ndim else bool(inside)
+
+
+def _inside(points: np.ndarray, rect: LatticeRect) -> np.ndarray:
+    """rect.contains for an array of (n, m) pairs on its last axis."""
+    n, m = points[..., 0], points[..., 1]
+    return (0 <= n) & (n < rect.N) & (0 <= m) & (m < rect.M)
 
 
 def make_certificate(
@@ -295,7 +311,9 @@ def find_certificate(
     return make_certificate(target, shifts, components, rect)
 
 
-def verify_certificate(cert: DependencyCertificate, model: CovarianceModel) -> float:
+def verify_certificate(
+    cert: DependencyCertificate, model: CovarianceModel, at=None
+) -> float | np.ndarray:
     """Relative residual of the certificate against the model's factor.
 
     Computes ||col(target) - sum coeff * col(point)|| / ||col(target)||
@@ -304,24 +322,70 @@ def verify_certificate(cert: DependencyCertificate, model: CovarianceModel) -> f
     block's share of the sum is one bincount over the terms' rows.  Exact
     identities sit at roundoff; the trivial certificate returns 0.0
     bit-exactly.
+
+    With `at`, a (P, 2) array or sequence of points, returns the P
+    residuals of the certificate translated to each point.  Its
+    coefficients do not depend on the target, and its terms keep their
+    offsets from it, so the translate is the certificate `make_certificate`
+    builds there.  Points go in chunks of at most `_CHUNK_PAIRS` (point,
+    term) pairs, with one bincount per block, carrier and chunk over the
+    (point, row) pairs the chunk hits; a point's residual does not depend
+    on its chunk.  Without `at` the certificate is read at its own target,
+    as the one-point case of the same code.
+
+    Raises:
+        ValueError: for the real-valued model, a model without components,
+            or a translated term outside the lattice.
     """
     if model.real_valued:
         raise ValueError("dependence certificates apply to the complex-valued model")
     if not model.blocks:
         raise ValueError("target column is zero; no components present")
-    target = model.rect.vec_index(*cert.target)
-    points = np.array([model.rect.vec_index(*p) for p, _ in cert.terms], dtype=np.intp)
-    coeffs = np.array([c for _, c in cert.terms], dtype=complex)
-    heads, gaps = [], []
+    targets = np.asarray([cert.target] if at is None else at, dtype=np.int64).reshape(-1, 2)
+    # the target goes last, as a term of coefficient -1: exact, -1 * w == -w
+    offsets = np.array([p for p, _ in cert.terms] + [cert.target], dtype=np.int64) - cert.target
+    coeffs = np.array([c for _, c in cert.terms] + [-1.0], dtype=complex)
+    step = max(1, _CHUNK_PAIRS // len(coeffs))
+    residuals = np.empty(len(targets))
+    for lo in range(0, len(targets), step):
+        residuals[lo:lo + step] = _translated_residuals(
+            targets[lo:lo + step], offsets, coeffs, model
+        )
+    return float(residuals[0]) if at is None else residuals
+
+
+def _translated_residuals(
+    targets: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray, model: CovarianceModel
+) -> np.ndarray:
+    """verify_certificate's residuals for one chunk of targets.
+
+    A key (point, row) numbers the gap entries each point touches, so the
+    bincounts run over the pairs hit, never over points x rows.  Within a
+    bin the terms add in certificate order, the target last, as they would
+    for one point alone.
+    """
+    rect = model.rect
+    points = targets[:, None, :] + offsets
+    if not _inside(points, rect).all():
+        raise ValueError(f"a certificate term leaves the {rect.N}x{rect.M} lattice")
+    index = points[..., 0] * rect.M + points[..., 1]
+    count = len(targets)
+    gap_sq = np.zeros(count)
+    head_sq = np.zeros(count)
     for block in model.blocks:
-        rows, size = block.rows[points], block.cov.shape[0]
+        size = block.cov.shape[0]
+        keys, bins = np.unique(
+            (np.arange(count)[:, None] * size + block.rows[index]).ravel(), return_inverse=True
+        )
+        owner = keys // size
         for w in block.carriers:
-            terms = coeffs * w[points]
-            gap = np.bincount(rows, terms.real, size) + 1j * np.bincount(rows, terms.imag, size)
-            gap[block.rows[target]] -= w[target]  # |sum - col| == |col - sum|
-            heads.append(w[target])
-            gaps.append(gap)
-    return float(np.linalg.norm(np.concatenate(gaps)) / np.linalg.norm(heads))
+            terms = (coeffs * w[index]).ravel()
+            gap = np.bincount(bins, terms.real, len(keys)) ** 2
+            gap += np.bincount(bins, terms.imag, len(keys)) ** 2
+            gap_sq += np.bincount(owner, gap, count)
+            head = w[index[:, -1]]
+            head_sq += head.real ** 2 + head.imag ** 2
+    return np.sqrt(gap_sq) / np.sqrt(head_sq)
 
 
 def dependent_point_set(components, rect: LatticeRect) -> list[tuple[int, int]]:

@@ -212,6 +212,66 @@ def test_verify_impossible_tolerance_fails(tmp_path, capsys):
     assert all(f["kind"] == "residual" for f in report["failures"])
 
 
+def test_verify_flags_exactly_the_readers_of_a_faulty_column(tmp_path, capsys, monkeypatch):
+    # one carrier entry off by 0.1 %: the batch must fail exactly the points
+    # whose own certificate reads that column, so the pass is no tautology
+    import dataclasses
+
+    import evarank.cli
+    from evarank.covariance import assemble_gamma
+    from evarank.rank import dependent_point_set, find_certificate, verify_certificate
+
+    cfg = write_config(tmp_path, INTERIOR)
+    comps = evarank.cli.parse_components(INTERIOR)
+    rect = evarank.cli.parse_rect(INTERIOR)
+    model = assemble_gamma(comps, rect)
+    faulty = (4, 2)
+    block = model.blocks[1]
+    carrier = block.carriers[0].copy()
+    carrier[rect.vec_index(*faulty)] *= 1.001
+    blocks = [model.blocks[0], dataclasses.replace(block, carriers=(carrier,))]
+    broken = dataclasses.replace(model, blocks=blocks)
+
+    points = dependent_point_set(comps, rect)
+    certs = [find_certificate(p, comps, rect) for p in points]
+    readers = [p for p, cert in zip(points, certs)
+               if faulty == p or faulty in {q for q, _ in cert.terms}]
+    assert 0 < len(readers) < len(points)
+    batch = verify_certificate(certs[0], broken, at=points)
+    assert [p for p, r in zip(points, batch) if r > 1e-10] == readers
+
+    monkeypatch.setattr(evarank.cli, "assemble_gamma", lambda *args, **kwargs: broken)
+    code, out, _ = run(capsys, "verify", "--config", cfg)
+    report = json.loads(out)
+    assert code == 1
+    assert report["pass"] is False
+    assert [f["kind"] for f in report["failures"]] == ["residual"] * len(readers)
+    assert [tuple(f["point"]) for f in report["failures"]] == readers
+
+
+def test_verify_reports_a_term_that_does_not_precede_its_target(tmp_path, capsys, monkeypatch):
+    # a term at (n - 1, m) comes after (n, m) in the (m, -n) order, so the
+    # induction behind rank <= N*M - |block| fails even though the residual holds
+    import evarank.cli
+    from evarank.rank import DependencyCertificate, find_certificate
+
+    def late_term(target, comps, rect):
+        cert = find_certificate(target, comps, rect)
+        later = (target[0] - 1, target[1])
+        return DependencyCertificate(target, cert.shifts, cert.terms + ((later, 0j),))
+
+    monkeypatch.setattr(evarank.cli, "find_certificate", late_term)
+    code, out, _ = run(capsys, "verify", "--config", write_config(tmp_path, INTERIOR))
+    report = json.loads(out)
+    assert code == 1
+    assert report["max_residual"] <= 1e-10
+    (failure,) = report["failures"]
+    assert failure["kind"] == "order"
+    assert failure["term"] == [failure["point"][0] - 1, failure["point"][1]]
+    assert failure["shifts"] == [1, 1]
+    assert failure["residual"] is None
+
+
 # --- simulate -----------------------------------------------------------------
 
 def test_simulate_requires_seed(tmp_path, capsys):

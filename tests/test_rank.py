@@ -497,3 +497,60 @@ def test_canonical_certificates_cover_every_interior_config(n, m, picks):
         assert verify_certificate(cert, model) <= 1e-10
         # the induction on rank: every term comes strictly earlier in the (m, -n) order
         assert all((q[1], -q[0]) < (point[1], -point[0]) for q, _ in cert.terms)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    m=st.integers(min_value=1, max_value=24),
+    picks=st.lists(
+        st.tuples(st.sampled_from(CERT_SLOPES), st.floats(0.0, 6.28)), min_size=1, max_size=4
+    ),
+)
+def test_translated_certificates_match_per_point_certificates(n, m, picks):
+    # the batch over every lattice point, against one certificate per point
+    rect = LatticeRect(n, m)
+    comps = [comp(a, b, omega, AR1(1.0, 0.5)) for (a, b), omega in picks]
+    assume(len({c.triple() for c in comps}) == len(comps))
+    model = assemble_gamma(comps, rect)
+    points = list(rect.points())
+    targets = np.array(points)
+    certs = [find_certificate(p, comps, rect) for p in points]
+    admissible = shift_tuple_admissible(targets, (1,) * len(comps), comps, rect)
+    assert admissible.tolist() == [cert is not None for cert in certs]
+    zeros = make_certificate(points[-1], (0,) * len(comps), comps, rect)
+    assert verify_certificate(zeros, model, at=targets).tolist() == [0.0] * len(points)
+    if not admissible.any():
+        return
+    template = certs[int(np.argmax(admissible))]
+    batch = verify_certificate(template, model, at=targets[admissible])
+    single = [verify_certificate(cert, model) for cert in certs if cert is not None]
+    np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7])
+def test_chunking_leaves_residuals_bit_identical(monkeypatch, per_chunk):
+    # 7 points per chunk does not divide the 600 points
+    import evarank.rank
+
+    rect = LatticeRect(32, 32)
+    comps = comps_for([(3, 2), (2, 1), (1, 3), (1, -2)])
+    model = assemble_gamma(comps, rect)
+    points = dependent_point_set(comps, rect)
+    assert len(points) == 600
+    cert = find_certificate(points[0], comps, rect)
+    whole = verify_certificate(cert, model, at=points)
+    pairs = len(cert.terms) + 1  # the terms and the target
+    monkeypatch.setattr(evarank.rank, "_CHUNK_PAIRS", per_chunk * pairs + pairs - 1)
+    chunked = verify_certificate(cert, model, at=points)
+    assert np.array_equal(chunked, whole)
+    assert np.all(whole <= 1e-10)
+
+
+def test_translated_certificate_must_stay_in_the_lattice():
+    rect = LatticeRect(8, 8)
+    comps = comps_for([(3, 2), (2, -1)])
+    model = assemble_gamma(comps, rect)
+    cert = find_certificate((3, 7), comps, rect)
+    with pytest.raises(ValueError, match="leaves"):
+        verify_certificate(cert, model, at=[(3, 7), (0, 0)])
