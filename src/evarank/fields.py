@@ -127,9 +127,10 @@ def process_covariance(spec: ModulatingProcessSpec, size: int) -> np.ndarray:
         raise ValueError("process covariance needs a positive size")
     if spec.kind is ProcessKind.WHITE:
         return spec.variance * np.eye(size)
-    lags = np.abs(np.arange(size)[:, None] - np.arange(size)[None, :])
     ar = spec.ar_coefficient
-    return spec.variance * ar ** lags / (1.0 - ar * ar)
+    # one power per lag, gathered: the same floats as ar ** |i - j| entrywise
+    autocov = spec.variance * ar ** np.arange(size) / (1.0 - ar * ar)
+    return autocov[np.abs(np.arange(size)[:, None] - np.arange(size)[None, :])]
 
 
 @dataclass(frozen=True)

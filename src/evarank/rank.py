@@ -30,13 +30,10 @@ from .fields import TWO_PI, check_distinct_triples
 from .lattice import LatticeRect
 
 _HALF_TURN_TOL = 1e-12
-# (point, term) pairs per chunk when verify_certificate checks many points
-_CHUNK_PAIRS = 1 << 16
 
 
 class RegimeFlag(str, Enum):
     INTERIOR = "interior"
-    SATURATED = "saturated"
     OUTSIDE = "outside_theorem_regime"
 
 
@@ -44,14 +41,14 @@ class RegimeFlag(str, Enum):
 class RankPrediction:
     """Closed-form rank with its bookkeeping.
 
-    `formula_value` is already clamped to [0, N*M]; `clamped` records that
-    the raw formula exceeded the ambient dimension.  Outside the interior
-    regime the formula is heuristic only and `regime_flag` says so: there
-    the numerical rank of the assembled covariance is the authority.
+    `formula_value` is the raw formula cut to [0, N*M].  Inside the
+    interior regime N*M - raw = (N - sum|b|)(M - sum|a|) > 0, so the cut
+    acts only outside it, where the formula is heuristic and `regime_flag`
+    says so: there the numerical rank of the assembled covariance is the
+    authority.
     """
 
     formula_value: int
-    clamped: bool
     per_component_counts: tuple[int, ...]
     regime_flag: RegimeFlag
 
@@ -105,15 +102,10 @@ def predict_rank(components, rect: LatticeRect, real_valued: bool = False) -> Ra
         sum_b *= 2
         degenerate = _real_mode_degenerate(components)
     raw = rect.N * sum_a + rect.M * sum_b - sum_a * sum_b
-    clamped = raw > rect.size
     value = min(max(raw, 0), rect.size)
-    if components and (sum_a >= rect.M or sum_b >= rect.N or degenerate):
-        flag = RegimeFlag.OUTSIDE
-    elif clamped:
-        flag = RegimeFlag.SATURATED
-    else:
-        flag = RegimeFlag.INTERIOR
-    return RankPrediction(value, clamped, counts, flag)
+    outside = components and (sum_a >= rect.M or sum_b >= rect.N or degenerate)
+    flag = RegimeFlag.OUTSIDE if outside else RegimeFlag.INTERIOR
+    return RankPrediction(value, counts, flag)
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
@@ -224,15 +216,14 @@ def shift_tuple_admissible(
     """True when every nonempty-subset shift of `target` stays in the lattice.
 
     `target` may also be a (P, 2) array of points: the answer is then a
-    boolean array, from one containment test over all points and subsets.
+    boolean array, from one containment test per subset over all points.
     """
     q = len(components)
-    offsets = np.array(
-        [_subset_point((0, 0), shifts, components, subset)
-         for size in range(1, q + 1) for subset in itertools.combinations(range(q), size)],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    inside = _inside(np.asarray(target, dtype=np.int64)[..., None, :] + offsets, rect).all(axis=-1)
+    targets = np.asarray(target, dtype=np.int64)
+    inside = np.ones(targets.shape[:-1], dtype=bool)
+    for size in range(1, q + 1):
+        for subset in itertools.combinations(range(q), size):
+            inside &= _inside(targets + _subset_point((0, 0), shifts, components, subset), rect)
     return inside if inside.ndim else bool(inside)
 
 
@@ -319,7 +310,7 @@ def verify_certificate(
     Computes ||col(target) - sum coeff * col(point)|| / ||col(target)||
     over the stacked factor columns, read from the sparse factor blocks:
     in each block and carrier w, point j holds w[j] at row rows[j], so the
-    block's share of the sum is one bincount over the terms' rows.  Exact
+    block's share of the gap sums the terms that land on one row.  Exact
     identities sit at roundoff; the trivial certificate returns 0.0
     bit-exactly.
 
@@ -327,11 +318,14 @@ def verify_certificate(
     residuals of the certificate translated to each point.  Its
     coefficients do not depend on the target, and its terms keep their
     offsets from it, so the translate is the certificate `make_certificate`
-    builds there.  Points go in chunks of at most `_CHUNK_PAIRS` (point,
-    term) pairs, with one bincount per block, carrier and chunk over the
-    (point, row) pairs the chunk hits; a point's residual does not depend
-    on its chunk.  Without `at` the certificate is read at its own target,
-    as the one-point case of the same code.
+    builds there.  A term's flat index is the target's plus a fixed step,
+    and a block's row n*a + m*b - k_min moves by the term's offset dotted
+    with (a, b) at every point: the terms sharing a row form the same
+    groups everywhere, and each group is summed over all P points at once.
+    Within a group the terms add in certificate order, the target last,
+    and the groups' squared sums add in ascending row order.  Without `at`
+    the certificate is read at its own target, as the one-point case of
+    the same code.
 
     Raises:
         ValueError: for the real-valued model, a model without components,
@@ -341,55 +335,37 @@ def verify_certificate(
         raise ValueError("dependence certificates apply to the complex-valued model")
     if not model.blocks:
         raise ValueError("target column is zero; no components present")
+    rect = model.rect
     targets = np.asarray([cert.target] if at is None else at, dtype=np.int64).reshape(-1, 2)
     # the target goes last, as a term of coefficient -1: exact, -1 * w == -w
     offsets = np.array([p for p, _ in cert.terms] + [cert.target], dtype=np.int64) - cert.target
     coeffs = np.array([c for _, c in cert.terms] + [-1.0], dtype=complex)
-    step = max(1, _CHUNK_PAIRS // len(coeffs))
-    residuals = np.empty(len(targets))
-    for lo in range(0, len(targets), step):
-        residuals[lo:lo + step] = _translated_residuals(
-            targets[lo:lo + step], offsets, coeffs, model
-        )
+    # every translate stays inside when the corners of the targets' bounding box do
+    if len(targets) and not all(
+        _inside(corner + offsets, rect).all() for corner in (targets.min(0), targets.max(0))
+    ):
+        raise ValueError(f"a certificate term leaves the {rect.N}x{rect.M} lattice")
+    base = targets[:, 0] * rect.M + targets[:, 1]
+    steps = offsets[:, 0] * rect.M + offsets[:, 1]
+    gap_sq = np.zeros(len(targets))
+    head_sq = np.zeros(len(targets))
+    for comp, block in zip(model.components, model.blocks):
+        moves = (offsets @ (comp.slope.a, comp.slope.b)).tolist()
+        # the terms sharing a row, in certificate order; the groups in ascending row order
+        groups = [[k for k, moved in enumerate(moves) if moved == move]
+                  for move in sorted(set(moves))]
+        for w in block.carriers:
+            sums = (sum(coeffs[k] * w[base + steps[k]] for k in group) for group in groups)
+            gap_sq += sum(total.real ** 2 + total.imag ** 2 for total in sums)
+            head = w[base]
+            head_sq += head.real ** 2 + head.imag ** 2
+    residuals = np.sqrt(gap_sq) / np.sqrt(head_sq)
     return float(residuals[0]) if at is None else residuals
 
 
-def _translated_residuals(
-    targets: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray, model: CovarianceModel
-) -> np.ndarray:
-    """verify_certificate's residuals for one chunk of targets.
-
-    A key (point, row) numbers the gap entries each point touches, so the
-    bincounts run over the pairs hit, never over points x rows.  Within a
-    bin the terms add in certificate order, the target last, as they would
-    for one point alone.
-    """
-    rect = model.rect
-    points = targets[:, None, :] + offsets
-    if not _inside(points, rect).all():
-        raise ValueError(f"a certificate term leaves the {rect.N}x{rect.M} lattice")
-    index = points[..., 0] * rect.M + points[..., 1]
-    count = len(targets)
-    gap_sq = np.zeros(count)
-    head_sq = np.zeros(count)
-    for block in model.blocks:
-        size = block.cov.shape[0]
-        keys, bins = np.unique(
-            (np.arange(count)[:, None] * size + block.rows[index]).ravel(), return_inverse=True
-        )
-        owner = keys // size
-        for w in block.carriers:
-            terms = (coeffs * w[index]).ravel()
-            gap = np.bincount(bins, terms.real, len(keys)) ** 2
-            gap += np.bincount(bins, terms.imag, len(keys)) ** 2
-            gap_sq += np.bincount(owner, gap, count)
-            head = w[index[:, -1]]
-            head_sq += head.real ** 2 + head.imag ** 2
-    return np.sqrt(gap_sq) / np.sqrt(head_sq)
-
-
-def dependent_point_set(components, rect: LatticeRect) -> list[tuple[int, int]]:
-    """Lattice points whose factor columns are certified dependent.
+def dependent_point_set(components, rect: LatticeRect) -> tuple[range, range]:
+    """The n and m ranges of the points whose factor columns are certified
+    dependent.
 
     The block {lo_n <= n <= hi_n, sum|a| <= m <= M-1}, where the n margins
     absorb negative and positive b components respectively.  Every point
@@ -406,11 +382,7 @@ def dependent_point_set(components, rect: LatticeRect) -> list[tuple[int, int]]:
         )
     lo_n = sum(-c.slope.b for c in components if c.slope.b < 0)
     hi_n = rect.N - 1 - sum(c.slope.b for c in components if c.slope.b > 0)
-    return [
-        (n, m)
-        for n in range(lo_n, hi_n + 1)
-        for m in range(sum_a, rect.M)
-    ]
+    return range(lo_n, hi_n + 1), range(sum_a, rect.M)
 
 
 def independent_point_set(components, rect: LatticeRect) -> set[tuple[int, int]]:
@@ -419,5 +391,5 @@ def independent_point_set(components, rect: LatticeRect) -> set[tuple[int, int]]
     Its cardinality reproduces the closed-form rank.  Raises outside the
     interior regime, where no such clean split exists.
     """
-    dependent = set(dependent_point_set(components, rect))
-    return {p for p in rect.points() if p not in dependent}
+    n_range, m_range = dependent_point_set(components, rect)
+    return {(n, m) for n, m in rect.points() if n not in n_range or m not in m_range}

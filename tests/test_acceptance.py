@@ -156,7 +156,8 @@ def test_criterion_5_certificates_cover_dependent_block(capsys):
         if any(c.slope.b < 0 for c in comps):
             continue  # the two published configurations only
         model = assemble_gamma(comps, rect)
-        points = dependent_point_set(comps, rect)
+        n_range, m_range = dependent_point_set(comps, rect)
+        points = [(n, m) for n in n_range for m in m_range]
         zeros = tuple(0 for _ in comps)
         worst = 0.0
         good = len(points) == rect.size - want

@@ -74,7 +74,7 @@ def test_rank_out_file_matches_stdout(tmp_path, capsys):
     assert dest.read_text() == out
 
 
-def test_rank_flags_saturated_regime(tmp_path, capsys):
+def test_rank_flags_outside_regime(tmp_path, capsys):
     cfg = write_config(tmp_path, OUTSIDE)
     code, out, _ = run(capsys, "rank", "--config", cfg)
     assert code == 3
@@ -133,9 +133,27 @@ def test_verify_passes_on_interior_config(tmp_path, capsys):
     report = json.loads(out)
     assert report["pass"] is True
     assert report["failures"] == []
-    assert report["points_audited"] == report["points_total"] > 0
-    assert report["sampled"] is False
+    # (N - sum|b|) * (M - sum|a|) = (8 - 3) * (8 - 5)
+    assert report["points_audited"] == 15
     assert report["max_residual"] <= 1e-10
+
+
+def test_verify_audits_every_point_of_a_large_block(tmp_path, capsys):
+    # the benchmark's audit slopes at 72 x 72: (72 - 8) * (72 - 7) = 4,160
+    # points, every one checked, and no seed needed
+    slopes = ((3, 2), (2, 1), (1, 3), (1, -2))
+    processes = ({"kind": "ar1", "ar_coefficient": 0.55}, {}) * 2
+    cfg = write_config(tmp_path, {
+        "rect": {"N": 72, "M": 72},
+        "components": [{"a": a, "b": b, "omega": 0.9 + 0.7 * i, "process": process}
+                       for i, ((a, b), process) in enumerate(zip(slopes, processes))],
+    })
+    code, out, _ = run(capsys, "verify", "--config", cfg)
+    assert code == 0
+    report = json.loads(out)
+    assert report["points_audited"] == 4160
+    assert report["certificates_checked"] == 2 * 4160
+    assert report["pass"] is True
 
 
 def test_verify_leaves_gamma_unread(tmp_path, capsys, monkeypatch):
@@ -158,25 +176,6 @@ def test_verify_leaves_gamma_unread(tmp_path, capsys, monkeypatch):
     assert "stacked" not in vars(models[0])
 
 
-def test_verify_subsamples_with_seed(tmp_path, capsys):
-    payload = dict(INTERIOR, max_certificate_points=5, seed=11)
-    cfg = write_config(tmp_path, payload)
-    code, out, _ = run(capsys, "verify", "--config", cfg)
-    assert code == 0
-    report = json.loads(out)
-    assert report["sampled"] is True
-    assert report["points_audited"] == 5
-    _, again, _ = run(capsys, "verify", "--config", cfg)
-    assert again == out
-
-
-def test_verify_subsample_without_seed_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, dict(INTERIOR, max_certificate_points=5))
-    code, _, err = run(capsys, "verify", "--config", cfg)
-    assert code == 2
-    assert json.loads(err)["error"] == "config"
-
-
 def test_verify_refuses_outside_regime(tmp_path, capsys):
     cfg = write_config(tmp_path, OUTSIDE)
     code, out, err = run(capsys, "verify", "--config", cfg)
@@ -195,7 +194,6 @@ def test_verify_single_column_lattice_audits_nothing(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--config", cfg)
     assert code == 0
     report = json.loads(out)
-    assert report["points_total"] == 0
     assert report["points_audited"] == 0
     assert report["pass"] is True
 
@@ -232,7 +230,8 @@ def test_verify_flags_exactly_the_readers_of_a_faulty_column(tmp_path, capsys, m
     blocks = [model.blocks[0], dataclasses.replace(block, carriers=(carrier,))]
     broken = dataclasses.replace(model, blocks=blocks)
 
-    points = dependent_point_set(comps, rect)
+    n_range, m_range = dependent_point_set(comps, rect)
+    points = [(n, m) for n in n_range for m in m_range]
     certs = [find_certificate(p, comps, rect) for p in points]
     readers = [p for p, cert in zip(points, certs)
                if faulty == p or faulty in {q for q, _ in cert.terms}]

@@ -92,6 +92,15 @@ def test_index_range_covers_exactly_the_attained_values(ab):
     assert k_max - k_min + 1 == (rect.N - 1) * abs(slope.a) + (rect.M - 1) * abs(slope.b) + 1
 
 
+@pytest.mark.parametrize("size", [1, 2, 40, 2560])
+def test_ar1_covariance_gathered_by_lag_is_the_entrywise_power(size):
+    # the powers are taken once per lag, not once per entry: the same floats
+    lags = np.abs(np.arange(size)[:, None] - np.arange(size)[None, :])
+    for ar in (-0.9, 0.55):
+        want = 1.7 * ar ** lags / (1.0 - ar * ar)
+        assert np.array_equal(process_covariance(AR1(1.7, ar), size), want)
+
+
 # --- the factor block's Cholesky factor ---------------------------------------
 
 def cholesky_of(spec, n):
