@@ -7,9 +7,10 @@ Verbs:
     stap      run a jammer/clutter projection experiment
     grid      sweep lattice sizes and component sets, emit a CSV
 
-All randomness flows from an explicit seed in the config or --seed; there
-is no wall-clock default, so identical config plus seed reproduces output
-byte for byte.  Errors print a single-line JSON diagnostic to stderr.
+The verbs that draw (simulate, stap) take all randomness from an explicit
+seed in the config or --seed; there is no wall-clock default, so identical
+config plus seed reproduces output byte for byte.  Errors print a
+single-line JSON diagnostic to stderr.
 Exit codes: 0 pass, 1 disagreement, 2 bad config, 3 regime-flagged only.
 """
 
@@ -224,15 +225,14 @@ def parse_scenario(cfg: dict) -> tuple[StapScenario, int | None]:
 def _rank_core(comps, rect: LatticeRect, real_valued: bool, rel_tol: float | None):
     model = assemble_gamma(comps, rect, real_valued=real_valued)
     prediction = predict_rank(comps, rect, real_valued=real_valued)
-    factor = model.whitened_factor()
-    rank, spectrum = factor_rank(factor, rel_tol=rel_tol)
-    return model, factor, prediction, rank, spectrum
+    rank, spectrum = factor_rank(model.whitened_factor(), rel_tol=rel_tol)
+    return model, prediction, rank, spectrum
 
 
 def cmd_rank(cfg: dict, run: RunSettings, args) -> int:
     rect = parse_rect(cfg)
     comps = parse_components(cfg)
-    model, factor, prediction, rank, spectrum = _rank_core(
+    model, prediction, rank, spectrum = _rank_core(
         comps, rect, run.real_valued, args.tolerance
     )
     agree = rank == prediction.formula_value
@@ -249,7 +249,7 @@ def cmd_rank(cfg: dict, run: RunSettings, args) -> int:
         "agree": agree,
         "spectrum": [float(s) for s in spectrum],
         "gap_ratio": gap if gap is not None and math.isfinite(gap) else None,
-        "factorization_residual": model.factorization_residual(factor),
+        "factorization_residual": model.factorization_residual(),
         "certificates_checked": 0,
         "max_residual": None,
     }
@@ -431,8 +431,7 @@ def cmd_grid(cfg: dict, run: RunSettings, args) -> int:
     lines = ["N,M,components,real,predicted,numerical,agree,gap_ratio,regime"]
     passed = flagged = disagreements = 0
     for rect, comps in cells:
-        # sliced, so no cell's factor stays alive while the next one is built
-        prediction, rank, spectrum = _rank_core(comps, rect, run.real_valued, args.tolerance)[2:]
+        prediction, rank, spectrum = _rank_core(comps, rect, run.real_valued, args.tolerance)[1:]
         gap = spectral_gap_ratio(spectrum, rank)
         agree = rank == prediction.formula_value
         if not prediction.trustworthy:
@@ -471,15 +470,15 @@ _FLAGS = {
 # verb -> (handler, help, the flags it reads besides --config and --out)
 _VERBS = {
     "rank": (cmd_rank, "predict covariance rank and check it numerically",
-             ("--seed", "--real", "--tolerance")),
+             ("--real", "--tolerance")),
     "verify": (cmd_verify, "audit dependence certificates on the dependent block",
-               ("--seed", "--real", "--tolerance")),
+               ("--real", "--tolerance")),
     "simulate": (cmd_simulate, "compare sample covariance against the exact one",
                  ("--seed", "--trials", "--real", "--tolerance")),
     "stap": (cmd_stap, "run a jammer/clutter subspace projection experiment",
              ("--seed", "--trials", "--real")),
     "grid": (cmd_grid, "sweep lattice sizes and component sets to CSV",
-             ("--seed", "--real", "--tolerance")),
+             ("--real", "--tolerance")),
 }
 
 

@@ -7,9 +7,13 @@ factors across components gives Gamma = C^H R C with R block-diagonal and
 positive definite, so the rank of Gamma is exactly the rank of C.  The
 factor blocks come from `fields.factor_block`, which synthesis shares; the
 model stores only those blocks and derives Gamma from them on demand,
-by an elementwise gather independent of the factored product, so that
-identity can be checked rather than assumed.  The checks gather Gamma in
-row tiles of its upper triangle and never hold it whole.
+by an elementwise gather independent of the factored product.
+
+The factorization residual is read in line space: with the Cholesky
+roundoff E = blockdiag(R_k - L_k L_k^T), Gamma - F^H F = C^H E C, so its
+squared norm is tr(E G E G) on the line Gram G = C C^H, sum(rows) on a
+side.  The gap to a sample covariance gathers Gamma in row tiles of its
+upper triangle and never holds it whole.
 """
 
 from __future__ import annotations
@@ -95,19 +99,67 @@ class CovarianceModel:
             parts.extend(upper[:, block.rows] * w for w in block.carriers)
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
-    def factorization_residual(self, factor: np.ndarray) -> float:
-        """Relative Frobenius gap between the gathered Gamma and F^H F, for
-        the caller's F = whitened_factor(); F itself is left as it is."""
+    def _line_gram(self) -> np.ndarray:
+        """G = C C^H, one line per process sample and carrier (sum(rows) by
+        sum(rows)): entry (r, s) of the carrier pair (p, q) sums
+        w_p[j] * conj(w_q[j]) over the lattice points j that read sample r
+        of p and sample s of q, one bincount per pair."""
+        lines = [(block.rows, block.length, w) for block in self.blocks for w in block.carriers]
+        starts = np.cumsum([0] + [length for _, length, _ in lines]).tolist()
+        gram = np.zeros((starts[-1], starts[-1]), self.dtype)
+        for p, (rows_p, len_p, w_p) in enumerate(lines):
+            for q, (rows_q, len_q, w_q) in enumerate(lines[p:], p):
+                key = rows_p * len_q + rows_q
+                weight = w_p * np.conj(w_q)
+                pair = np.bincount(key, weight.real, len_p * len_q)
+                if not self.real_valued:  # bincount takes no complex weights
+                    pair = pair + 1j * np.bincount(key, weight.imag, len_p * len_q)
+                pair = pair.reshape(len_p, len_q)
+                gram[starts[p]:starts[p + 1], starts[q]:starts[q + 1]] = pair
+                gram[starts[q]:starts[q + 1], starts[p]:starts[p + 1]] = pair.conj().T
+        return gram
+
+    def factorization_residual(self) -> float:
+        """||Gamma - F^H F||_F / ||Gamma||_F for F = whitened_factor(), as
+        sqrt(tr(E G E G) / tr(R G R G)) on the line Gram; 0.0 when Gamma is
+        zero.  E = R - L L^T is formed block by block, so the value measures
+        the Cholesky roundoff alone, and nothing cancels."""
         unit = self._unit()
-        # exact: unit is a power of four, and F^H F / unit cannot overflow
-        return self._tiled_gap(lambda lo, hi: (factor[:, lo:hi] / unit).conj().T @ factor[:, lo:],
-                               unit)
+        root = math.sqrt(unit)  # exact: unit is a power of four
+        exact, gap = [], []
+        for block in self.blocks:
+            # R / unit and L / root are exact, so no variance over- or underflows
+            cov = block.cov / unit
+            lower = block.cholesky() / root
+            exact.extend([cov] * len(block.carriers))
+            gap.extend([cov - lower @ lower.T] * len(block.carriers))
+        gram = self._line_gram()
+        exact_sq = _trace_square(exact, gram)
+        if exact_sq == 0.0:
+            return 0.0
+        # tr(E G E G) >= 0; only roundoff in the trace can take it below
+        return math.sqrt(max(_trace_square(gap, gram), 0.0)) / math.sqrt(exact_sq)
 
     def gap_to(self, matrix: np.ndarray) -> float:
         """||matrix - Gamma||_F / ||Gamma||_F for a Hermitian N*M x N*M
-        matrix, without building Gamma; 0.0 when Gamma is zero."""
+        matrix, without building Gamma; 0.0 when Gamma is zero.
+
+        Both matrices are Hermitian, so each row tile's leading square
+        counts once and the rest of its rows twice.
+        """
         unit = self._unit()
-        return self._tiled_gap(lambda lo, hi: matrix[lo:hi, lo:] / unit, unit)
+        size = self.rect.size
+        exact_rows = self._gamma_rows(unit)
+        exact_sq = gap_sq = 0.0
+        for lo in range(0, size, _TILE_ROWS):
+            hi = min(lo + _TILE_ROWS, size)
+            exact = exact_rows(lo, hi)
+            exact_sq += _upper_sum_sq(exact, hi - lo)
+            gap = matrix[lo:hi, lo:] / unit - exact
+            gap_sq += _upper_sum_sq(gap, hi - lo)
+        if exact_sq == 0.0:
+            return 0.0
+        return math.sqrt(gap_sq) / math.sqrt(exact_sq)
 
     def _unit(self) -> float:
         """A power of four within a factor of two of max diag Gamma, so that
@@ -120,29 +172,21 @@ class CovarianceModel:
         half = min(max(math.frexp(float(diag.max()))[1] // 2, -_UNIT_HALF_EXP), _UNIT_HALF_EXP)
         return math.ldexp(1.0, 2 * half)
 
-    def _tiled_gap(self, approx_rows, unit: float) -> float:
-        """||A - Gamma||_F / ||Gamma||_F for a Hermitian A whose row tiles
-        approx_rows(lo, hi) returns as A[lo:hi, lo:] / unit.
-
-        Both matrices are Hermitian, so each tile's leading square counts
-        once and the rest of its rows twice; no N*M x N*M array is held.
-        """
-        size = self.rect.size
-        exact_rows = self._gamma_rows(unit)
-        exact_sq = gap_sq = 0.0
-        for lo in range(0, size, _TILE_ROWS):
-            hi = min(lo + _TILE_ROWS, size)
-            exact = exact_rows(lo, hi)
-            exact_sq += _upper_sum_sq(exact, hi - lo)
-            gap = approx_rows(lo, hi) - exact
-            gap_sq += _upper_sum_sq(gap, hi - lo)
-        if exact_sq == 0.0:
-            return 0.0
-        return math.sqrt(gap_sq) / math.sqrt(exact_sq)
-
 
 _TILE_ROWS = 256
 _UNIT_HALF_EXP = 510  # 4**-510 and 4**510 are both normal floats
+
+
+def _trace_square(blocks, gram: np.ndarray) -> float:
+    """tr((D G)^2) for D = blockdiag(blocks), real symmetric, and Hermitian
+    G: the squared Frobenius norm of G^(1/2) D G^(1/2)."""
+    product = np.empty_like(gram)
+    lo = 0
+    for block in blocks:
+        hi = lo + block.shape[0]
+        product[lo:hi] = block @ gram[lo:hi]
+        lo = hi
+    return float(np.sum(product * product.T).real)
 
 
 def _upper_sum_sq(tile: np.ndarray, width: int) -> float:
@@ -169,7 +213,7 @@ def _norm_parts(x: np.ndarray) -> tuple[float, float]:
 
 def relative_gap(approx: np.ndarray, exact: np.ndarray) -> float:
     """||approx - exact||_F / ||exact||_F, and 0.0 when exact is zero: the
-    dense reference for the model's tiled gaps.
+    dense reference for the model's residual and gap.
 
     Scale-safe: a norm whose sum of squares would overflow or underflow is
     taken on its array divided by its largest magnitude.  At ordinary

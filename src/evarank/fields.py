@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -136,13 +137,20 @@ def process_covariance(spec: ModulatingProcessSpec, size: int) -> np.ndarray:
 @dataclass(frozen=True)
 class FactorBlock:
     """One component's share of C and R: lattice point j gathers process
-    sample rows[j], weighted by entry j of each carrier.  The complex model
-    has the carrier exp(-1j*omega*v), the real one cos(omega*v) and
-    sin(omega*v) sharing `cov`, with v = n*c + m*d."""
+    sample rows[j] of `length`, weighted by entry j of each carrier.  The
+    complex model has the carrier exp(-1j*omega*v), the real one
+    cos(omega*v) and sin(omega*v) sharing `cov`, with v = n*c + m*d."""
 
     rows: np.ndarray
     carriers: tuple[np.ndarray, ...]
-    cov: np.ndarray
+    process: ModulatingProcessSpec
+    length: int
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        """R, the covariance of the `length` process samples, built on first
+        read: routes that read only rows and carriers never build it."""
+        return process_covariance(self.process, self.length)
 
     def cholesky(self) -> np.ndarray:
         """Lower-triangular L with cov = L L^T (cov is real, so L^H = L^T).
@@ -155,8 +163,8 @@ class FactorBlock:
         return np.linalg.cholesky(self.cov)
 
     def dense(self, carrier: np.ndarray) -> np.ndarray:
-        """The (len(cov), N*M) factor block of one carrier."""
-        out = np.zeros((self.cov.shape[0], self.rows.size), dtype=carrier.dtype)
+        """The (length, N*M) factor block of one carrier."""
+        out = np.zeros((self.length, self.rows.size), dtype=carrier.dtype)
         out[self.rows, np.arange(self.rows.size)] = carrier
         return out
 
@@ -171,7 +179,7 @@ def factor_block(
         carriers = (np.cos(comp.omega * coords), np.sin(comp.omega * coords))
     else:
         carriers = (np.exp(-1j * comp.omega * coords),)
-    return FactorBlock(rows, carriers, process_covariance(comp.process, length))
+    return FactorBlock(rows, carriers, comp.process, length)
 
 
 def synthesize_batch(

@@ -206,7 +206,7 @@ def test_criterion_7_factorization_and_monte_carlo(capsys):
     worst = 0.0
     for rect, comps in [*grid_cells(), *((r, c) for r, c, _ in multi_cells())]:
         model = assemble_gamma(comps, rect)
-        worst = max(worst, model.factorization_residual(model.whitened_factor()))
+        worst = max(worst, model.factorization_residual())
     factor_ok = worst <= 1e-10
 
     rect = LatticeRect(8, 8)

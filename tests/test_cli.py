@@ -108,7 +108,7 @@ def test_rank_real_flag(tmp_path, capsys):
 
 
 def test_rank_builds_the_whitened_factor_once(tmp_path, capsys, monkeypatch):
-    # the rank and the factorization residual read the same F
+    # the rank reads F; the factorization residual reads R and L instead
     from evarank.covariance import CovarianceModel
 
     calls = []
@@ -122,6 +122,26 @@ def test_rank_builds_the_whitened_factor_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "rank", "--config", write_config(tmp_path, INTERIOR))
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "extra, payload",
+    [((), INTERIOR),
+     (("--real",), {"rect": {"N": 8, "M": 8}, "components": [{"a": 1, "b": 1, "omega": 0.9}]})],
+    ids=["complex", "real"],
+)
+def test_rank_residual_gathers_no_gamma_rows(tmp_path, capsys, monkeypatch, extra, payload):
+    # the residual is read in line space, from the Gram C C^H, never from Gamma's rows
+    from evarank.covariance import CovarianceModel
+
+    def ungathered(model, unit=1.0):
+        raise AssertionError("CovarianceModel._gamma_rows was called")
+
+    monkeypatch.setattr(CovarianceModel, "_gamma_rows", ungathered)
+    code, out, err = run(capsys, "rank", "--config", write_config(tmp_path, payload), *extra)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["factorization_residual"] <= 1e-10
 
 
 # --- verify -------------------------------------------------------------------
@@ -174,6 +194,31 @@ def test_verify_leaves_gamma_unread(tmp_path, capsys, monkeypatch):
     assert len(models) == 1
     assert "gamma" not in vars(models[0])
     assert "stacked" not in vars(models[0])
+
+
+def test_verify_builds_no_process_covariance(tmp_path, capsys, monkeypatch):
+    # certificates read rows and carriers only, so no block's R is ever built
+    import evarank.fields
+
+    calls = []
+    original = evarank.fields.process_covariance
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evarank.fields, "process_covariance", counted)
+    slopes = ((3, 2), (2, 1), (1, 3), (1, -2))
+    cfg = write_config(tmp_path, {
+        "rect": {"N": 64, "M": 64},
+        "components": [{"a": a, "b": b, "omega": 0.9 + 0.7 * i,
+                        "process": {"kind": "ar1", "ar_coefficient": 0.55}}
+                       for i, (a, b) in enumerate(slopes)],
+    })
+    code, out, _ = run(capsys, "verify", "--config", cfg)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    assert calls == []
 
 
 def test_verify_refuses_outside_regime(tmp_path, capsys):
@@ -539,7 +584,8 @@ def test_bad_configs_exit_two(tmp_path, capsys, verb, payload):
 
 @pytest.mark.parametrize(
     "verb, flag",
-    [("rank", "--trials"), ("verify", "--trials"), ("grid", "--trials"), ("stap", "--tolerance")],
+    [("rank", "--trials"), ("verify", "--trials"), ("grid", "--trials"), ("stap", "--tolerance"),
+     ("rank", "--seed"), ("verify", "--seed"), ("grid", "--seed")],
 )
 def test_verbs_accept_only_the_flags_they_read(tmp_path, capsys, verb, flag):
     cfg = write_config(tmp_path, INTERIOR)

@@ -159,10 +159,7 @@ def test_factorization_identity():
     comps = [comp(3, 2, 0.9, AR1(1.0, 0.5)), comp(2, -1, 1.7, WHITE(1.0))]
     for real in (False, True):
         model = assemble_gamma(comps, rect, real_valued=real)
-        factor = model.whitened_factor()
-        kept = factor.copy()
-        assert model.factorization_residual(factor) <= 1e-12
-        assert np.array_equal(factor, kept)  # the caller's factor is not scaled in place
+        assert model.factorization_residual() <= 1e-12
 
 
 def test_whitened_factor_reproduces_gamma():
@@ -240,10 +237,10 @@ def test_empty_component_set_gives_zero_matrix():
     model = assemble_gamma([], LatticeRect(3, 3))
     assert np.all(model.gamma == 0)
     assert model.stacked.shape == (0, 9)
-    assert model.factorization_residual(model.whitened_factor()) == 0.0
+    assert model.factorization_residual() == 0.0
 
 
-# --- the tiled gap against the dense reference -------------------------------
+# --- the residual and the tiled gap against the dense reference -------------
 
 # N*M of 1, 255, 256, 257 and 600: one tile, below, at and across the 256-row edge
 TILE_EDGE_RECTS = [LatticeRect(1, 1), LatticeRect(15, 17), LatticeRect(16, 16),
@@ -271,7 +268,38 @@ def test_tiled_residual_matches_dense_reference(monkeypatch, rect, real):
     factor = model.whitened_factor()
     dense = relative_gap(factor.conj().T @ factor, model.gamma)
     assert dense > 1e-8  # the injected mismatch shows
-    assert model.factorization_residual(factor) == pytest.approx(dense, rel=1e-9)
+    assert model.factorization_residual() == pytest.approx(dense, rel=1e-9)
+
+
+# negative b and the vertical and horizontal slopes; drawn with replacement, so
+# slopes repeat, and the continuous omega draw keeps the triples distinct
+LINE_SPACE_SLOPES = [(3, 2), (2, -1), (1, 1), (1, -3), (0, 1), (1, 0)]
+
+
+def random_line_space_config(seed):
+    rng = np.random.default_rng(seed)
+    rect = LatticeRect(*(int(side) for side in rng.integers(4, 13, size=2)))
+    comps = []
+    for pick in rng.integers(len(LINE_SPACE_SLOPES), size=int(rng.integers(1, 5))):
+        variance = float(rng.uniform(0.5, 2.0))
+        ar = float(rng.uniform(-0.8, 0.8))
+        process = AR1(variance, ar) if rng.random() < 0.5 else WHITE(variance)
+        comps.append(comp(*LINE_SPACE_SLOPES[pick], float(rng.uniform(0.0, 6.28)), process))
+    return rect, comps
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("seed", range(12))
+def test_line_space_residual_matches_dense_reference(monkeypatch, seed, real):
+    rect, comps = random_line_space_config(seed)
+    model = assemble_gamma(comps, rect, real_valued=real)
+    stacked = model.stacked
+    assert relative_gap(model._line_gram(), stacked @ stacked.conj().T) <= 1e-13
+    perturb_one_cholesky_row(monkeypatch)
+    factor = model.whitened_factor()
+    dense = relative_gap(factor.conj().T @ factor, model.gamma)
+    assert dense > 1e-8  # the injected mismatch shows
+    assert model.factorization_residual() == pytest.approx(dense, rel=1e-9)
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -289,7 +317,7 @@ def test_empty_component_set_gap_is_exactly_zero():
     rect = LatticeRect(20, 20)  # two tiles
     model = assemble_gamma([], rect)
     assert model.gap_to(np.eye(rect.size, dtype=complex)) == 0.0
-    assert model.factorization_residual(model.whitened_factor()) == 0.0
+    assert model.factorization_residual() == 0.0
     assert "gamma" not in vars(model)
 
 
@@ -299,7 +327,7 @@ def test_residual_holds_no_full_size_array():
     full = rect.size ** 2 * 16
     tracemalloc.start()
     try:
-        residual = model.factorization_residual(model.whitened_factor())
+        residual = model.factorization_residual()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

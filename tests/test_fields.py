@@ -104,7 +104,7 @@ def test_ar1_covariance_gathered_by_lag_is_the_entrywise_power(size):
 # --- the factor block's Cholesky factor ---------------------------------------
 
 def cholesky_of(spec, n):
-    return FactorBlock(np.arange(n), (), process_covariance(spec, n)).cholesky()
+    return FactorBlock(np.arange(n), (), spec, n).cholesky()
 
 
 @pytest.mark.parametrize("n", [1, 2, 40])
