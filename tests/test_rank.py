@@ -535,7 +535,9 @@ def test_translated_certificates_match_per_point_certificates(n, m, picks):
 def bincount_residual(cert, model):
     """A certificate's residual at its own target, summed the reference way:
     per block and carrier, one bincount of the terms over their rows (target
-    last), then the squared row sums in ascending row order."""
+    last), then the squared row sums in ascending row order.  Every square
+    is x * x, as numpy's array `** 2` computes it: a float scalar's `** 2`
+    calls libm pow, which may miss the correctly rounded square by an ulp."""
     points = [p for p, _ in cert.terms] + [cert.target]
     coeffs = np.array([c for _, c in cert.terms] + [-1.0], dtype=complex)
     index = [model.rect.vec_index(*p) for p in points]
@@ -546,7 +548,8 @@ def bincount_residual(cert, model):
             terms = coeffs * w[index]
             gap = np.bincount(rows, terms.real) ** 2 + np.bincount(rows, terms.imag) ** 2
             gap_sq += sum(gap.tolist())
-            head_sq += w[index[-1]].real ** 2 + w[index[-1]].imag ** 2
+            head = w[index[-1]]
+            head_sq += head.real * head.real + head.imag * head.imag
     return math.sqrt(gap_sq) / math.sqrt(head_sq)
 
 
@@ -561,6 +564,9 @@ def bincount_residual(cert, model):
 # a config where adding the row groups in descending order changes a last bit
 @example(n=22, m=22, picks=[((2, 3), 5.515019757146802), ((1, 1), 2.700380292739304),
                             ((1, 2), 1.5762752690546813), ((3, -2), 3.9540273082364785)])
+# a config whose target carrier has an imaginary part 0.6100659824694372, where
+# pow(x, 2) = 0.37218050296639965 rounds away from x * x = 0.3721805029663997
+@example(n=5, m=5, picks=[((0, 1), 0.0), ((1, -3), 0.16403596564728853)])
 def test_grouped_residuals_keep_the_bincount_summation_order(n, m, picks):
     # the row groups add in the order a per-point bincount adds, bit for bit
     rect = LatticeRect(n, m)
