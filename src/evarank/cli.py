@@ -36,6 +36,7 @@ from .fields import (
     EvanescentComponent,
     ModulatingProcessSpec,
     ProcessKind,
+    conjugate_pairs,
     synthesize_batch,
 )
 from .lattice import LatticeRect, make_slope_pair
@@ -171,13 +172,12 @@ class RunSettings:
     trials: int
     real_valued: bool
 
-    def __post_init__(self) -> None:
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-
     def require_seed(self) -> int:
+        """The seed, checked here because only the verbs that draw read it."""
         if self.seed is None:
             raise ConfigError("an explicit seed is required (config 'seed' or --seed)")
+        if self.seed < 0:
+            raise ConfigError("config: seed must be a non-negative integer")
         return self.seed
 
 
@@ -260,13 +260,14 @@ def cmd_rank(cfg: dict, run: RunSettings, args) -> int:
 
 
 def cmd_verify(cfg: dict, run: RunSettings, args) -> int:
-    if run.real_valued:
-        raise ConfigError("verify applies to the complex-valued model only")
     rect = parse_rect(cfg)
     comps = parse_components(cfg)
     if not comps:
         raise ConfigError("verify needs at least one component")
-    model = assemble_gamma(comps, rect)
+    model = assemble_gamma(comps, rect, real_valued=run.real_valued)
+    if run.real_valued:
+        # the real model's certificates are those of its conjugate-pair set
+        comps = conjugate_pairs(comps)
     # a single column cannot depend on anything; no regime applies
     ranges = (range(0), range(0))
     if rect.size > 1:
@@ -476,7 +477,7 @@ _VERBS = {
     "simulate": (cmd_simulate, "compare sample covariance against the exact one",
                  ("--seed", "--trials", "--real", "--tolerance")),
     "stap": (cmd_stap, "run a jammer/clutter subspace projection experiment",
-             ("--seed", "--trials", "--real")),
+             ("--seed", "--trials")),
     "grid": (cmd_grid, "sweep lattice sizes and component sets to CSV",
              ("--real", "--tolerance")),
 }

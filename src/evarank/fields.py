@@ -103,6 +103,13 @@ def check_distinct_triples(components) -> None:
         seen.add(t)
 
 
+def conjugate_pairs(components) -> list[EvanescentComponent]:
+    """Each (a, b, omega), then each mirror (a, b, -omega mod 2*pi): the
+    complex components whose carriers span the real cos and sin ones."""
+    components = list(components)
+    return components + [EvanescentComponent(c.slope, -c.omega, c.process) for c in components]
+
+
 def lattice_map(comp: EvanescentComponent, rect: LatticeRect):
     """(rows, length, coords) in vectorization order: each lattice point
     reads sample n*a + m*b - k_min of the length-`length` process, and its

@@ -5,15 +5,17 @@ has rank
 
     min(N*M, N * sum|a_q| + M * sum|b_q| - sum|a_q| * sum|b_q|)
 
-in the interior regime (sum|a_q| < M and sum|b_q| < N).  This module
-computes that prediction, measures the numerical rank of an assembled
-covariance against it (read from a factor by `factor_rank`), and backs
-the count with explicit linear-dependence certificates: inclusion-exclusion
-combinations over shifts along the slope lines that reconstruct a factor
-column exactly from other columns.  Every point of the dependent block has
-the canonical one, the all-ones shift tuple, and no search is made.  Its
-coefficients do not depend on the target, so one certificate, translated,
-is checked at every point in a single pass.
+in the interior regime (sum|a_q| < M, sum|b_q| < N, and no two components
+on one slope at one frequency).  A real field is the complex one on the
+conjugate-pair set.  This module computes that prediction, measures the
+numerical rank of an assembled covariance against it (read from a factor by
+`factor_rank`), and backs the count with explicit linear-dependence
+certificates: inclusion-exclusion combinations over shifts along the slope
+lines that reconstruct a factor column exactly from other columns.  Every
+point of the dependent block has the canonical one, the all-ones shift
+tuple, and no search is made.  Its coefficients do not depend on the
+target, so one certificate, translated, is checked at every point in a
+single pass.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .covariance import CovarianceModel
-from .fields import TWO_PI, check_distinct_triples
+from .fields import TWO_PI, conjugate_pairs
 from .lattice import LatticeRect
 
 _HALF_TURN_TOL = 1e-12
@@ -41,7 +43,8 @@ class RegimeFlag(str, Enum):
 class RankPrediction:
     """Closed-form rank with its bookkeeping.
 
-    `formula_value` is the raw formula cut to [0, N*M].  Inside the
+    `formula_value` is the raw formula cut to [0, N*M], with the slope
+    sums of the conjugate-pair set in the real-valued mode.  Inside the
     interior regime N*M - raw = (N - sum|b|)(M - sum|a|) > 0, so the cut
     acts only outside it, where the formula is heuristic and `regime_flag`
     says so: there the numerical rank of the assembled covariance is the
@@ -62,48 +65,30 @@ def _distinct_sample_count(a: int, b: int, rect: LatticeRect) -> int:
     return rect.N * abs(a) + rect.M * abs(b) - abs(a * b)
 
 
-def _real_mode_degenerate(components) -> bool:
-    """True when a real-valued component set escapes the doubled formula.
-
-    The real model splits each component into carriers at +omega and
-    -omega; the split collapses at omega in {0, pi}, and two components on
-    the same slope collide when omega_i + omega_j is a multiple of 2*pi.
-    """
-    comps = list(components)
-    for comp in comps:
-        w = comp.omega
-        if min(w, abs(w - math.pi), abs(w - TWO_PI)) < _HALF_TURN_TOL:
-            return True
-    for x, y in itertools.combinations(comps, 2):
-        if (x.slope.a, x.slope.b) != (y.slope.a, y.slope.b):
-            continue
-        s = (x.omega + y.omega) % TWO_PI
-        if min(s, TWO_PI - s) < _HALF_TURN_TOL:
-            return True
-    return False
-
-
 def predict_rank(components, rect: LatticeRect, real_valued: bool = False) -> RankPrediction:
     """Predicts rank of the exact covariance from slopes alone.
 
-    An empty component set predicts rank 0.  In the real-valued mode the
-    slope sums double (each component carries two quadrature processes),
-    and frequency degeneracies that break the doubling are reported as
-    outside the formula's regime rather than silently mispredicted.
+    An empty component set predicts rank 0.  The real-valued field is the
+    complex one on `fields.conjugate_pairs(components)`, so the formula and
+    the one regime check run on that set; `per_component_counts` keeps one
+    count per component given.  The check flags a slope sum that reaches
+    its lattice side, and two triples on one slope whose omegas lie within
+    2 * _HALF_TURN_TOL around the circle, so that their carriers agree to
+    roundoff (a repeated triple included).  A component and its mirror at
+    -omega lie 2 * dist(omega, {0, pi}) apart.
     """
     components = list(components)
-    check_distinct_triples(components)
+    counts = tuple(_distinct_sample_count(c.slope.a, c.slope.b, rect) for c in components)
+    if real_valued:
+        components = conjugate_pairs(components)
     sum_a = sum(abs(c.slope.a) for c in components)
     sum_b = sum(abs(c.slope.b) for c in components)
-    counts = tuple(_distinct_sample_count(c.slope.a, c.slope.b, rect) for c in components)
-    degenerate = False
-    if real_valued:
-        sum_a *= 2
-        sum_b *= 2
-        degenerate = _real_mode_degenerate(components)
     raw = rect.N * sum_a + rect.M * sum_b - sum_a * sum_b
     value = min(max(raw, 0), rect.size)
-    outside = components and (sum_a >= rect.M or sum_b >= rect.N or degenerate)
+    gaps = (abs(x.omega - y.omega) for x, y in itertools.combinations(components, 2)
+            if (x.slope.a, x.slope.b) == (y.slope.a, y.slope.b))
+    collision = any(min(gap, TWO_PI - gap) < 2 * _HALF_TURN_TOL for gap in gaps)
+    outside = components and (sum_a >= rect.M or sum_b >= rect.N or collision)
     flag = RegimeFlag.OUTSIDE if outside else RegimeFlag.INTERIOR
     return RankPrediction(value, counts, flag)
 
@@ -112,9 +97,10 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
     """Counts singular values above threshold; returns (rank, spectrum).
 
     The threshold is rel_tol * sigma_max, with rel_tol defaulting to
-    1e3 * max(shape) * eps.  Hermitian input goes through the symmetric
-    eigendecomposition (singular values are the eigenvalue magnitudes);
-    anything else through the SVD.
+    1e3 * max(shape) * eps.  A square matrix equal to its conjugate
+    transpose exactly goes through the symmetric eigendecomposition
+    (singular values are the eigenvalue magnitudes); anything else, a
+    Hermitian matrix with roundoff asymmetry included, through the SVD.
 
     Raises:
         ValueError: on non-finite entries.
@@ -129,7 +115,7 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
     if matrix.size == 0:
         return 0, np.zeros(0)
     square = matrix.shape[0] == matrix.shape[1]
-    if square and np.allclose(matrix, matrix.conj().T, rtol=0.0, atol=1e-13 * _scale(matrix)):
+    if square and np.array_equal(matrix, matrix.conj().T):
         spectrum = np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1]
     else:
         spectrum = np.linalg.svd(matrix, compute_uv=False)
@@ -168,11 +154,6 @@ def _short_gram(factor: np.ndarray) -> np.ndarray:
 
 def _default_rel_tol(dim: int) -> float:
     return 1e3 * dim * np.finfo(np.float64).eps
-
-
-def _scale(matrix: np.ndarray) -> float:
-    top = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    return top if top > 0 else 1.0
 
 
 def spectral_gap_ratio(spectrum: np.ndarray, rank: int) -> float | None:
@@ -327,12 +308,14 @@ def verify_certificate(
     the certificate is read at its own target, as the one-point case of
     the same code.
 
+    A real model's cos and sin carriers are fixed combinations of
+    exp(-+1j*omega*v) on the same rows, so the certificate of its
+    `fields.conjugate_pairs` set holds on them, read as complex ones are.
+
     Raises:
-        ValueError: for the real-valued model, a model without components,
-            or a translated term outside the lattice.
+        ValueError: for a model without components, or a translated term
+            outside the lattice.
     """
-    if model.real_valued:
-        raise ValueError("dependence certificates apply to the complex-valued model")
     if not model.blocks:
         raise ValueError("target column is zero; no components present")
     rect = model.rect
@@ -369,16 +352,18 @@ def dependent_point_set(components, rect: LatticeRect) -> tuple[range, range]:
 
     The block {lo_n <= n <= hi_n, sum|a| <= m <= M-1}, where the n margins
     absorb negative and positive b components respectively.  Every point
-    here admits the all-ones shift certificate.  Interior regime only.
+    here admits the all-ones shift certificate.  Interior regime only; for
+    the real model, pass the conjugate-pair set.
     """
     components = list(components)
     sum_a = sum(abs(c.slope.a) for c in components)
     if predict_rank(components, rect).regime_flag is RegimeFlag.OUTSIDE:
         sum_b = sum(abs(c.slope.b) for c in components)
         raise ValueError(
-            "slope sums exceed the lattice (interior regime needs "
-            f"sum|a| = {sum_a} < M = {rect.M} and sum|b| = {sum_b} < N = {rect.N}); "
-            "use the numerical rank of the assembled covariance instead"
+            "outside the interior regime, which needs "
+            f"sum|a| = {sum_a} < M = {rect.M}, sum|b| = {sum_b} < N = {rect.N} "
+            "and no two components on one slope with omegas closer than "
+            f"{2 * _HALF_TURN_TOL:g}; use the numerical rank of the assembled covariance instead"
         )
     lo_n = sum(-c.slope.b for c in components if c.slope.b < 0)
     hi_n = rect.N - 1 - sum(c.slope.b for c in components if c.slope.b > 0)

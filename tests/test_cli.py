@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -435,22 +436,80 @@ def test_stap_rank_override_degrades(tmp_path, capsys):
     assert json.loads(out_full)["suppression_db"] - short["suppression_db"] >= 20.0
 
 
+# interior for the real model too: doubled sums 6 < 10 and 4 < 10
+REAL_INTERIOR = {
+    "rect": {"N": 10, "M": 10},
+    "components": [{"a": 1, "b": 1, "omega": 0.9}, {"a": 2, "b": -1, "omega": 1.6}],
+}
+
+
 @pytest.mark.parametrize("verb", ["verify", "stap"])
 @pytest.mark.parametrize("real_via", ["flag", "config"])
 def test_certificate_and_stap_verbs_refuse_real_model(tmp_path, capsys, verb, real_via):
-    payload = {"verify": INTERIOR, "stap": STAP}[verb]
+    # verify audits the real model; stap refuses it, and takes no --real flag
+    payload = {"verify": REAL_INTERIOR, "stap": STAP}[verb]
     if real_via == "config":
-        cfg = write_config(tmp_path, dict(payload, real_valued=True))
-        argv = (verb, "--config", cfg)
+        argv = [verb, "--config", write_config(tmp_path, dict(payload, real_valued=True))]
     else:
-        argv = (verb, "--config", write_config(tmp_path, payload), "--real")
+        argv = [verb, "--config", write_config(tmp_path, payload), "--real"]
+    if verb == "stap" and real_via == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --real" in capsys.readouterr().err
+        return
     code, out, err = run(capsys, *argv)
+    if verb == "verify":
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["pass"] is True
+        # N*M minus the real prediction 10*6 + 10*4 - 6*4
+        assert report["points_audited"] == 100 - 76
+        assert report["max_residual"] <= 1e-10
+        return
     assert code == 2
     assert out == ""
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "config"
     assert "complex-valued model only" in diagnostic["message"]
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("omega", [0.0, math.pi], ids=["zero", "pi"])
+def test_verify_real_degenerate_frequency_is_regime(tmp_path, capsys, omega):
+    # the mirror at -omega repeats the triple: a regime flag, not a duplicate
+    comps = [dict(REAL_INTERIOR["components"][0], omega=omega), REAL_INTERIOR["components"][1]]
+    cfg = write_config(tmp_path, dict(REAL_INTERIOR, components=comps))
+    code, out, err = run(capsys, "verify", "--config", cfg, "--real")
+    assert code == 3
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "regime"
+    assert "duplicate" not in diagnostic["message"]
+    # the complex model of the same set is interior
+    assert run(capsys, "verify", "--config", cfg)[0] == 0
+
+
+@pytest.mark.parametrize("verb", ["rank", "verify", "grid"])
+def test_verbs_that_do_not_draw_ignore_the_seed_key(tmp_path, capsys, verb):
+    payload = {"grid": SMALL_GRID}.get(verb, INTERIOR)
+    outputs = []
+    for extra in ({}, {"seed": -1}):
+        code, out, err = run(capsys, verb, "--config", write_config(tmp_path, dict(payload, **extra)))
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("verb", ["simulate", "stap"])
+def test_verbs_that_draw_refuse_a_negative_seed(tmp_path, capsys, verb):
+    payload = {"simulate": INTERIOR, "stap": STAP}[verb]
+    code, out, err = run(capsys, verb, "--config", write_config(tmp_path, dict(payload, seed=-1)))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "config", "message": "config: seed must be a non-negative integer"
+    }
 
 
 # --- grid ---------------------------------------------------------------------
@@ -532,15 +591,16 @@ def with_scenario(**changes):
 
 
 BAD_CONFIGS = [
-    pytest.param("rank", payload, id=f"payload{i}")
-    for i, payload in enumerate([
-        {"components": [{"a": 1, "b": 1, "omega": 0.5}]},
-        {"rect": {"N": 8, "M": 8}},
-        {"rect": {"N": 0, "M": 8}, "components": []},
-        {"rect": {"N": 8, "M": 8}, "components": [{"a": -1, "b": 2, "omega": 0.5}]},
-        {"rect": {"N": 8, "M": 8}, "components": [{"a": 2, "b": 4, "omega": 0.5}]},
-        {"rect": {"N": 8, "M": 8}, "components": "nope"},
-        {"rect": {"N": 8, "M": 8}, "components": [], "seed": -3},
+    pytest.param(verb, payload, id=f"payload{i}")
+    for i, (verb, payload) in enumerate([
+        ("rank", {"components": [{"a": 1, "b": 1, "omega": 0.5}]}),
+        ("rank", {"rect": {"N": 8, "M": 8}}),
+        ("rank", {"rect": {"N": 0, "M": 8}, "components": []}),
+        ("rank", {"rect": {"N": 8, "M": 8}, "components": [{"a": -1, "b": 2, "omega": 0.5}]}),
+        ("rank", {"rect": {"N": 8, "M": 8}, "components": [{"a": 2, "b": 4, "omega": 0.5}]}),
+        ("rank", {"rect": {"N": 8, "M": 8}, "components": "nope"}),
+        # the seed is checked by the verbs that read it
+        ("simulate", {"rect": {"N": 8, "M": 8}, "components": [], "seed": -3}),
     ])
 ] + [
     # non-list fields

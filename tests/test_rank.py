@@ -1,17 +1,23 @@
+import contextlib
+import io
 import itertools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from evarank.cli import default_grid_cells
+from evarank.cli import default_grid_cells, main
 from evarank.covariance import assemble_gamma, sample_covariance
 from evarank.fields import (
     EvanescentComponent,
     ModulatingProcessSpec,
     ProcessKind,
+    conjugate_pairs,
     synthesize_batch,
 )
 from evarank.lattice import LatticeRect, make_slope_pair
@@ -101,6 +107,64 @@ def test_real_mode_degenerate_frequencies_flagged():
     # same frequencies on different slopes stay fine
     ok = [comp(1, 1, 1.0, WHITE(1.0)), comp(2, 1, 2 * math.pi - 1.0, WHITE(1.0))]
     assert predict_rank(ok, rect, real_valued=True).regime_flag is RegimeFlag.INTERIOR
+
+
+def old_real_mode_degenerate(components) -> bool:
+    """The real-mode rule before the conjugate-pair set described the real
+    model: omega within 1e-12 of 0 or pi, or two omegas on one slope
+    summing to within 1e-12 of a multiple of 2*pi."""
+    for c in components:
+        w = c.omega
+        if min(w, abs(w - math.pi), abs(w - 2 * math.pi)) < 1e-12:
+            return True
+    for x, y in itertools.combinations(components, 2):
+        if (x.slope.a, x.slope.b) != (y.slope.a, y.slope.b):
+            continue
+        s = (x.omega + y.omega) % (2 * math.pi)
+        if min(s, 2 * math.pi - s) < 1e-12:
+            return True
+    return False
+
+
+# Offsets straddling the 1e-12 tolerance.  The mirror of an omega just above 0
+# is 2*pi - omega rounded to a multiple of 2**-50, so for omega within 4e-16
+# below 1e-12 the rules can differ; the offsets stay clear of that window.
+_NEAR = [0.0, 3e-13, 9.9e-13, 1.01e-12, 1.99e-12, 2.01e-12, 1e-9]
+_OMEGAS = st.one_of(
+    st.floats(0.0, 6.28),
+    st.builds(lambda c, d, sign: c + sign * d, st.sampled_from([0.0, math.pi, 2 * math.pi]),
+              st.sampled_from(_NEAR), st.sampled_from([1, -1])),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    picks=st.lists(st.tuples(st.sampled_from([(1, 1), (2, -1)]), _OMEGAS), min_size=1,
+                   max_size=4),
+    mirror=st.tuples(st.sampled_from(_NEAR), st.sampled_from([1, -1])),
+)
+def test_conjugate_pair_rule_flags_every_old_real_degeneracy(picks, mirror):
+    comps = [comp(a, b, omega) for (a, b), omega in picks]
+    # the mirror of the first pick, moved by an offset near the tolerance
+    (a, b), omega = picks[0]
+    comps.append(comp(a, b, -omega + mirror[1] * mirror[0]))
+    assume(len({c.triple() for c in comps}) == len(comps))
+    rect = LatticeRect(64, 64)  # slope sums stay far inside
+    if old_real_mode_degenerate(comps):
+        assert predict_rank(comps, rect, real_valued=True).regime_flag is RegimeFlag.OUTSIDE
+
+
+def test_complex_near_duplicates_are_flagged():
+    rect = LatticeRect(12, 12)
+    near = [comp(1, 1, 1.0), comp(1, 1, 1.0 + 1e-13)]
+    assert predict_rank(near, rect).regime_flag is RegimeFlag.OUTSIDE
+    # a repeated triple is the collision at distance 0
+    same = [comp(1, 1, 1.0), comp(1, 1, 1.0, WHITE(2.0))]
+    assert predict_rank(same, rect).regime_flag is RegimeFlag.OUTSIDE
+    across = [comp(1, 1, 1e-13), comp(1, 1, 2 * math.pi - 1e-13)]
+    assert predict_rank(across, rect).regime_flag is RegimeFlag.OUTSIDE
+    apart = [comp(1, 1, 1.0), comp(1, 1, 1.0 + 1e-9), comp(2, 1, 1.0)]
+    assert predict_rank(apart, rect).regime_flag is RegimeFlag.INTERIOR
 
 
 def test_real_mode_omega_zero_rank_halves():
@@ -446,13 +510,19 @@ def test_exhaustive_tuples_agree_with_admissibility():
             assert verify_certificate(cert, model) <= 1e-12
 
 
-def test_verify_rejects_real_model():
-    rect = LatticeRect(5, 5)
-    comps = comps_for([(1, 1)])
-    cert = make_certificate((2, 2), (0,), comps, rect)
+def test_verify_reads_real_model_blocks():
+    # cos and sin carriers are combinations of the conjugate pair's carriers,
+    # so the pair set's certificate holds on them and the components' does not
+    rect = LatticeRect(9, 9)
+    comps = comps_for([(1, 1), (2, -1)])
     real_model = assemble_gamma(comps, rect, real_valued=True)
-    with pytest.raises(ValueError):
-        verify_certificate(cert, real_model)
+    pairs = conjugate_pairs(comps)
+    targets = np.array(dependent_points(pairs, rect))
+    assert len(targets) == rect.size - predict_rank(comps, rect, real_valued=True).formula_value
+    cert = find_certificate(tuple(targets[0].tolist()), pairs, rect)
+    assert verify_certificate(cert, real_model, at=targets).max() <= 1e-12
+    own = find_certificate(dependent_points(comps, rect)[0], comps, rect)
+    assert verify_certificate(own, real_model) > 1e-3
 
 
 def test_find_certificate_makes_one_admissibility_check(monkeypatch):
@@ -501,6 +571,50 @@ def test_canonical_certificates_cover_every_interior_config(n, m, picks):
         assert verify_certificate(cert, model) <= 1e-10
         # the induction on rank: every term comes strictly earlier in the (m, -n) order
         assert all((q[1], -q[0]) < (point[1], -point[0]) for q, _ in cert.terms)
+
+
+def run_verify(payload: dict) -> tuple[int, str, str]:
+    """`evarank verify` on a config written to a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--config", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    m=st.integers(min_value=1, max_value=24),
+    picks=st.lists(
+        st.tuples(st.sampled_from(CERT_SLOPES), st.floats(0.0, 6.28)), min_size=1, max_size=4
+    ),
+)
+def test_real_certificates_cover_every_interior_config(n, m, picks):
+    # verify --real audits the real blocks with the conjugate-pair set's certificate
+    rect = LatticeRect(n, m)
+    comps = [comp(a, b, omega, AR1(1.0, 0.5)) for (a, b), omega in picks]
+    assume(len({c.triple() for c in comps}) == len(comps))
+    prediction = predict_rank(comps, rect, real_valued=True)
+    payload = {
+        "rect": {"N": n, "M": m},
+        "components": [{"a": a, "b": b, "omega": omega,
+                        "process": {"kind": "ar1", "ar_coefficient": 0.5}}
+                       for (a, b), omega in picks],
+        "real_valued": True,
+    }
+    code, out, err = run_verify(payload)
+    if prediction.trustworthy:
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["pass"] is True
+        assert report["points_audited"] == rect.size - prediction.formula_value
+        assert report["max_residual"] <= 1e-10
+    elif rect.size > 1:  # a single column is audited as an empty block
+        assert code == 3
+        assert json.loads(err)["error"] == "regime"
 
 
 @settings(deadline=None, max_examples=60)
