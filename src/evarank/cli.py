@@ -44,6 +44,7 @@ from .rank import (
     dependent_point_set,
     factor_rank,
     find_certificate,
+    gamma_rank,
     make_certificate,
     predict_rank,
     shift_tuple_admissible,
@@ -225,7 +226,7 @@ def parse_scenario(cfg: dict) -> tuple[StapScenario, int | None]:
 def _rank_core(comps, rect: LatticeRect, real_valued: bool, rel_tol: float | None):
     model = assemble_gamma(comps, rect, real_valued=real_valued)
     prediction = predict_rank(comps, rect, real_valued=real_valued)
-    rank, spectrum = factor_rank(model.whitened_factor(), rel_tol=rel_tol)
+    rank, spectrum = gamma_rank(model, rel_tol=rel_tol)
     return model, prediction, rank, spectrum
 
 
@@ -333,7 +334,7 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     prediction = predict_rank(comps, rect, real_valued=run.real_valued)
     snapshots = synthesize_batch(comps, rect, run.trials, seed, real_valued=run.real_valued)
     estimate = sample_covariance(snapshots)
-    exact_rank, _ = factor_rank(model.whitened_factor(), rel_tol=args.tolerance)
+    exact_rank, _ = gamma_rank(model, rel_tol=args.tolerance)
     # X = snapshots.conj() / sqrt(trials) has X^H X == estimate
     sample_rank, _ = factor_rank(snapshots.conj() / math.sqrt(run.trials), rel_tol=args.tolerance)
     rel_error = model.gap_to(estimate)

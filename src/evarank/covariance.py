@@ -9,11 +9,14 @@ factor blocks come from `fields.factor_block`, which synthesis shares; the
 model stores only those blocks and derives Gamma from them on demand,
 by an elementwise gather independent of the factored product.
 
-The factorization residual is read in line space: with the Cholesky
-roundoff E = blockdiag(R_k - L_k L_k^T), Gamma - F^H F = C^H E C, so its
-squared norm is tr(E G E G) on the line Gram G = C C^H, sum(rows) on a
-side.  The gap to a sample covariance gathers Gamma in row tiles of its
-upper triangle and never holds it whole.
+Gamma's rank and its factorization residual are read in line space, from
+the line Gram G = C C^H, sum(rows) on a side, and each block's Cholesky
+factor L, both built once per model.  The whitened factor F =
+blockdiag(L^T) C has F F^H = blockdiag(L^T) G blockdiag(L), so Gamma's
+nonzero spectrum needs no F.  With the Cholesky roundoff E =
+blockdiag(R_k - L_k L_k^T), Gamma - F^H F = C^H E C, so its squared norm
+is tr(E G E G).  The gap to a sample covariance gathers Gamma in row tiles
+of its upper triangle and never holds it whole.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class CovarianceModel:
     `gamma` and `stacked` (every carrier's dense factor block, stacked) are
     built on first read, and gamma == stacked^H R stacked up to roundoff.
     `whitened_factor()` folds R into the factor: gamma == F^H F.
+    `short_gram()` shares Gamma's nonzero spectrum without building F.
     """
 
     rect: LatticeRect
@@ -91,7 +95,8 @@ class CovarianceModel:
         """F = blockdiag(L^H) C with cov = L L^H per block, so gamma == F^H F.
 
         Carrier block k is L^H[:, rows] * carrier: one row per process
-        sample and carrier, sum(rows) by N*M in all.  Built on every call.
+        sample and carrier, sum(rows) by N*M in all.  Built on every call;
+        of the verbs, only stap's power sums read it.
         """
         parts = []
         for block in self.blocks:
@@ -99,11 +104,12 @@ class CovarianceModel:
             parts.extend(upper[:, block.rows] * w for w in block.carriers)
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
+    @cached_property
     def _line_gram(self) -> np.ndarray:
         """G = C C^H, one line per process sample and carrier (sum(rows) by
-        sum(rows)): entry (r, s) of the carrier pair (p, q) sums
-        w_p[j] * conj(w_q[j]) over the lattice points j that read sample r
-        of p and sample s of q, one bincount per pair."""
+        sum(rows)), built once per model: entry (r, s) of the carrier pair
+        (p, q) sums w_p[j] * conj(w_q[j]) over the lattice points j that read
+        sample r of p and sample s of q, one bincount per pair."""
         lines = [(block.rows, block.length, w) for block in self.blocks for w in block.carriers]
         starts = np.cumsum([0] + [length for _, length, _ in lines]).tolist()
         gram = np.zeros((starts[-1], starts[-1]), self.dtype)
@@ -119,6 +125,31 @@ class CovarianceModel:
                 gram[starts[q]:starts[q + 1], starts[p]:starts[p + 1]] = pair.conj().T
         return gram
 
+    @cached_property
+    def _lowers(self) -> list[np.ndarray]:
+        """Each block's Cholesky factor L, built once per model: the rank's
+        Gram and the factorization residual read the same ones."""
+        return [block.cholesky() for block in self.blocks]
+
+    def short_gram(self) -> np.ndarray:
+        """An exactly Hermitian matrix whose nonzero eigenvalues are Gamma's,
+        on the short side of F = whitened_factor(); F itself is never built.
+
+        With sum(rows) <= N*M it is K = blockdiag(L^T) G blockdiag(L), one
+        row per process sample and carrier, which equals F F^H.  A taller F
+        (tiny lattices only) gives Gamma, N*M square, gathered.
+        """
+        if sum(block.length * len(block.carriers) for block in self.blocks) > self.rect.size:
+            return self.gamma
+        whiten = [lower.T for block, lower in zip(self.blocks, self._lowers)
+                  for _ in block.carriers]
+        half = _blockdiag_times(whiten, self._line_gram)  # L^T G
+        # G is Hermitian and L real, so (L^T G)^H = G L, and L^T (G L) = K
+        gram = _blockdiag_times(whiten, np.conjugate(half.T, order="C"))
+        gram += np.conjugate(gram.T, out=half)
+        gram /= 2.0
+        return gram
+
     def factorization_residual(self) -> float:
         """||Gamma - F^H F||_F / ||Gamma||_F for F = whitened_factor(), as
         sqrt(tr(E G E G) / tr(R G R G)) on the line Gram; 0.0 when Gamma is
@@ -127,13 +158,13 @@ class CovarianceModel:
         unit = self._unit()
         root = math.sqrt(unit)  # exact: unit is a power of four
         exact, gap = [], []
-        for block in self.blocks:
+        for block, lower in zip(self.blocks, self._lowers):
             # R / unit and L / root are exact, so no variance over- or underflows
             cov = block.cov / unit
-            lower = block.cholesky() / root
+            lower = lower / root
             exact.extend([cov] * len(block.carriers))
             gap.extend([cov - lower @ lower.T] * len(block.carriers))
-        gram = self._line_gram()
+        gram = self._line_gram
         exact_sq = _trace_square(exact, gram)
         if exact_sq == 0.0:
             return 0.0
@@ -177,15 +208,23 @@ _TILE_ROWS = 256
 _UNIT_HALF_EXP = 510  # 4**-510 and 4**510 are both normal floats
 
 
-def _trace_square(blocks, gram: np.ndarray) -> float:
-    """tr((D G)^2) for D = blockdiag(blocks), real symmetric, and Hermitian
-    G: the squared Frobenius norm of G^(1/2) D G^(1/2)."""
-    product = np.empty_like(gram)
+def _blockdiag_times(blocks, matrix: np.ndarray) -> np.ndarray:
+    """blockdiag(blocks) @ matrix for real square blocks and a C-ordered
+    matrix.  A complex matrix is read as its interleaved float64 (re, im)
+    pairs, so each block takes one real product, not a complex one."""
+    product = np.empty_like(matrix)
     lo = 0
     for block in blocks:
         hi = lo + block.shape[0]
-        product[lo:hi] = block @ gram[lo:hi]
+        product[lo:hi] = (block @ matrix[lo:hi].view(np.float64)).view(matrix.dtype)
         lo = hi
+    return product
+
+
+def _trace_square(blocks, gram: np.ndarray) -> float:
+    """tr((D G)^2) for D = blockdiag(blocks), real symmetric, and Hermitian
+    G: the squared Frobenius norm of G^(1/2) D G^(1/2)."""
+    product = _blockdiag_times(blocks, gram)
     return float(np.sum(product * product.T).real)
 
 
@@ -277,12 +316,13 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
 def save_matrix_binary(matrix: np.ndarray, path) -> None:
     """Writes a 16-byte header (magic, rows, cols) then row-major
     little-endian float64 (re, im) pairs."""
-    matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.complex128))
+    # one little-endian, row-major copy at most; its own buffer is written
+    matrix = np.ascontiguousarray(matrix, dtype="<c16")
     rows, cols = matrix.shape
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<II", rows, cols))
-        fh.write(matrix.astype("<c16").tobytes())
+        fh.write(matrix.data)
 
 
 def load_matrix_binary(path) -> np.ndarray:

@@ -8,14 +8,14 @@ has rank
 in the interior regime (sum|a_q| < M, sum|b_q| < N, and no two components
 on one slope at one frequency).  A real field is the complex one on the
 conjugate-pair set.  This module computes that prediction, measures the
-numerical rank of an assembled covariance against it (read from a factor by
-`factor_rank`), and backs the count with explicit linear-dependence
-certificates: inclusion-exclusion combinations over shifts along the slope
-lines that reconstruct a factor column exactly from other columns.  Every
-point of the dependent block has the canonical one, the all-ones shift
-tuple, and no search is made.  Its coefficients do not depend on the
-target, so one certificate, translated, is checked at every point in a
-single pass.
+numerical rank of an assembled covariance against it (read from its
+whitened line Gram by `gamma_rank`), and backs the count with explicit
+linear-dependence certificates: inclusion-exclusion combinations over
+shifts along the slope lines that reconstruct a factor column exactly from
+other columns.  Every point of the dependent block has the canonical one,
+the all-ones shift tuple, and no search is made.  Its coefficients do not
+depend on the target, so one certificate, translated, is checked at every
+point in a single pass.
 """
 
 from __future__ import annotations
@@ -124,21 +124,32 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
     return int(np.count_nonzero(spectrum > rel_tol * float(spectrum[0]))), spectrum
 
 
+def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
+    """numerical_rank of the model's Gamma, read from `model.short_gram()`:
+    the whitened line Gram blockdiag(L^T) G blockdiag(L), sum(rows) square,
+    when the factor has at most N*M rows, Gamma itself otherwise.  The cut
+    and the zero-padding are factor_rank's."""
+    return _padded_rank(model.short_gram(), model.rect.size, rel_tol)
+
+
 def factor_rank(factor: np.ndarray, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
     """numerical_rank of the covariance X^H X, read from the factor X.
 
     The nonzero eigenvalues of X^H X are those of the Gram of X on its
     short side: X X^H when X has at most N*M = X.shape[1] rows, X^H X
-    otherwise.  The cut is the one numerical_rank applies to the N*M by
-    N*M covariance, and the spectrum is zero-padded to N*M entries, so the
-    result stands in for the dense numerical_rank without an N*M by N*M
-    eigensolve whenever X is wide.  Gamma's factor is the model's
-    whitened_factor(); a sample covariance's is snapshots.conj() / sqrt(L).
+    otherwise.  A sample covariance's factor is snapshots.conj() / sqrt(L).
     """
-    size = factor.shape[1]
+    return _padded_rank(_short_gram(factor), factor.shape[1], rel_tol)
+
+
+def _padded_rank(gram: np.ndarray, size: int, rel_tol: float | None) -> tuple[int, np.ndarray]:
+    """numerical_rank of a Hermitian Gram that shares its nonzero eigenvalues
+    with an N*M by N*M covariance (N*M = `size`), under the cut that
+    covariance itself would get, the spectrum zero-padded to N*M entries: it
+    stands in for the dense numerical_rank without an N*M eigensolve."""
     if rel_tol is None:
         rel_tol = _default_rel_tol(size)
-    rank, spectrum = numerical_rank(_short_gram(factor), rel_tol=rel_tol)
+    rank, spectrum = numerical_rank(gram, rel_tol=rel_tol)
     return rank, np.concatenate([spectrum, np.zeros(size - spectrum.size)])
 
 

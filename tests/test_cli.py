@@ -108,21 +108,86 @@ def test_rank_real_flag(tmp_path, capsys):
     assert real["agree"] is True
 
 
-def test_rank_builds_the_whitened_factor_once(tmp_path, capsys, monkeypatch):
-    # the rank reads F; the factorization residual reads R and L instead
+@pytest.mark.parametrize("verb", ["rank", "grid", "simulate"])
+def test_rank_routes_build_no_whitened_factor(tmp_path, capsys, monkeypatch, verb):
+    # Gamma's spectrum comes from L^T G L (or Gamma on a tall factor); F is stap's alone
     from evarank.covariance import CovarianceModel
 
-    calls = []
-    original = CovarianceModel.whitened_factor
+    def unbuilt(model):
+        raise AssertionError("CovarianceModel.whitened_factor was called")
 
-    def counted(model):
-        calls.append(model)
-        return original(model)
+    monkeypatch.setattr(CovarianceModel, "whitened_factor", unbuilt)
+    # the grid's real 4 x 4 cell has a tall factor (32 rows), its other cells a wide one
+    grid = {"N": [4, 16], "M": [4, 16], "slopes": [[3, 2]]}
+    for extra, payload in (((), INTERIOR), (("--real",), REAL_INTERIOR)):
+        config = write_config(tmp_path, dict(payload, seed=3, grid=grid))
+        code, _, err = run(capsys, verb, "--config", config, *extra)
+        assert (code, err) == (0, "")
 
-    monkeypatch.setattr(CovarianceModel, "whitened_factor", counted)
-    code, _, _ = run(capsys, "rank", "--config", write_config(tmp_path, INTERIOR))
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_rank_builds_the_line_gram_and_each_cholesky_factor_once(
+    tmp_path, capsys, monkeypatch, real
+):
+    # the rank's whitened line Gram and the factorization residual share G and L
+    from functools import cached_property
+
+    from evarank.covariance import CovarianceModel
+    from evarank.fields import FactorBlock
+
+    grams, lowers = [], []
+    build_gram = CovarianceModel._line_gram.func
+    build_lower = FactorBlock.cholesky
+
+    def counted_gram(model):
+        grams.append(model)
+        return build_gram(model)
+
+    def counted_lower(block):
+        lowers.append(block)
+        return build_lower(block)
+
+    prop = cached_property(counted_gram)
+    prop.__set_name__(CovarianceModel, "_line_gram")
+    monkeypatch.setattr(CovarianceModel, "_line_gram", prop)
+    monkeypatch.setattr(FactorBlock, "cholesky", counted_lower)
+    payload = REAL_INTERIOR if real else INTERIOR
+    extra = ("--real",) if real else ()
+    code, out, _ = run(capsys, "rank", "--config", write_config(tmp_path, payload), *extra)
     assert code == 0
-    assert len(calls) == 1
+    assert json.loads(out)["factorization_residual"] <= 1e-10
+    assert len(grams) == 1
+    assert len(lowers) == len(set(map(id, lowers))) == len(payload["components"])
+
+
+# oracle_large's slopes at its size: (3, 2) AR(1) and (2, 1) white at 48 x 48
+NORTH_STAR_DRAWS = [(0.9, 1.6, 1.0, 0.5, 1.0), (2.3, 4.1, 0.6, 0.7, 1.8),
+                    (5.2, 0.7, 1.9, 0.3, 0.5), (3.9, 2.4, 1.3, -0.6, 1.2)]
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("draw", NORTH_STAR_DRAWS, ids=lambda d: f"omega{d[0]}")
+def test_rank_north_star_gap_at_48(tmp_path, capsys, draw, real):
+    omega_ar, omega_white, variance_ar, ar, variance_white = draw
+    payload = {
+        "rect": {"N": 48, "M": 48},
+        "components": [
+            {"a": 3, "b": 2, "omega": omega_ar,
+             "process": {"kind": "ar1", "variance": variance_ar, "ar_coefficient": ar}},
+            {"a": 2, "b": 1, "omega": omega_white,
+             "process": {"kind": "white", "variance": variance_white}},
+        ],
+        "real_valued": real,
+    }
+    code, out, err = run(capsys, "rank", "--config", write_config(tmp_path, payload))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    # the closed form with doubled slope sums in the real model
+    sum_a, sum_b = (10, 6) if real else (5, 3)
+    assert report["prediction"] == 48 * sum_a + 48 * sum_b - sum_a * sum_b
+    assert report["numerical_rank"] == report["prediction"]
+    assert report["gap_ratio"] >= 1e6
+    assert report["factorization_residual"] <= 1e-10
 
 
 @pytest.mark.parametrize(

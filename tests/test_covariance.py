@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -294,7 +295,7 @@ def test_line_space_residual_matches_dense_reference(monkeypatch, seed, real):
     rect, comps = random_line_space_config(seed)
     model = assemble_gamma(comps, rect, real_valued=real)
     stacked = model.stacked
-    assert relative_gap(model._line_gram(), stacked @ stacked.conj().T) <= 1e-13
+    assert relative_gap(model._line_gram, stacked @ stacked.conj().T) <= 1e-13
     perturb_one_cholesky_row(monkeypatch)
     factor = model.whitened_factor()
     dense = relative_gap(factor.conj().T @ factor, model.gamma)
@@ -366,6 +367,31 @@ def test_binary_round_trip(tmp_path):
     raw = path.read_bytes()
     assert raw[:8] == b"EVCM0001"
     assert len(raw) == 16 + 20 * 20 * 16
+
+
+def reference_encoding(matrix) -> bytes:
+    """The file format spelled out: magic, rows and cols as little-endian
+    uint32, then each entry in row-major order as little-endian (re, im)."""
+    rows, cols = np.shape(matrix)
+    cells = (complex(matrix[i][j]) for i in range(rows) for j in range(cols))
+    body = b"".join(struct.pack("<dd", z.real, z.imag) for z in cells)
+    return b"EVCM0001" + struct.pack("<II", rows, cols) + body
+
+
+BINARY_INPUTS = {
+    "complex": np.arange(12).reshape(3, 4) * (0.5 - 1.25j) + 1e-300j,
+    "real": np.linspace(-2.0, 3.0, 15).reshape(3, 5),
+    "transposed": (np.arange(20).reshape(4, 5) * (1.0 + 2.0j)).T,
+    "big-endian": np.arange(6, dtype=">c16").reshape(2, 3) * (3.0 - 1.0j),
+}
+
+
+@pytest.mark.parametrize("name", list(BINARY_INPUTS))
+def test_binary_bytes_match_reference_encoding(tmp_path, name):
+    matrix = BINARY_INPUTS[name]
+    path = tmp_path / "m.bin"
+    save_matrix_binary(matrix, path)
+    assert path.read_bytes() == reference_encoding(matrix)
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from evarank.rank import (
     dependent_point_set,
     factor_rank,
     find_certificate,
+    gamma_rank,
     independent_point_set,
     make_certificate,
     numerical_rank,
@@ -283,17 +284,18 @@ def test_factor_rank_of_scaled_snapshots_matches_dense_sample_rank(trials, real_
 _SLOPES = [(0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (2, -1), (1, -2), (3, 2), (3, -1)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+# interior configs up to 12 x 12 with at most three components, slopes repeating
+INTERIOR_CONFIGS = dict(
     n=st.integers(2, 12),
     m=st.integers(2, 12),
     slopes=st.lists(st.sampled_from(_SLOPES), min_size=1, max_size=3),
     ars=st.lists(st.floats(-0.7, 0.7), min_size=3, max_size=3),
     real_valued=st.booleans(),
 )
-def test_factor_rank_equals_dense_rank_and_formula_on_interior_configs(
-    n, m, slopes, ars, real_valued
-):
+
+
+def interior_model(n, m, slopes, ars, real_valued):
+    """The drawn config's model and prediction; hypothesis skips outside ones."""
     # well separated frequencies, away from the real model's degenerate 0 and pi
     comps = [
         comp(a, b, 0.5 + 1.1 * i, AR1(1.0 + i, ar))
@@ -302,9 +304,90 @@ def test_factor_rank_equals_dense_rank_and_formula_on_interior_configs(
     rect = LatticeRect(n, m)
     pred = predict_rank(comps, rect, real_valued=real_valued)
     assume(pred.regime_flag is RegimeFlag.INTERIOR)
-    model = assemble_gamma(comps, rect, real_valued=real_valued)
+    return assemble_gamma(comps, rect, real_valued=real_valued), pred
+
+
+@settings(max_examples=60, deadline=None)
+@given(**INTERIOR_CONFIGS)
+def test_factor_rank_equals_dense_rank_and_formula_on_interior_configs(
+    n, m, slopes, ars, real_valued
+):
+    model, pred = interior_model(n, m, slopes, ars, real_valued)
     rank, _ = factor_rank(model.whitened_factor())
     assert rank == numerical_rank(model.gamma)[0] == pred.formula_value
+
+
+# --- Gamma's rank from the whitened line Gram against the dense oracle ------
+
+def line_count(model):
+    return sum(block.length * len(block.carriers) for block in model.blocks)
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+def test_gamma_rank_matches_dense_oracle_on_stock_grid(real_valued):
+    sides = {"wide": 0, "tall": 0}
+    for rect, comps in default_grid_cells():
+        model = assemble_gamma(comps, rect, real_valued=real_valued)
+        dense_rank, dense = numerical_rank(model.gamma)
+        rank, spectrum = gamma_rank(model)
+        assert rank == dense_rank, (rect, [c.triple() for c in comps])
+        assert spectrum.shape == dense.shape == (rect.size,)
+        np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
+        # the short side: L^T G L on sum(rows) lines, or Gamma on a taller factor
+        side = "tall" if line_count(model) > rect.size else "wide"
+        assert model.short_gram().shape[0] == min(line_count(model), rect.size)
+        sides[side] += 1
+    assert sides["wide"] > 0
+    # the real model's 4 x N cells with sum|a| or sum|b| of 3 carry more lines than points
+    assert (sides["tall"] > 0) == real_valued
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+def test_gamma_rank_spectrum_matches_the_factor_gram(real_valued):
+    # K = blockdiag(L^T) G blockdiag(L) is F F^H, entry by entry up to roundoff
+    rect = LatticeRect(30, 30)
+    comps = [comp(3, 2, 0.9, AR1(1.3, 0.6)), comp(2, -1, 1.7, WHITE(0.7)),
+             comp(3, 2, 2.9, AR1(0.8, -0.4))]
+    model = assemble_gamma(comps, rect, real_valued=real_valued)
+    factor = model.whitened_factor()
+    gram = model.short_gram()
+    assert gram.shape[0] == factor.shape[0] == line_count(model) < rect.size
+    assert np.array_equal(gram, gram.conj().T)
+    expected = factor @ factor.conj().T
+    assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_gamma_rank_spectrum_past_the_factor_rows_is_zero():
+    rect = LatticeRect(15, 15)
+    model = assemble_gamma(comps_for([(2, 1)]), rect)
+    rank, spectrum = gamma_rank(model)
+    assert rank == line_count(model) == 15 * 2 + 15 * 1 - 2  # every process sample is referenced
+    assert np.all(spectrum[rank:] == 0.0)
+    assert spectral_gap_ratio(spectrum, rank) == math.inf
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+def test_gamma_rank_of_tall_factor_and_empty_model(real_valued):
+    # more lines than lattice points: the spectrum is read from Gamma itself
+    rect = LatticeRect(4, 4)
+    model = assemble_gamma(comps_for([(3, 2), (2, 1)]), rect, real_valued=real_valued)
+    assert line_count(model) > rect.size
+    assert model.short_gram() is model.gamma
+    assert gamma_rank(model)[0] == numerical_rank(model.gamma)[0] == rect.size
+    empty = assemble_gamma([], rect, real_valued=real_valued)
+    assert empty.short_gram().shape == (0, 0)
+    rank, spectrum = gamma_rank(empty)
+    assert rank == 0
+    assert np.array_equal(spectrum, np.zeros(rect.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**INTERIOR_CONFIGS)
+def test_gamma_rank_equals_dense_rank_and_formula_on_interior_configs(
+    n, m, slopes, ars, real_valued
+):
+    model, pred = interior_model(n, m, slopes, ars, real_valued)
+    assert gamma_rank(model)[0] == numerical_rank(model.gamma)[0] == pred.formula_value
 
 
 # --- dependent / independent point sets ---------------------------------------
