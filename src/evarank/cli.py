@@ -332,7 +332,7 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     comps = parse_components(cfg)
     model = assemble_gamma(comps, rect, real_valued=run.real_valued)
     prediction = predict_rank(comps, rect, real_valued=run.real_valued)
-    snapshots = synthesize_batch(comps, rect, run.trials, seed, real_valued=run.real_valued)
+    snapshots = synthesize_batch(model, run.trials, seed)
     estimate = sample_covariance(snapshots)
     exact_rank, _ = gamma_rank(model, rel_tol=args.tolerance)
     # X = snapshots.conj() / sqrt(trials) has X^H X == estimate

@@ -5,9 +5,10 @@ gathers the short modulating process onto the lattice, D_q carries the
 complex modulation, and R_q is the process covariance.  Stacking the
 factors across components gives Gamma = C^H R C with R block-diagonal and
 positive definite, so the rank of Gamma is exactly the rank of C.  The
-factor blocks come from `fields.factor_block`, which synthesis shares; the
-model stores only those blocks and derives Gamma from them on demand,
-by an elementwise gather independent of the factored product.
+factor blocks come from `fields.factor_block`; the model stores only those
+blocks and derives Gamma from them on demand, by an elementwise gather
+independent of the factored product.  Synthesis colours its draws with the
+same blocks and the same Cholesky factors.
 
 Gamma's rank and its factorization residual are read in line space, from
 the line Gram G = C C^H, sum(rows) on a side, and each block's Cholesky
@@ -40,7 +41,8 @@ class CovarianceModel:
 
     `gamma` and `stacked` (every carrier's dense factor block, stacked) are
     built on first read, and gamma == stacked^H R stacked up to roundoff.
-    `whitened_factor()` folds R into the factor: gamma == F^H F.
+    `lowers` holds each block's Cholesky factor L, and `whitened_factor()`
+    folds them into the factor: gamma == F^H F.
     `short_gram()` shares Gamma's nonzero spectrum without building F.
     """
 
@@ -99,9 +101,8 @@ class CovarianceModel:
         of the verbs, only stap's power sums read it.
         """
         parts = []
-        for block in self.blocks:
-            upper = block.cholesky().T
-            parts.extend(upper[:, block.rows] * w for w in block.carriers)
+        for block, lower in zip(self.blocks, self.lowers):
+            parts.extend(lower.T[:, block.rows] * w for w in block.carriers)
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
     @cached_property
@@ -126,10 +127,16 @@ class CovarianceModel:
         return gram
 
     @cached_property
-    def _lowers(self) -> list[np.ndarray]:
-        """Each block's Cholesky factor L, built once per model: the rank's
-        Gram and the factorization residual read the same ones."""
-        return [block.cholesky() for block in self.blocks]
+    def lowers(self) -> list[np.ndarray]:
+        """Each block's lower-triangular Cholesky factor L, with cov = L L^T
+        (cov is real, so L^H = L^T), built once per model: synthesis, the
+        whitened factor, the rank's Gram and the residual read the same ones.
+
+        For the AR(1) family L is the recursion's own map from unit
+        innovations to stationary samples: L[k, 0] = s * ar^k / sqrt(1 - ar^2)
+        and L[k, j] = s * ar^(k-j) for 1 <= j <= k, with s = sqrt(variance).
+        """
+        return [np.linalg.cholesky(block.cov) for block in self.blocks]
 
     def short_gram(self) -> np.ndarray:
         """An exactly Hermitian matrix whose nonzero eigenvalues are Gamma's,
@@ -141,7 +148,7 @@ class CovarianceModel:
         """
         if sum(block.length * len(block.carriers) for block in self.blocks) > self.rect.size:
             return self.gamma
-        whiten = [lower.T for block, lower in zip(self.blocks, self._lowers)
+        whiten = [lower.T for block, lower in zip(self.blocks, self.lowers)
                   for _ in block.carriers]
         half = _blockdiag_times(whiten, self._line_gram)  # L^T G
         # G is Hermitian and L real, so (L^T G)^H = G L, and L^T (G L) = K
@@ -158,7 +165,7 @@ class CovarianceModel:
         unit = self._unit()
         root = math.sqrt(unit)  # exact: unit is a power of four
         exact, gap = [], []
-        for block, lower in zip(self.blocks, self._lowers):
+        for block, lower in zip(self.blocks, self.lowers):
             # R / unit and L / root are exact, so no variance over- or underflows
             cov = block.cov / unit
             lower = lower / root

@@ -55,13 +55,6 @@ class ModulatingProcessSpec:
         if self.kind is ProcessKind.WHITE and self.ar_coefficient != 0.0:
             raise ValueError("white process takes no AR coefficient")
 
-    def autocovariance(self, lag: int) -> float:
-        """Model autocovariance at integer lag."""
-        if self.kind is ProcessKind.WHITE:
-            return self.variance if lag == 0 else 0.0
-        ar = self.ar_coefficient
-        return self.variance * ar ** abs(lag) / (1.0 - ar * ar)
-
 
 @dataclass(frozen=True)
 class EvanescentComponent:
@@ -94,7 +87,8 @@ def modulating_indices(slope: SlopePair, rect: LatticeRect) -> tuple[int, int]:
 
 
 def check_distinct_triples(components) -> None:
-    """Components sharing a slope must use different frequencies."""
+    """Components sharing a slope must use different frequencies: a repeated
+    triple is one component, whose variance would silently double."""
     seen: set[tuple[int, int, float]] = set()
     for comp in components:
         t = comp.triple()
@@ -159,16 +153,6 @@ class FactorBlock:
         read: routes that read only rows and carriers never build it."""
         return process_covariance(self.process, self.length)
 
-    def cholesky(self) -> np.ndarray:
-        """Lower-triangular L with cov = L L^T (cov is real, so L^H = L^T).
-
-        For the AR(1) family this is the recursion's own map from unit
-        innovations to stationary samples: L[k, 0] = s * ar^k / sqrt(1 - ar^2)
-        and L[k, j] = s * ar^(k-j) for 1 <= j <= k, with s = sqrt(variance).
-        Built on every call.
-        """
-        return np.linalg.cholesky(self.cov)
-
     def dense(self, carrier: np.ndarray) -> np.ndarray:
         """The (length, N*M) factor block of one carrier."""
         out = np.zeros((self.length, self.rows.size), dtype=carrier.dtype)
@@ -189,43 +173,28 @@ def factor_block(
     return FactorBlock(rows, carriers, comp.process, length)
 
 
-def synthesize_batch(
-    components,
-    rect: LatticeRect,
-    trials: int,
-    seed: int,
-    noise_power: float = 0.0,
-    real_valued: bool = False,
-) -> np.ndarray:
-    """Seeded snapshots of the component sum, shape (trials, N*M).
+def synthesize_batch(model, trials: int, seed: int, noise_power: float = 0.0) -> np.ndarray:
+    """Seeded snapshots of the model's component sum, shape (trials, N*M).
 
     Component q draws from the stream (seed, 1, q) one unit draw u per
-    carrier and colours it with its block's Cholesky factor L, so the
-    snapshot is x = sum_q C_q^H L_q u_q and its covariance is Gamma.  The
-    real model gives each component cosine and sine carriers with two
-    independent draws.  One realization is a batch of one, reshaped to (N, M).
+    carrier and colours it with the model's Cholesky factor L of its block,
+    so the snapshot is x = sum_q C_q^H L_q u_q and its covariance is Gamma.
+    The real model's cosine and sine carriers take two independent real
+    draws.  One realization is a batch of one, reshaped to (N, M).
     Optional circular white noise of the given power is added per snapshot
     (complex model only).
-
-    Raises:
-        ValueError: when two components share the full (a, b, omega) triple;
-            such a pair is a single component and would silently double its
-            variance instead of adding an independent field.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if real_valued and noise_power > 0.0:
+    if model.real_valued and noise_power > 0.0:
         raise ValueError("snapshot noise is circular complex; the real model takes none")
-    components = list(components)
-    check_distinct_triples(components)
-    out = np.zeros((trials, rect.size), dtype=np.float64 if real_valued else np.complex128)
-    for q, comp in enumerate(components):
-        block = factor_block(comp, rect, real_valued)
-        lower = block.cholesky()
+    size = model.rect.size
+    out = np.zeros((trials, size), dtype=model.dtype)
+    for q, (block, lower) in enumerate(zip(model.blocks, model.lowers)):
         shape = (trials, lower.shape[0])
         rng = np.random.default_rng([seed, 1, q])
         for carrier in block.carriers:
-            if real_valued:
+            if model.real_valued:
                 unit = rng.standard_normal(shape)
             else:
                 # circularly symmetric: unit variance split evenly over re/im
@@ -233,8 +202,6 @@ def synthesize_batch(
             out += (unit @ lower.T)[:, block.rows] * np.conj(carrier)
     if noise_power > 0.0:
         rng = np.random.default_rng([seed, 2])
-        noise = rng.standard_normal((trials, rect.size)) + 1j * rng.standard_normal(
-            (trials, rect.size)
-        )
+        noise = rng.standard_normal((trials, size)) + 1j * rng.standard_normal((trials, size))
         out += np.sqrt(noise_power / 2.0) * noise
     return out

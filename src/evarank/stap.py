@@ -237,9 +237,8 @@ def suppression_experiment(
     if 1 <= trials < r:  # a trial count below one is synthesize_batch's to refuse
         raise ValueError(f"subspace dimension {r} exceeds the trial count {trials}")
     _refuse_overflow(scenario, comps, trials)
-    snapshots = synthesize_batch(
-        comps, rect, trials, seed, noise_power=scenario.noise_power
-    )
+    model = assemble_gamma(comps, rect)
+    snapshots = synthesize_batch(model, trials, seed, noise_power=scenario.noise_power)
     eigenvalues = np.zeros(rect.size)
     if trials < rect.size:
         values, vectors = np.linalg.eigh(_short_gram(snapshots.conj() / math.sqrt(trials)))
@@ -252,7 +251,7 @@ def suppression_experiment(
         eigenvalues[: singular.size] = singular**2 / trials
         top = vh[:r].T
 
-    factor = assemble_gamma(comps, rect).whitened_factor()
+    factor = model.whitened_factor()
     before = _power(factor)
     after = _power(factor - (factor @ top) @ top.conj().T)
     ratio = 0.0 if before == 0.0 else after / before  # 0.0: nothing to suppress

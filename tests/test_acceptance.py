@@ -211,9 +211,10 @@ def test_criterion_7_factorization_and_monte_carlo(capsys):
 
     rect = LatticeRect(8, 8)
     comps = [ar1_component(3, 2, 0.9), white_component(2, 1, 1.6)]
-    exact = assemble_gamma(comps, rect).gamma
+    model = assemble_gamma(comps, rect)
+    exact = model.gamma
     trials = 100_000
-    estimate = sample_covariance(synthesize_batch(comps, rect, trials, seed=20))
+    estimate = sample_covariance(synthesize_batch(model, trials, seed=20))
     diag = np.real(np.diag(exact))
     stderr = np.sqrt(np.outer(diag, diag) / trials)
     max_sigma = float(np.max(np.abs(estimate - exact) / stderr))

@@ -125,39 +125,58 @@ def test_rank_routes_build_no_whitened_factor(tmp_path, capsys, monkeypatch, ver
         assert (code, err) == (0, "")
 
 
-@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize(
+    "verb, real, grams",
+    [("rank", False, 1), ("rank", True, 1), ("simulate", False, 1), ("simulate", True, 1),
+     ("stap", False, 0)],
+    ids=["complex", "real", "simulate-complex", "simulate-real", "stap"],
+)
 def test_rank_builds_the_line_gram_and_each_cholesky_factor_once(
-    tmp_path, capsys, monkeypatch, real
+    tmp_path, capsys, monkeypatch, verb, real, grams
 ):
-    # the rank's whitened line Gram and the factorization residual share G and L
+    # one model per run: the rank's whitened line Gram, the factorization
+    # residual, synthesis and stap's F share its G and its Cholesky factors
     from functools import cached_property
 
     from evarank.covariance import CovarianceModel
-    from evarank.fields import FactorBlock
 
-    grams, lowers = [], []
+    built_grams, models, factored = [], [], []
     build_gram = CovarianceModel._line_gram.func
-    build_lower = FactorBlock.cholesky
+    build_lowers = CovarianceModel.lowers.func
+    cholesky = np.linalg.cholesky
 
     def counted_gram(model):
-        grams.append(model)
+        built_grams.append(model)
         return build_gram(model)
 
-    def counted_lower(block):
-        lowers.append(block)
-        return build_lower(block)
+    def counted_lowers(model):
+        models.append(model)
+        return build_lowers(model)
 
-    prop = cached_property(counted_gram)
-    prop.__set_name__(CovarianceModel, "_line_gram")
-    monkeypatch.setattr(CovarianceModel, "_line_gram", prop)
-    monkeypatch.setattr(FactorBlock, "cholesky", counted_lower)
+    def counted_cholesky(matrix):
+        factored.append(matrix.shape)
+        return cholesky(matrix)
+
+    for name, func in (("_line_gram", counted_gram), ("lowers", counted_lowers)):
+        prop = cached_property(func)
+        prop.__set_name__(CovarianceModel, name)
+        monkeypatch.setattr(CovarianceModel, name, prop)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     payload = REAL_INTERIOR if real else INTERIOR
+    blocks = len(payload["components"])
+    if verb == "stap":
+        # two jammers and a clutter ridge: three blocks
+        payload = dict(STAP, scenario=dict(STAP["scenario"], clutter={"slope": 2, "power": 10.0}))
+        blocks = 3
+    payload = dict(payload, seed=3, trials=8) if verb == "simulate" else payload
     extra = ("--real",) if real else ()
-    code, out, _ = run(capsys, "rank", "--config", write_config(tmp_path, payload), *extra)
+    code, out, _ = run(capsys, verb, "--config", write_config(tmp_path, payload), *extra)
     assert code == 0
-    assert json.loads(out)["factorization_residual"] <= 1e-10
-    assert len(grams) == 1
-    assert len(lowers) == len(set(map(id, lowers))) == len(payload["components"])
+    if verb == "rank":
+        assert json.loads(out)["factorization_residual"] <= 1e-10
+    assert len(built_grams) == grams
+    assert len(models) == 1
+    assert len(models[0].blocks) == len(factored) == blocks
 
 
 # oracle_large's slopes at its size: (3, 2) AR(1) and (2, 1) white at 48 x 48
@@ -433,7 +452,7 @@ def test_simulate_real_model(tmp_path, capsys, real_via):
 
 
 def test_simulate_binary_export_round_trips(tmp_path, capsys):
-    from evarank.covariance import sample_covariance
+    from evarank.covariance import assemble_gamma, sample_covariance
     from evarank.fields import synthesize_batch
     from evarank.cli import parse_components, parse_rect
 
@@ -446,7 +465,7 @@ def test_simulate_binary_export_round_trips(tmp_path, capsys):
 
     rect = parse_rect(payload)
     comps = parse_components(payload)
-    want = sample_covariance(synthesize_batch(comps, rect, 32, 4))
+    want = sample_covariance(synthesize_batch(assemble_gamma(comps, rect), 32, 4))
     assert np.array_equal(load_matrix_binary(str(dest)), want)
 
 

@@ -1,10 +1,12 @@
 import struct
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from evarank.covariance import (
+    CovarianceModel,
     assemble_gamma,
     load_matrix_binary,
     relative_gap,
@@ -14,7 +16,6 @@ from evarank.covariance import (
 )
 from evarank.fields import (
     EvanescentComponent,
-    FactorBlock,
     ModulatingProcessSpec,
     ProcessKind,
     lattice_map,
@@ -139,7 +140,7 @@ def test_gamma_matches_entrywise_expectation_of_samples(real_valued):
     comps = [comp(1, 1, 0.9, WHITE(1.5)), comp(2, 1, 2.0, AR1(1.0, 0.5))]
     model = assemble_gamma(comps, rect, real_valued=real_valued)
     trials = 200000
-    snaps = synthesize_batch(comps, rect, trials, seed=77, real_valued=real_valued)
+    snaps = synthesize_batch(model, trials, seed=77)
     est = sample_covariance(snaps)
     scale = np.sqrt(np.outer(np.diag(model.gamma).real, np.diag(model.gamma).real))
     assert np.all(np.abs(est - model.gamma) <= 5 * scale / np.sqrt(trials) + 1e-12)
@@ -251,14 +252,17 @@ TILED_COMPS = [comp(3, 2, 0.9, AR1(1.3, 0.5)), comp(2, -1, 1.7, WHITE(0.8))]
 
 def perturb_one_cholesky_row(monkeypatch):
     """F^H F != Gamma: the middle row of each block's L is scaled by 1 + 1e-6."""
-    original = FactorBlock.cholesky
+    original = CovarianceModel.lowers.func
 
-    def perturbed(block):
-        lower = original(block)
-        lower[lower.shape[0] // 2] *= 1 + 1e-6
-        return lower
+    def perturbed(model):
+        lowers = original(model)
+        for lower in lowers:
+            lower[lower.shape[0] // 2] *= 1 + 1e-6
+        return lowers
 
-    monkeypatch.setattr(FactorBlock, "cholesky", perturbed)
+    prop = cached_property(perturbed)
+    prop.__set_name__(CovarianceModel, "lowers")
+    monkeypatch.setattr(CovarianceModel, "lowers", prop)
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -307,7 +311,7 @@ def test_line_space_residual_matches_dense_reference(monkeypatch, seed, real):
 @pytest.mark.parametrize("rect", TILE_EDGE_RECTS, ids=lambda r: f"nm{r.size}")
 def test_tiled_gap_to_estimate_matches_dense_reference(rect, real):
     model = assemble_gamma(TILED_COMPS, rect, real_valued=real)
-    snapshots = synthesize_batch(TILED_COMPS, rect, 16, seed=3, real_valued=real)
+    snapshots = synthesize_batch(model, 16, seed=3)
     estimate = sample_covariance(snapshots)
     dense = relative_gap(estimate, model.gamma)
     assert dense > 1e-3
@@ -342,7 +346,7 @@ def test_residual_holds_no_full_size_array():
 def test_sample_covariance_orientation():
     # single snapshot: covariance must be the outer product e e^H exactly
     rect = LatticeRect(3, 3)
-    (snap,) = synthesize_batch([comp(1, 1, 0.8)], rect, 1, seed=9)
+    (snap,) = synthesize_batch(assemble_gamma([comp(1, 1, 0.8)], rect), 1, seed=9)
     got = sample_covariance([snap])
     want = np.outer(snap, snap.conj())
     assert np.allclose(got, want, rtol=1e-15, atol=0)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evarank.covariance import assemble_gamma
 from evarank.fields import (
     EvanescentComponent,
-    FactorBlock,
     ModulatingProcessSpec,
     ProcessKind,
     lattice_map,
@@ -27,7 +27,7 @@ def comp(a, b, omega, process=None):
 
 def field(components, rect, seed=0, real_valued=False):
     """One realization: a batch of one, reshaped to (N, M)."""
-    batch = synthesize_batch(components, rect, 1, seed, real_valued=real_valued)
+    batch = synthesize_batch(assemble_gamma(components, rect, real_valued), 1, seed)
     return batch.reshape(rect.N, rect.M)
 
 
@@ -48,15 +48,6 @@ def test_process_spec_validation():
     # string kinds coerce through the enum, whatever their case
     assert ModulatingProcessSpec("white", 1.0).kind is ProcessKind.WHITE
     assert ModulatingProcessSpec("AR1", 1.0, 0.5).kind is ProcessKind.AR1
-
-
-def test_autocovariance_model_values():
-    spec = AR1(0.75, 0.5)
-    assert spec.autocovariance(0) == pytest.approx(1.0)
-    assert spec.autocovariance(1) == pytest.approx(0.5)
-    assert spec.autocovariance(-3) == pytest.approx(0.125)
-    assert WHITE(2.0).autocovariance(0) == 2.0
-    assert WHITE(2.0).autocovariance(4) == 0.0
 
 
 def test_omega_stored_mod_two_pi():
@@ -101,10 +92,11 @@ def test_ar1_covariance_gathered_by_lag_is_the_entrywise_power(size):
         assert np.array_equal(process_covariance(AR1(1.7, ar), size), want)
 
 
-# --- the factor block's Cholesky factor ---------------------------------------
+# --- the model's Cholesky factors ---------------------------------------------
 
 def cholesky_of(spec, n):
-    return FactorBlock(np.arange(n), (), spec, n).cholesky()
+    # slope (0, 1) on a 1 x n lattice reads n consecutive process samples
+    return assemble_gamma([comp(0, 1, 0.0, spec)], LatticeRect(1, n)).lowers[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 40])
@@ -172,7 +164,7 @@ def test_synthesis_matches_the_recursion(real_valued, noise_power):
         comp(0, 1, 1.3, AR1(2.0, -0.9)),
         comp(3, 2, 0.4, AR1(0.5, 0.3)),
     ]
-    got = synthesize_batch(comps, rect, 16, 11, noise_power, real_valued)
+    got = synthesize_batch(assemble_gamma(comps, rect, real_valued), 16, 11, noise_power)
     want = recursion_synthesis(comps, rect, 16, 11, noise_power, real_valued)
     assert got.dtype == want.dtype
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -277,7 +269,7 @@ def test_sample_mean_and_power_converge():
     c = comp(1, 2, 1.1, WHITE(2.0))
     rect = LatticeRect(4, 4)
     trials = 20000
-    snaps = synthesize_batch([c], rect, trials, seed=13)
+    snaps = synthesize_batch(assemble_gamma([c], rect), trials, seed=13)
     mean = np.abs(snaps.mean(axis=0)).max()
     assert mean < 5 * math.sqrt(2.0 / trials)
     power = np.mean(np.abs(snaps) ** 2)
@@ -288,10 +280,11 @@ def test_ar1_empirical_autocovariance_matches_model():
     spec = AR1(0.75, 0.5)
     c = comp(1, 0, 0.0, spec)
     rect = LatticeRect(40, 1)  # field along a line IS the process
-    snaps = synthesize_batch([c], rect, 20000, seed=21)
+    snaps = synthesize_batch(assemble_gamma([c], rect), 20000, seed=21)
+    autocov = process_covariance(spec, 4)[0]
     for lag in range(4):
         emp = np.mean(snaps[:, lag:] * np.conj(snaps[:, : rect.N - lag])).real
-        assert emp == pytest.approx(spec.autocovariance(lag), abs=0.03)
+        assert emp == pytest.approx(autocov[lag], abs=0.03)
 
 
 @settings(deadline=None, max_examples=30)
@@ -300,8 +293,26 @@ def test_ar1_empirical_autocovariance_matches_model():
     omega=st.floats(min_value=0.0, max_value=6.28),
 )
 def test_batch_determinism_property(seed, omega):
-    c = comp(2, 1, omega)
-    rect = LatticeRect(3, 3)
-    x = synthesize_batch([c], rect, 4, seed)
-    y = synthesize_batch([c], rect, 4, seed)
+    comps, rect = [comp(2, 1, omega)], LatticeRect(3, 3)
+    x = synthesize_batch(assemble_gamma(comps, rect), 4, seed)
+    y = synthesize_batch(assemble_gamma(comps, rect), 4, seed)
     assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize(
+    "trials, noise_power, real_valued, message",
+    [(0, 0.0, False, "trials must be positive"),
+     (-3, 0.0, True, "trials must be positive"),
+     (4, 0.5, True, "snapshot noise is circular complex")],
+    ids=["no-trials", "negative-trials", "noise-on-real"],
+)
+def test_synthesis_refusals_come_before_any_draw(monkeypatch, trials, noise_power, real_valued,
+                                                 message):
+    model = assemble_gamma([comp(2, 1, 0.7, AR1(1.0, 0.5))], LatticeRect(4, 4), real_valued)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew snapshots for a refused request")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=message):
+        synthesize_batch(model, trials, 1, noise_power)

@@ -271,9 +271,8 @@ def test_factor_rank_of_tall_factor_and_empty_model():
 def test_factor_rank_of_scaled_snapshots_matches_dense_sample_rank(trials, real_valued):
     # the sample covariance is X^H X for X = snapshots.conj() / sqrt(trials)
     rect = LatticeRect(8, 8)
-    snapshots = synthesize_batch(
-        comps_for([(1, 1), (2, -1)]), rect, trials, seed=5, real_valued=real_valued
-    )
+    model = assemble_gamma(comps_for([(1, 1), (2, -1)]), rect, real_valued=real_valued)
+    snapshots = synthesize_batch(model, trials, seed=5)
     dense_rank, dense = numerical_rank(sample_covariance(snapshots))
     rank, spectrum = factor_rank(snapshots.conj() / math.sqrt(trials))
     assert rank == dense_rank == min(trials, 56 if real_valued else 34)

@@ -206,12 +206,12 @@ def test_suppression_matches_dense_reference(trials):
         noise_power=1.0,
         target=TargetSpec(0.4, 1.0, 2.0),
     )
-    comps = scenario_to_components(sc)
+    model = assemble_gamma(scenario_to_components(sc), sc.rect)
     for r in (10, 23, 31):
         rep = suppression_experiment(sc, trials=trials, seed=4, rank_used=r)
-        estimate = sample_covariance(synthesize_batch(comps, sc.rect, trials, 4, noise_power=1.0))
+        estimate = sample_covariance(synthesize_batch(model, trials, 4, noise_power=1.0))
         projector = dominant_projection(estimate, r)
-        gamma = assemble_gamma(comps, sc.rect).gamma
+        gamma = model.gamma
         ratio = np.trace(projector @ gamma @ projector).real / np.trace(gamma).real
         steering = sc.target.steering(sc.rect)
         retention = np.linalg.norm(projector @ steering) ** 2 / np.linalg.norm(steering) ** 2
@@ -227,10 +227,10 @@ def test_gram_route_matches_svd_far_below_the_jammer(power, r):
     # must stay orthonormal there, as the SVD's does
     sc = StapScenario(LatticeRect(8, 8), jammers=(JammerSpec(0.7, power),), noise_power=1e-6)
     rep = suppression_experiment(sc, trials=32, seed=1, rank_used=r)  # 32 < N*M: Gram route
-    comps = scenario_to_components(sc)
-    snapshots = synthesize_batch(comps, sc.rect, 32, 1, noise_power=1e-6)
+    model = assemble_gamma(scenario_to_components(sc), sc.rect)
+    snapshots = synthesize_batch(model, 32, 1, noise_power=1e-6)
     top = np.linalg.svd(snapshots, full_matrices=False)[2][:r].T
-    factor = assemble_gamma(comps, sc.rect).whitened_factor()
+    factor = model.whitened_factor()
     after = np.linalg.norm(factor - (factor @ top) @ top.conj().T) ** 2
     svd_db = -10.0 * math.log10(after / np.linalg.norm(factor) ** 2)
     assert abs(rep.suppression_db - svd_db) <= 1.0
