@@ -12,8 +12,10 @@ numerical rank of an assembled covariance against it (read from its
 whitened line Gram by `gamma_rank`), and backs the count with explicit
 linear-dependence certificates: inclusion-exclusion combinations over
 shifts along the slope lines that reconstruct a factor column exactly from
-other columns.  Every point of the dependent block has the canonical one,
-the all-ones shift tuple, and no search is made.  Its coefficients do not
+other columns.  A shift tuple's subset offsets fill one bounding box, so a
+target admits the tuple when the box's two corners, translated to it, are
+inside the lattice; the dependent block is the set of points that admit the
+canonical all-ones tuple, and no search is made.  Its coefficients do not
 depend on the target, so one certificate, translated, is checked at every
 point in a single pass.
 """
@@ -192,14 +194,17 @@ class DependencyCertificate:
     terms: tuple[tuple[tuple[int, int], complex], ...]
 
 
-def _subset_point(
-    target: tuple[int, int], shifts, components, subset
-) -> tuple[int, int]:
-    n, m = target
-    for i in subset:
-        n += shifts[i] * components[i].slope.b
-        m -= shifts[i] * components[i].slope.a
-    return (n, m)
+def _shift_box(shifts, components) -> tuple[np.ndarray, np.ndarray]:
+    """The bounding box (lo, hi) of the subset offsets sum_S t_i * (b_i, -a_i).
+
+    In each coordinate lo sums the negative steps and hi the positive ones,
+    so each extreme is the offset of the subset of those steps alone.
+    """
+    steps = np.array(
+        [(t * c.slope.b, -t * c.slope.a) for t, c in zip(shifts, components, strict=True)],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    return np.minimum(steps, 0).sum(0), np.maximum(steps, 0).sum(0)
 
 
 def shift_tuple_admissible(
@@ -207,15 +212,16 @@ def shift_tuple_admissible(
 ) -> bool | np.ndarray:
     """True when every nonempty-subset shift of `target` stays in the lattice.
 
-    `target` may also be a (P, 2) array of points: the answer is then a
-    boolean array, from one containment test per subset over all points.
+    Every subset offset lies in `_shift_box`, and each of the box's extremes
+    is reached by some subset, so for a target inside the rectangle the
+    answer is that target + lo and target + hi are both inside.  lo <= 0 <=
+    hi, so a target outside the rectangle is never admissible.  `target`
+    may also be a (P, 2) array of points: the answer is then a boolean
+    array.
     """
-    q = len(components)
+    lo, hi = _shift_box(shifts, components)
     targets = np.asarray(target, dtype=np.int64)
-    inside = np.ones(targets.shape[:-1], dtype=bool)
-    for size in range(1, q + 1):
-        for subset in itertools.combinations(range(q), size):
-            inside &= _inside(targets + _subset_point((0, 0), shifts, components, subset), rect)
+    inside = _inside(targets + lo, rect) & _inside(targets + hi, rect)
     return inside if inside.ndim else bool(inside)
 
 
@@ -236,8 +242,9 @@ def make_certificate(
     tuple collapses to the single term (target, 1).
 
     Raises:
-        ValueError: when some subset-shifted point leaves the rectangle, in
-            which case the identity does not hold over this lattice.
+        ValueError: when the tuple is not `shift_tuple_admissible` at
+            `target`, in which case the identity does not hold over this
+            lattice.
     """
     components = list(components)
     shifts = tuple(int(t) for t in shifts)
@@ -247,16 +254,15 @@ def make_certificate(
         raise ValueError(f"target {target} outside {rect.N}x{rect.M} lattice")
     if not components:
         raise ValueError("certificates need at least one component")
+    if not shift_tuple_admissible(target, shifts, components, rect):
+        raise ValueError(f"shift tuple {shifts} leaves the lattice from {target}")
     q = len(components)
     merged: dict[tuple[int, int], complex] = {}
     for size in range(1, q + 1):
         sign = (-1.0) ** (size - 1)
         for subset in itertools.combinations(range(q), size):
-            point = _subset_point(target, shifts, components, subset)
-            if not rect.contains(*point):
-                raise ValueError(
-                    f"shift tuple {shifts} leaves the lattice at subset {subset}"
-                )
+            point = (target[0] + sum(shifts[i] * components[i].slope.b for i in subset),
+                     target[1] - sum(shifts[i] * components[i].slope.a for i in subset))
             angle = -sum(
                 components[i].slope.sigma * components[i].omega * shifts[i] for i in subset
             )
@@ -361,14 +367,14 @@ def dependent_point_set(components, rect: LatticeRect) -> tuple[range, range]:
     """The n and m ranges of the points whose factor columns are certified
     dependent.
 
-    The block {lo_n <= n <= hi_n, sum|a| <= m <= M-1}, where the n margins
-    absorb negative and positive b components respectively.  Every point
-    here admits the all-ones shift certificate.  Interior regime only; for
-    the real model, pass the conjugate-pair set.
+    They are the points that admit the all-ones shift tuple: with (lo, hi)
+    its `_shift_box`, the block {-lo_n <= n < N - hi_n, sum|a| <= m < M},
+    where the n margins absorb the negative and the positive b's.  Interior
+    regime only; for the real model, pass the conjugate-pair set.
     """
     components = list(components)
-    sum_a = sum(abs(c.slope.a) for c in components)
     if predict_rank(components, rect).regime_flag is RegimeFlag.OUTSIDE:
+        sum_a = sum(abs(c.slope.a) for c in components)
         sum_b = sum(abs(c.slope.b) for c in components)
         raise ValueError(
             "outside the interior regime, which needs "
@@ -376,16 +382,5 @@ def dependent_point_set(components, rect: LatticeRect) -> tuple[range, range]:
             "and no two components on one slope with omegas closer than "
             f"{2 * _HALF_TURN_TOL:g}; use the numerical rank of the assembled covariance instead"
         )
-    lo_n = sum(-c.slope.b for c in components if c.slope.b < 0)
-    hi_n = rect.N - 1 - sum(c.slope.b for c in components if c.slope.b > 0)
-    return range(lo_n, hi_n + 1), range(sum_a, rect.M)
-
-
-def independent_point_set(components, rect: LatticeRect) -> set[tuple[int, int]]:
-    """Complement of the dependent block; its factor columns span everything.
-
-    Its cardinality reproduces the closed-form rank.  Raises outside the
-    interior regime, where no such clean split exists.
-    """
-    n_range, m_range = dependent_point_set(components, rect)
-    return {(n, m) for n, m in rect.points() if n not in n_range or m not in m_range}
+    (lo_n, lo_m), (hi_n, hi_m) = _shift_box((1,) * len(components), components)
+    return range(-lo_n, rect.N - hi_n), range(-lo_m, rect.M - hi_m)

@@ -27,7 +27,6 @@ from evarank.rank import (
     factor_rank,
     find_certificate,
     gamma_rank,
-    independent_point_set,
     make_certificate,
     numerical_rank,
     predict_rank,
@@ -397,12 +396,17 @@ def dependent_points(comps, rect):
     return [(n, m) for n in n_range for m in m_range]
 
 
+def independent_points(comps, rect):
+    """The complement of the dependent block; its factor columns span everything."""
+    return set(rect.points()) - set(dependent_points(comps, rect))
+
+
 def test_vertical_dependent_block():
     rect = LatticeRect(5, 4)
     comps = comps_for([(0, 1)])
     # all rows except the last one
     assert dependent_point_set(comps, rect) == (range(4), range(4))
-    indep = independent_point_set(comps, rect)
+    indep = independent_points(comps, rect)
     assert indep == {(4, m) for m in range(4)}
 
 
@@ -410,7 +414,7 @@ def test_independent_set_cardinality_matches_formula():
     rect = LatticeRect(15, 15)
     for slopes in ([(3, 2)], [(3, 2), (2, 1)], [(3, 2), (2, -1)], [(3, 2), (2, 1), (1, 3)]):
         comps = comps_for(slopes)
-        indep = independent_point_set(comps, rect)
+        indep = independent_points(comps, rect)
         assert len(indep) == predict_rank(comps, rect).formula_value
 
 
@@ -428,7 +432,7 @@ def test_independent_columns_full_rank_and_absorbing():
     rect = LatticeRect(9, 9)
     comps = comps_for([(2, 1), (1, -1)])
     model = assemble_gamma(comps, rect)
-    indep = sorted(independent_point_set(comps, rect))
+    indep = sorted(independent_points(comps, rect))
     column = lambda p: model.stacked[:, rect.vec_index(*p)]
     cols = np.stack([column(p) for p in indep], axis=1)
     r, _ = numerical_rank(cols)
@@ -443,8 +447,6 @@ def test_independent_columns_full_rank_and_absorbing():
 def test_point_sets_require_interior_regime():
     rect = LatticeRect(3, 3)
     comps = comps_for([(1, 1), (1, 2), (1, -1)])  # sum|a| = 3 >= M
-    with pytest.raises(ValueError):
-        independent_point_set(comps, rect)
     with pytest.raises(ValueError):
         dependent_point_set(comps, rect)
 
@@ -570,28 +572,6 @@ def test_find_certificate_absent_on_isolated_lines():
         assert (find_certificate(point, comps, rect) is None) == (point not in dependent)
 
 
-def test_exhaustive_tuples_agree_with_admissibility():
-    # brute-force every tuple in a small window and cross-check the filter
-    rect = LatticeRect(5, 5)
-    comps = comps_for([(1, 1), (1, -1)])
-    target = (2, 2)
-    model = assemble_gamma(comps, rect)
-    for shifts in itertools.product(range(-4, 5), repeat=2):
-        ok = True
-        for size in (1, 2):
-            for subset in itertools.combinations(range(2), size):
-                nn, mm = target
-                for i in subset:
-                    nn += shifts[i] * comps[i].slope.b
-                    mm -= shifts[i] * comps[i].slope.a
-                if not rect.contains(nn, mm):
-                    ok = False
-        assert shift_tuple_admissible(target, shifts, comps, rect) == ok
-        if ok:
-            cert = make_certificate(target, shifts, comps, rect)
-            assert verify_certificate(cert, model) <= 1e-12
-
-
 def test_verify_reads_real_model_blocks():
     # cos and sin carriers are combinations of the conjugate pair's carriers,
     # so the pair set's certificate holds on them and the components' does not
@@ -653,6 +633,77 @@ def test_canonical_certificates_cover_every_interior_config(n, m, picks):
         assert verify_certificate(cert, model) <= 1e-10
         # the induction on rank: every term comes strictly earlier in the (m, -n) order
         assert all((q[1], -q[0]) < (point[1], -point[0]) for q, _ in cert.terms)
+    # and the converse, which verify relies on: no certificate off the block
+    for point in independent_points(comps, rect):
+        assert find_certificate(point, comps, rect) is None
+
+
+def subset_loop_admissible(target, shifts, comps, rect):
+    """The reference admissibility: every nonempty subset's jointly shifted point."""
+    for size in range(1, len(comps) + 1):
+        for subset in itertools.combinations(range(len(comps)), size):
+            nn, mm = target
+            for i in subset:
+                nn += shifts[i] * comps[i].slope.b
+                mm -= shifts[i] * comps[i].slope.a
+            if not rect.contains(nn, mm):
+                return False
+    return True
+
+
+def dict_certificate_terms(target, shifts, comps):
+    """The reference certificate terms: each subset's term at its jointly
+    shifted point, merged in a dict in subset order, sorted by point, with
+    the zero sums dropped."""
+    q = len(comps)
+    merged = {}
+    for size in range(1, q + 1):
+        sign = (-1.0) ** (size - 1)
+        for subset in itertools.combinations(range(q), size):
+            n, m = target
+            for i in subset:
+                n += shifts[i] * comps[i].slope.b
+                m -= shifts[i] * comps[i].slope.a
+            angle = -sum(comps[i].slope.sigma * comps[i].omega * shifts[i] for i in subset)
+            coeff = sign * complex(math.cos(angle), math.sin(angle))
+            merged[(n, m)] = merged.get((n, m), 0.0 + 0.0j) + coeff
+    return tuple((point, coeff) for point, coeff in sorted(merged.items()) if coeff != 0.0)
+
+
+def term_bits(terms):
+    return [(point, coeff.real.hex(), coeff.imag.hex()) for point, coeff in terms]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    m=st.integers(min_value=1, max_value=14),
+    picks=st.lists(
+        st.tuples(st.sampled_from(CERT_SLOPES), st.floats(0.0, 6.28)), min_size=1, max_size=5
+    ),
+    shifts=st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+)
+@example(n=5, m=5, picks=[((1, 1), 0.9), ((1, -1), 1.6)], shifts=[1, 1, 0, 0, 0])
+def test_exhaustive_tuples_agree_with_admissibility(n, m, picks, shifts):
+    # the box test against every subset, at every lattice point, and each
+    # certificate against the dict-merged reference, bit for bit
+    rect = LatticeRect(n, m)
+    comps = [comp(a, b, omega, AR1(1.0, 0.5)) for (a, b), omega in picks]
+    assume(len({c.triple() for c in comps}) == len(comps))
+    shifts = tuple(shifts[:len(comps)])
+    points = list(rect.points())
+    admissible = [subset_loop_admissible(p, shifts, comps, rect) for p in points]
+    assert [shift_tuple_admissible(p, shifts, comps, rect) for p in points] == admissible
+    assert shift_tuple_admissible(np.array(points), shifts, comps, rect).tolist() == admissible
+    model = assemble_gamma(comps, rect)
+    for point, ok in zip(points, admissible):
+        if not ok:
+            with pytest.raises(ValueError, match="leaves the lattice"):
+                make_certificate(point, shifts, comps, rect)
+            continue
+        cert = make_certificate(point, shifts, comps, rect)
+        assert term_bits(cert.terms) == term_bits(dict_certificate_terms(point, shifts, comps))
+        assert verify_certificate(cert, model) <= 1e-12
 
 
 def run_verify(payload: dict) -> tuple[int, str, str]:
@@ -694,6 +745,10 @@ def test_real_certificates_cover_every_interior_config(n, m, picks):
         assert report["pass"] is True
         assert report["points_audited"] == rect.size - prediction.formula_value
         assert report["max_residual"] <= 1e-10
+        # the converse, which verify relies on: no certificate off the block
+        pairs = conjugate_pairs(comps)
+        for point in independent_points(pairs, rect):
+            assert find_certificate(point, pairs, rect) is None
     elif rect.size > 1:  # a single column is audited as an empty block
         assert code == 3
         assert json.loads(err)["error"] == "regime"
