@@ -18,6 +18,7 @@ Exit codes: 0 pass, 1 disagreement, 2 bad config or out of memory,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -317,8 +318,11 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     snapshots = synthesize_batch(model, run.trials, seed)
     estimate = sample_covariance(snapshots)
     exact_rank, _ = gamma_rank(model, rel_tol=args.tolerance)
-    # X = snapshots.conj() / sqrt(trials) has X^H X == estimate
-    sample_rank, _ = factor_rank(snapshots.conj() / math.sqrt(run.trials), rel_tol=args.tolerance)
+    # X = snapshots.conj() / sqrt(trials) has X^H X == estimate; np.conjugate
+    # copies a real batch too, where .conj() would return the batch itself
+    x = np.conjugate(snapshots)
+    x /= math.sqrt(run.trials)
+    sample_rank, _ = factor_rank(x, rel_tol=args.tolerance)
     rel_error = model.gap_to(estimate)
     # an --out path ending in .csv or .bin receives the matrix instead of the report
     save = {".csv": save_matrix_csv, ".bin": save_matrix_binary}.get((args.out or "")[-4:])
@@ -466,7 +470,11 @@ _VERBS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use and private to
+    main: it reads only the module's constant tables, and each parse_args
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="evarank",
         description="Low-rank evanescent-field covariance toolkit",
@@ -482,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _VERBS[args.mode][0]
     try:
         tolerance = getattr(args, "tolerance", None)

@@ -305,7 +305,9 @@ def sample_covariance(snapshots) -> np.ndarray:
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("snapshots must form a non-empty (L, N*M) array")
     # Entry (i, j) must be the mean of e_i * conj(e_j), snapshots as rows.
-    return data.T @ data.conj() / data.shape[0]
+    cov = data.T @ data.conj()
+    # in place, unless integer snapshots leave an integer sum to average
+    return np.divide(cov, data.shape[0], out=cov if cov.dtype.kind in "fc" else None)
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:

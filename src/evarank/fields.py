@@ -182,14 +182,23 @@ def synthesize_batch(model, trials: int, seed: int, noise_power: float = 0.0) ->
     The real model's cosine and sine carriers take two independent real
     draws.  One realization is a batch of one, reshaped to (N, M).
     Optional circular white noise of the given power is added per snapshot
-    (complex model only).
+    (complex model only): a real draw scaled into the real parts, then one
+    into the imaginary parts.  Apart from the output, one term buffer and
+    one noise draw of its size are allocated.
+
+    Raises:
+        ValueError: for trials below one, a noise power that is negative,
+            infinite or NaN, or noise on the real model.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0.0 <= noise_power < math.inf:
+        raise ValueError(f"noise power must be non-negative and finite, got {noise_power}")
     if model.real_valued and noise_power > 0.0:
         raise ValueError("snapshot noise is circular complex; the real model takes none")
     size = model.rect.size
     out = np.zeros((trials, size), dtype=model.dtype)
+    term = np.empty_like(out)
     for q, (block, lower) in enumerate(zip(model.blocks, model.lowers)):
         shape = (trials, lower.shape[0])
         rng = np.random.default_rng([seed, 1, q])
@@ -199,9 +208,16 @@ def synthesize_batch(model, trials: int, seed: int, noise_power: float = 0.0) ->
             else:
                 # circularly symmetric: unit variance split evenly over re/im
                 unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-            out += (unit @ lower.T)[:, block.rows] * np.conj(carrier)
+            # rows index within the block's length; "clip" writes straight into term
+            np.take(unit @ lower.T, block.rows, axis=1, out=term, mode="clip")
+            term *= np.conj(carrier)
+            out += term
     if noise_power > 0.0:
         rng = np.random.default_rng([seed, 2])
-        noise = rng.standard_normal((trials, size)) + 1j * rng.standard_normal((trials, size))
-        out += np.sqrt(noise_power / 2.0) * noise
+        scale = np.sqrt(noise_power / 2.0)
+        draw = np.empty((trials, size))
+        for part in (out.real, out.imag):
+            rng.standard_normal(out=draw)
+            draw *= scale
+            part += draw
     return out

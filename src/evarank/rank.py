@@ -34,6 +34,8 @@ from .fields import TWO_PI, conjugate_pairs
 from .lattice import LatticeRect
 
 _HALF_TURN_TOL = 1e-12
+# entries of one terms x points gather in verify_certificate: 1 MB of complex128
+_AUDIT_CHUNK_ENTRIES = 1 << 16
 
 
 class RegimeFlag(str, Enum):
@@ -319,11 +321,14 @@ def verify_certificate(
     builds there.  A term's flat index is the target's plus a fixed step,
     and a block's row n*a + m*b - k_min moves by the term's offset dotted
     with (a, b) at every point: the terms sharing a row form the same
-    groups everywhere, and each group is summed over all P points at once.
-    Within a group the terms add in certificate order, the target last,
-    and the groups' squared sums add in ascending row order.  Without `at`
-    the certificate is read at its own target, as the one-point case of
-    the same code.
+    groups everywhere, and each group is summed over a chunk of points at
+    once.  Per chunk, each carrier is read in one gather, w[steps[:, None] +
+    base]: a terms by points array of at most _AUDIT_CHUNK_ENTRIES entries
+    whose last row, the target's, also gives the norm.  It is weighted by
+    the coefficients in one product.  Within a group the terms add in
+    certificate order, the target last, and the groups' squared sums add in
+    ascending row order.  Without `at` the certificate is read at its own
+    target, as the one-point case of the same code.
 
     A real model's cos and sin carriers are fixed combinations of
     exp(-+1j*omega*v) on the same rows, so the certificate of its
@@ -347,19 +352,28 @@ def verify_certificate(
         raise ValueError(f"a certificate term leaves the {rect.N}x{rect.M} lattice")
     base = targets[:, 0] * rect.M + targets[:, 1]
     steps = offsets[:, 0] * rect.M + offsets[:, 1]
-    gap_sq = np.zeros(len(targets))
-    head_sq = np.zeros(len(targets))
-    for comp, block in zip(model.components, model.blocks):
+    # per block, the terms sharing a row, in certificate order; the groups in ascending row order
+    groups = []
+    for comp in model.components:
         moves = (offsets @ (comp.slope.a, comp.slope.b)).tolist()
-        # the terms sharing a row, in certificate order; the groups in ascending row order
-        groups = [[k for k, moved in enumerate(moves) if moved == move]
-                  for move in sorted(set(moves))]
-        for w in block.carriers:
-            sums = (sum(coeffs[k] * w[base + steps[k]] for k in group) for group in groups)
-            gap_sq += sum(total.real ** 2 + total.imag ** 2 for total in sums)
-            head = w[base]
-            head_sq += head.real ** 2 + head.imag ** 2
-    residuals = np.sqrt(gap_sq) / np.sqrt(head_sq)
+        groups.append([[k for k, moved in enumerate(moves) if moved == move]
+                       for move in sorted(set(moves))])
+    residuals = np.empty(len(targets))
+    # each point's sums are its own, so a chunk of points bounds the gathers' size
+    chunk = max(1, _AUDIT_CHUNK_ENTRIES // len(steps))
+    for lo in range(0, len(targets), chunk):
+        index = steps[:, None] + base[lo:lo + chunk]
+        gap_sq = np.zeros(index.shape[1])
+        head_sq = np.zeros(index.shape[1])
+        for block, block_groups in zip(model.blocks, groups):
+            for w in block.carriers:
+                column = w[index]  # terms x points; the last row is the target's
+                weighted = coeffs[:, None] * column
+                sums = (sum(weighted[k] for k in group) for group in block_groups)
+                gap_sq += sum(total.real ** 2 + total.imag ** 2 for total in sums)
+                head = column[-1]
+                head_sq += head.real ** 2 + head.imag ** 2
+        residuals[lo:lo + chunk] = np.sqrt(gap_sq) / np.sqrt(head_sq)
     return float(residuals[0]) if at is None else residuals
 
 

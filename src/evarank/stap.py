@@ -241,7 +241,9 @@ def suppression_experiment(
     snapshots = synthesize_batch(model, trials, seed, noise_power=scenario.noise_power)
     eigenvalues = np.zeros(rect.size)
     if trials < rect.size:
-        values, vectors = np.linalg.eigh(_short_gram(snapshots.conj() / math.sqrt(trials)))
+        y = snapshots.conj()  # a complex batch: a new array
+        y /= math.sqrt(trials)
+        values, vectors = np.linalg.eigh(_short_gram(y))
         eigenvalues[:trials] = np.clip(values[::-1], 0.0, None)
         # Y^H u spans the subspace; QR, not column norms, keeps U orthonormal
         # where u has lost accuracy on eigenvalues far below the largest

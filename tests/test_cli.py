@@ -971,3 +971,44 @@ def test_module_execution(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["agree"] is True
+
+
+def test_every_verb_repeats_in_one_process_on_one_parser(tmp_path, capsys, monkeypatch):
+    # main may be called again and again in one process: the parser is built at
+    # most once, and neither a usage error nor a config error between two rounds
+    # changes a byte of the second round
+    import argparse
+
+    built = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    payload = dict(INTERIOR, seed=4, trials=16, scenario=STAP["scenario"],
+                   grid={"N": [4, 8], "M": [5], "slopes": [[1, 1], [2, -1]]})
+    cfg = write_config(tmp_path, payload)
+    matrix = tmp_path / "estimate.bin"
+    verbs = [("rank",), ("verify",), ("grid",), ("simulate", "--out", str(matrix)), ("stap",)]
+
+    def one_round():
+        outputs = []
+        for verb, *extra in verbs:
+            code, out, err = run(capsys, verb, "--config", cfg, *extra)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        outputs.append(matrix.read_bytes())
+        matrix.unlink()
+        return outputs
+
+    first = one_round()
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--config", cfg, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run(capsys, "rank", "--config", str(tmp_path / "absent.json"))
+    assert (code, out, json.loads(err)["error"]) == (2, "", "config")
+    assert one_round() == first
+    assert built.count("evarank") <= 1

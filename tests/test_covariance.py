@@ -352,6 +352,13 @@ def test_sample_covariance_orientation():
     assert np.allclose(got, want, rtol=1e-15, atol=0)
 
 
+def test_sample_covariance_averages_integer_snapshots_to_floats():
+    # complex and float sums are divided in place; an integer sum cannot be
+    got = sample_covariance([[1, 2], [3, 4]])
+    assert got.dtype == np.float64
+    assert np.array_equal(got, [[5.0, 7.0], [7.0, 10.0]])
+
+
 def test_sample_covariance_rejects_empty():
     with pytest.raises(ValueError):
         sample_covariance([])

@@ -303,8 +303,13 @@ def test_batch_determinism_property(seed, omega):
     "trials, noise_power, real_valued, message",
     [(0, 0.0, False, "trials must be positive"),
      (-3, 0.0, True, "trials must be positive"),
-     (4, 0.5, True, "snapshot noise is circular complex")],
-    ids=["no-trials", "negative-trials", "noise-on-real"],
+     (4, 0.5, True, "snapshot noise is circular complex"),
+     (4, -1.0, False, "noise power must be non-negative and finite"),
+     (4, math.nan, False, "noise power must be non-negative and finite"),
+     (4, -math.inf, False, "noise power must be non-negative and finite"),
+     (4, math.inf, False, "noise power must be non-negative and finite")],
+    ids=["no-trials", "negative-trials", "noise-on-real",
+         "noise-negative", "noise-nan", "noise-minus-inf", "noise-inf"],
 )
 def test_synthesis_refusals_come_before_any_draw(monkeypatch, trials, noise_power, real_valued,
                                                  message):

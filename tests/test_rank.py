@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
@@ -838,3 +839,93 @@ def test_translated_certificate_must_stay_in_the_lattice():
     cert = find_certificate((3, 7), comps, rect)
     with pytest.raises(ValueError, match="leaves"):
         verify_certificate(cert, model, at=[(3, 7), (0, 0)])
+
+
+def per_term_residuals(cert, model, at=None):
+    """The audit with one carrier gather per term, as verify_certificate read
+    it before it gathered each carrier once: the same groups, the same
+    summation order, the same float operations."""
+    rect = model.rect
+    targets = np.asarray([cert.target] if at is None else at, dtype=np.int64).reshape(-1, 2)
+    offsets = np.array([p for p, _ in cert.terms] + [cert.target], dtype=np.int64) - cert.target
+    coeffs = np.array([c for _, c in cert.terms] + [-1.0], dtype=complex)
+    base = targets[:, 0] * rect.M + targets[:, 1]
+    steps = offsets[:, 0] * rect.M + offsets[:, 1]
+    gap_sq = np.zeros(len(targets))
+    head_sq = np.zeros(len(targets))
+    for component, block in zip(model.components, model.blocks):
+        moves = (offsets @ (component.slope.a, component.slope.b)).tolist()
+        groups = [[k for k, moved in enumerate(moves) if moved == move]
+                  for move in sorted(set(moves))]
+        for w in block.carriers:
+            sums = (sum(coeffs[k] * w[base + steps[k]] for k in group) for group in groups)
+            gap_sq += sum(total.real ** 2 + total.imag ** 2 for total in sums)
+            head = w[base]
+            head_sq += head.real ** 2 + head.imag ** 2
+    return np.sqrt(gap_sq) / np.sqrt(head_sq)
+
+
+def assert_audit_is_the_per_term_loop(comps, rect, real_valued):
+    """The whole block in one call, and the one-point call at its first and
+    last points, against per_term_residuals, bit for bit."""
+    model = assemble_gamma(comps, rect, real_valued=real_valued)
+    pairs = conjugate_pairs(comps) if real_valued else comps
+    points = dependent_points(pairs, rect)
+    cert = find_certificate(points[0], pairs, rect)
+    batch = verify_certificate(cert, model, at=points)
+    assert np.array_equal(batch, per_term_residuals(cert, model, at=points))
+    for point in (points[0], points[-1]):
+        own = find_certificate(point, pairs, rect)
+        single = verify_certificate(own, model)
+        assert np.array_equal(single, per_term_residuals(own, model)[0])
+        assert isinstance(single, float)
+
+
+AUDIT_SLOPES = ((3, 2), (2, 1), (1, 3), (1, -2))
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("seed", range(16))
+def test_one_gather_audit_is_the_per_term_loop_on_audit_configs(seed, real_valued):
+    # the audit benchmark's configs: its four slopes at 32 x 32, AR(1) and white
+    # processes alternating, frequencies away from 0 and pi
+    rng = random.Random(seed)
+    comps = []
+    for i, (a, b) in enumerate(AUDIT_SLOPES):
+        omega = rng.choice((rng.uniform(0.5, 2.6), rng.uniform(3.7, 5.8)))
+        variance = rng.uniform(0.5, 2.0)
+        process = AR1(variance, rng.uniform(0.3, 0.7)) if i % 2 == 0 else WHITE(variance)
+        comps.append(comp(a, b, omega, process))
+    assert_audit_is_the_per_term_loop(comps, LatticeRect(32, 32), real_valued)
+
+
+@pytest.mark.parametrize("entries", [1, 100, 1 << 30], ids=["point", "ragged", "whole"])
+def test_chunked_audit_is_the_per_term_loop(monkeypatch, entries):
+    # points are gathered in chunks of entries // terms, at least one: one point per
+    # chunk; 25 points (4 terms) over 88, the last chunk short, and 6 points (16
+    # terms); and the whole block in one chunk
+    import evarank.rank
+
+    monkeypatch.setattr(evarank.rank, "_AUDIT_CHUNK_ENTRIES", entries)
+    rect = LatticeRect(13, 11)
+    for real_valued in (False, True):
+        assert_audit_is_the_per_term_loop(comps_for([(1, 1), (2, -1)]), rect, real_valued)
+    assert_audit_is_the_per_term_loop(comps_for(AUDIT_SLOPES), LatticeRect(17, 19), False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=2, max_value=24),
+    m=st.integers(min_value=2, max_value=24),
+    picks=st.lists(
+        st.tuples(st.sampled_from(CERT_SLOPES), st.floats(0.0, 6.28)), min_size=1, max_size=4
+    ),
+)
+def test_one_gather_audit_is_the_per_term_loop_on_real_configs(n, m, picks):
+    # verify --real's configs: the real blocks read with the conjugate-pair set's certificate
+    rect = LatticeRect(n, m)
+    comps = [comp(a, b, omega, AR1(1.0, 0.5)) for (a, b), omega in picks]
+    assume(len({c.triple() for c in comps}) == len(comps))
+    assume(predict_rank(comps, rect, real_valued=True).trustworthy)
+    assume(dependent_points(conjugate_pairs(comps), rect))
+    assert_audit_is_the_per_term_loop(comps, rect, real_valued=True)
