@@ -318,9 +318,9 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     snapshots = synthesize_batch(model, run.trials, seed)
     estimate = sample_covariance(snapshots)
     exact_rank, _ = gamma_rank(model, rel_tol=args.tolerance)
-    # X = snapshots.conj() / sqrt(trials) has X^H X == estimate; np.conjugate
-    # copies a real batch too, where .conj() would return the batch itself
-    x = np.conjugate(snapshots)
+    # X = snapshots.conj() / sqrt(trials) has X^H X == estimate; the estimate
+    # is formed, so X takes the batch's own buffer
+    x = np.conjugate(snapshots, out=snapshots)
     x /= math.sqrt(run.trials)
     sample_rank, _ = factor_rank(x, rel_tol=args.tolerance)
     rel_error = model.gap_to(estimate)

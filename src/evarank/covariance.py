@@ -17,7 +17,10 @@ blockdiag(L^T) C has F F^H = blockdiag(L^T) G blockdiag(L), so Gamma's
 nonzero spectrum needs no F.  With the Cholesky roundoff E =
 blockdiag(R_k - L_k L_k^T), Gamma - F^H F = C^H E C, so its squared norm
 is tr(E G E G).  The gap to a sample covariance gathers Gamma in row tiles
-of its upper triangle and never holds it whole.
+of its upper triangle and never holds it whole.  The sample covariance, and
+the snapshot Gram of `rank.factor_rank` and `stap`, are built from the row
+tiles of their own upper triangle, one product per tile, and are exactly
+Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -242,34 +245,27 @@ def _upper_sum_sq(tile: np.ndarray, width: int) -> float:
     return 2.0 * np.vdot(tile, tile).real - np.vdot(square, square).real
 
 
-def _norm_parts(x: np.ndarray) -> tuple[float, float]:
-    """(n, s) with ||x||_F = n * s, neither overflowed nor lost to underflow."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    if 1e-100 < norm < math.inf:
-        # no partial sum of squares overflowed, and squares that underflowed are negligible
-        return norm, 1.0
-    # real division: a complex one by a subnormal scale overflows on its reciprocal
-    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    scale = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
-    if scale == 0.0:
-        return 0.0, 1.0
-    return math.hypot(*(float(np.linalg.norm(part / scale)) for part in parts)), scale
-
-
-def relative_gap(approx: np.ndarray, exact: np.ndarray) -> float:
-    """||approx - exact||_F / ||exact||_F, and 0.0 when exact is zero: the
-    dense reference for the model's residual and gap.
-
-    Scale-safe: a norm whose sum of squares would overflow or underflow is
-    taken on its array divided by its largest magnitude.  At ordinary
-    scales no array is copied, and the quotient is the plain one.
-    """
-    exact_norm, exact_scale = _norm_parts(exact)
-    if exact_norm == 0.0:
-        return 0.0
-    gap_norm, gap_scale = _norm_parts(approx - exact)
-    return (gap_norm / exact_norm) * (gap_scale / exact_scale)
+def _hermitian_gram(a: np.ndarray) -> np.ndarray:
+    """a^T conj(a), the sum of e e^H over a's rows e, exactly Hermitian, from
+    its upper row tiles: tile [lo, hi) is the conjugate of one product
+    conj(a[:, lo:hi])^T a[:, lo:], its leading square averaged with its own
+    conjugate transpose, and mirrored below.  Input that is not floating
+    point is multiplied in float64, where an int64 product would wrap."""
+    if a.dtype.kind not in "fc":
+        a = a.astype(np.float64)
+    size = a.shape[1]
+    out = np.empty((size, size), a.dtype)
+    for lo in range(0, size, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, size)
+        tile = out[lo:hi, lo:]
+        # conjugating a's column tile, not a, keeps the copy to one tile
+        np.matmul(a[:, lo:hi].conj().T, a[:, lo:], out=tile)
+        np.conjugate(tile, out=tile)
+        square = out[lo:hi, lo:hi]
+        square += square.conj().T
+        square /= 2.0
+        np.conjugate(out[lo:hi, hi:].T, out=out[hi:, lo:hi])
+    return out
 
 
 def assemble_gamma(
@@ -297,17 +293,18 @@ def assemble_gamma(
 
 
 def sample_covariance(snapshots) -> np.ndarray:
-    """Empirical covariance (1/L) * sum of outer products e e^H.
+    """Empirical covariance (1/L) * sum of outer products e e^H, built from
+    the row tiles of its upper triangle and exactly Hermitian.
 
     Accepts a 2-D array, or a list of vectors, with one snapshot per row.
+    Snapshots that are not floating point are averaged in float64.
     """
     data = np.asarray(snapshots)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("snapshots must form a non-empty (L, N*M) array")
-    # Entry (i, j) must be the mean of e_i * conj(e_j), snapshots as rows.
-    cov = data.T @ data.conj()
-    # in place, unless integer snapshots leave an integer sum to average
-    return np.divide(cov, data.shape[0], out=cov if cov.dtype.kind in "fc" else None)
+    cov = _hermitian_gram(data)
+    cov /= data.shape[0]
+    return cov
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:

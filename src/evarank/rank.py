@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .covariance import CovarianceModel
+from .covariance import CovarianceModel, _hermitian_gram
 from .fields import TWO_PI, conjugate_pairs
 from .lattice import LatticeRect
 
@@ -160,11 +160,8 @@ def _padded_rank(gram: np.ndarray, size: int, rel_tol: float | None) -> tuple[in
 def _short_gram(factor: np.ndarray) -> np.ndarray:
     """The Gram of X on its short side, X X^H or X^H X, exactly Hermitian."""
     rows, size = factor.shape
-    if rows <= size:
-        gram = factor @ factor.conj().T
-    else:
-        gram = factor.conj().T @ factor
-    return (gram + gram.conj().T) / 2.0
+    # X X^H sums x x^H over the columns x of X, and X^H X over the rows of conj(X)
+    return _hermitian_gram(factor.T if rows <= size else factor.conj())
 
 
 def _default_rel_tol(dim: int) -> float:

@@ -123,12 +123,6 @@ def scenario_to_components(scenario: StapScenario) -> list[EvanescentComponent]:
     return comps
 
 
-def interference_covariance(scenario: StapScenario) -> np.ndarray:
-    """Exact interference-plus-noise covariance Gamma + noise_power * I."""
-    gamma = assemble_gamma(scenario_to_components(scenario), scenario.rect).gamma
-    return gamma + scenario.noise_power * np.eye(scenario.rect.size)
-
-
 def dominant_projection(covariance: np.ndarray, r: int) -> np.ndarray:
     """Projector onto the complement of the top-r eigenvectors.
 

@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 from functools import cached_property
@@ -9,7 +10,6 @@ from evarank.covariance import (
     CovarianceModel,
     assemble_gamma,
     load_matrix_binary,
-    relative_gap,
     sample_covariance,
     save_matrix_binary,
     save_matrix_csv,
@@ -24,6 +24,7 @@ from evarank.fields import (
     synthesize_batch,
 )
 from evarank.lattice import LatticeRect, SlopePair, make_slope_pair
+from evarank.rank import _short_gram
 
 AR1 = lambda var, ar: ModulatingProcessSpec(ProcessKind.AR1, var, ar)
 WHITE = lambda var: ModulatingProcessSpec(ProcessKind.WHITE, var, 0.0)
@@ -31,6 +32,36 @@ WHITE = lambda var: ModulatingProcessSpec(ProcessKind.WHITE, var, 0.0)
 
 def comp(a, b, omega, process=None):
     return EvanescentComponent(make_slope_pair(a, b), omega, process or WHITE(1.0))
+
+
+def _norm_parts(x: np.ndarray) -> tuple[float, float]:
+    """(n, s) with ||x||_F = n * s, neither overflowed nor lost to underflow."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if 1e-100 < norm < math.inf:
+        # no partial sum of squares overflowed, and squares that underflowed are negligible
+        return norm, 1.0
+    # real division: a complex one by a subnormal scale overflows on its reciprocal
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    scale = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
+    if scale == 0.0:
+        return 0.0, 1.0
+    return math.hypot(*(float(np.linalg.norm(part / scale)) for part in parts)), scale
+
+
+def relative_gap(approx: np.ndarray, exact: np.ndarray) -> float:
+    """||approx - exact||_F / ||exact||_F, and 0.0 when exact is zero: the
+    dense reference for the model's residual and gap.
+
+    Scale-safe: a norm whose sum of squares would overflow or underflow is
+    taken on its array divided by its largest magnitude.  At ordinary
+    scales no array is copied, and the quotient is the plain one.
+    """
+    exact_norm, exact_scale = _norm_parts(exact)
+    if exact_norm == 0.0:
+        return 0.0
+    gap_norm, gap_scale = _norm_parts(approx - exact)
+    return (gap_norm / exact_norm) * (gap_scale / exact_scale)
 
 
 def distinct_rows(a, b, rect):
@@ -359,9 +390,66 @@ def test_sample_covariance_averages_integer_snapshots_to_floats():
     assert np.array_equal(got, [[5.0, 7.0], [7.0, 10.0]])
 
 
+def test_sample_covariance_does_not_wrap_integer_products():
+    # int64 products wrap: (2**32)**2 read 0.0 and 3037000500**2 a negative variance
+    assert sample_covariance([[2**32, 1]])[0, 0] == 2.0**64
+    got = sample_covariance([[3037000500, 0], [1, 1]])
+    assert got[0, 0] == (3037000500.0**2 + 1.0) / 2.0 > 0.0
+
+
 def test_sample_covariance_rejects_empty():
     with pytest.raises(ValueError):
         sample_covariance([])
+
+
+# --- Hermitian Grams from upper row tiles --------------------------------------
+
+# Gram sizes around the 256-row tile, and the two sides of N*M for the trial count
+GRAM_SIZES = [1, 255, 256, 257, 600]
+
+
+def gram_input(rows, cols, kind, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        return rng.integers(-9, 10, size=(rows, cols))
+    data = rng.standard_normal((rows, cols))
+    if kind == "complex":
+        data = data + 1j * rng.standard_normal((rows, cols))
+    return data
+
+
+def assert_hermitian_and_close(got, want):
+    assert np.array_equal(got, got.conj().T)
+    assert not np.any(np.diagonal(got).imag)
+    # entries that cancel to near zero carry the roundoff of the largest ones
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "integer"])
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("size", GRAM_SIZES)
+def test_sample_covariance_is_exactly_hermitian(size, side, kind):
+    # N*M = size; trials below N*M (down to 1) or above it
+    trials = max(size // 2, 1) if side == "below" else size + 7
+    data = gram_input(trials, size, kind)
+    got = sample_covariance(data)
+    assert got.shape == (size, size)
+    # the full product of both triangles, as the estimate was once formed
+    assert_hermitian_and_close(got, data.T @ data.conj() / trials)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "integer"])
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("size", GRAM_SIZES)
+def test_short_gram_is_exactly_hermitian(size, side, kind):
+    # a factor X of trials x N*M whose short-side Gram is size x size
+    shape = (size, size + 7) if side == "below" else (size + 7, size)
+    factor = gram_input(*shape, kind)
+    got = _short_gram(factor)
+    assert got.shape == (size, size)
+    # the averaged full Gram on the short side
+    full = factor @ factor.conj().T if side == "below" else factor.conj().T @ factor
+    assert_hermitian_and_close(got, (full + full.conj().T) / 2.0)
 
 
 # --- export ------------------------------------------------------------------

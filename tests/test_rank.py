@@ -280,6 +280,20 @@ def test_factor_rank_of_scaled_snapshots_matches_dense_sample_rank(trials, real_
     np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+def test_sample_covariance_takes_the_symmetric_eigensolve(monkeypatch, real_valued):
+    # the estimate is exactly Hermitian by construction, so the dense sample-rank
+    # reference above reads eigvalsh, whatever the BLAS build's roundoff
+    def unused(*args, **kwargs):
+        raise AssertionError("numerical_rank took the SVD route")
+
+    monkeypatch.setattr(np.linalg, "svd", unused)
+    model = assemble_gamma(comps_for([(1, 1), (2, -1)]), LatticeRect(8, 8), real_valued=real_valued)
+    for trials in (20, 150):
+        rank, _ = numerical_rank(sample_covariance(synthesize_batch(model, trials, seed=5)))
+        assert rank == min(trials, 56 if real_valued else 34)
+
+
 _SLOPES = [(0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (2, -1), (1, -2), (3, 2), (3, -1)]
 
 

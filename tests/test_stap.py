@@ -17,10 +17,15 @@ from evarank.stap import (
     StapScenario,
     TargetSpec,
     dominant_projection,
-    interference_covariance,
     scenario_to_components,
     suppression_experiment,
 )
+
+
+def interference_covariance(scenario):
+    """Exact interference-plus-noise covariance Gamma + noise_power * I."""
+    gamma = assemble_gamma(scenario_to_components(scenario), scenario.rect).gamma
+    return gamma + scenario.noise_power * np.eye(scenario.rect.size)
 
 
 def jammer_scenario(n=8, m=8, jnr_db=60.0, j=2, noise=1.0):
