@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
+    _divide,
     assemble_gamma,
     sample_covariance,
     save_matrix_binary,
@@ -321,7 +322,7 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     # X = snapshots.conj() / sqrt(trials) has X^H X == estimate; the estimate
     # is formed, so X takes the batch's own buffer
     x = np.conjugate(snapshots, out=snapshots)
-    x /= math.sqrt(run.trials)
+    _divide(x, math.sqrt(run.trials))
     sample_rank, _ = factor_rank(x, rel_tol=args.tolerance)
     rel_error = model.gap_to(estimate)
     # an --out path ending in .csv or .bin receives the matrix instead of the report

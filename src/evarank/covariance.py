@@ -268,6 +268,16 @@ def _hermitian_gram(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _divide(x: np.ndarray, divisor: float) -> None:
+    """x /= divisor in place, bit for bit.  numpy divides a complex array by
+    a real number as the product with 1.0 / divisor, so that product is
+    taken directly, without the general complex division loop."""
+    if np.iscomplexobj(x):
+        x *= 1.0 / divisor
+    else:
+        x /= divisor
+
+
 def assemble_gamma(
     components, rect: LatticeRect, real_valued: bool = False
 ) -> CovarianceModel:
@@ -303,7 +313,7 @@ def sample_covariance(snapshots) -> np.ndarray:
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("snapshots must form a non-empty (L, N*M) array")
     cov = _hermitian_gram(data)
-    cov /= data.shape[0]
+    _divide(cov, data.shape[0])
     return cov
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import assemble_gamma
+from .covariance import _divide, assemble_gamma
 from .fields import (
     TWO_PI,
     EvanescentComponent,
@@ -236,7 +236,7 @@ def suppression_experiment(
     eigenvalues = np.zeros(rect.size)
     if trials < rect.size:
         y = snapshots.conj()  # a complex batch: a new array
-        y /= math.sqrt(trials)
+        _divide(y, math.sqrt(trials))
         values, vectors = np.linalg.eigh(_short_gram(y))
         eigenvalues[:trials] = np.clip(values[::-1], 0.0, None)
         # Y^H u spans the subspace; QR, not column norms, keeps U orthonormal

@@ -8,6 +8,7 @@ import pytest
 
 from evarank.covariance import (
     CovarianceModel,
+    _divide,
     assemble_gamma,
     load_matrix_binary,
     sample_covariance,
@@ -395,6 +396,15 @@ def test_sample_covariance_does_not_wrap_integer_products():
     assert sample_covariance([[2**32, 1]])[0, 0] == 2.0**64
     got = sample_covariance([[3037000500, 0], [1, 1]])
     assert got[0, 0] == (3037000500.0**2 + 1.0) / 2.0 > 0.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("divisor", [3, 64, 500, math.sqrt(512), math.sqrt(7), 0.1])
+def test_divide_is_numpy_division_bit_for_bit(divisor, kind):
+    data = gram_input(40, 50, kind, seed=3) * 10.0 ** np.random.default_rng(4).uniform(-30, 30, (40, 50))
+    want = data / divisor
+    _divide(data, divisor)
+    assert data.tobytes() == want.tobytes()
 
 
 def test_sample_covariance_rejects_empty():
