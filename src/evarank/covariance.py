@@ -196,7 +196,8 @@ class CovarianceModel:
             hi = min(lo + _TILE_ROWS, size)
             exact = exact_rows(lo, hi)
             exact_sq += _upper_sum_sq(exact, hi - lo)
-            gap = matrix[lo:hi, lo:] / unit - exact
+            # unit is a power of four, so the product is exact and skips complex division
+            gap = matrix[lo:hi, lo:] * (1.0 / unit) - exact
             gap_sq += _upper_sum_sq(gap, hi - lo)
         if exact_sq == 0.0:
             return 0.0
@@ -260,18 +261,19 @@ def _hermitian_gram(a: np.ndarray) -> np.ndarray:
         tile = out[lo:hi, lo:]
         # conjugating a's column tile, not a, keeps the copy to one tile
         np.matmul(a[:, lo:hi].conj().T, a[:, lo:], out=tile)
+        # the block below the tile is the plain transpose of the unconjugated product
+        out[hi:, lo:hi] = tile[:, hi - lo:].T
         np.conjugate(tile, out=tile)
         square = out[lo:hi, lo:hi]
         square += square.conj().T
-        square /= 2.0
-        np.conjugate(out[lo:hi, hi:].T, out=out[hi:, lo:hi])
+        square *= 0.5  # exact, where numpy's complex division by 2.0 is a slower loop
     return out
 
 
 def _divide(x: np.ndarray, divisor: float) -> None:
-    """x /= divisor in place, bit for bit.  numpy divides a complex array by
-    a real number as the product with 1.0 / divisor, so that product is
-    taken directly, without the general complex division loop."""
+    """x /= divisor in place, with numpy's rounding.  numpy divides a complex
+    array by a real number as the product with 1.0 / divisor, so that
+    product is taken directly, without the general complex division loop."""
     if np.iscomplexobj(x):
         x *= 1.0 / divisor
     else:
