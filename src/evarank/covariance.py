@@ -17,10 +17,9 @@ blockdiag(L^T) C has F F^H = blockdiag(L^T) G blockdiag(L), so Gamma's
 nonzero spectrum needs no F.  With the Cholesky roundoff E =
 blockdiag(R_k - L_k L_k^T), Gamma - F^H F = C^H E C, so its squared norm
 is tr(E G E G).  The gap to a sample covariance gathers Gamma in row tiles
-of its upper triangle and never holds it whole.  The sample covariance, and
-the snapshot Gram of `rank.factor_rank` and `stap`, are built from the row
-tiles of their own upper triangle, one product per tile, and are exactly
-Hermitian by construction.
+of its upper triangle and never holds it whole.  The sample covariance and
+the snapshot Gram of `rank.factor_rank` and `stap` come from the row tiles
+of their own upper triangle, exactly Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -305,11 +304,9 @@ def assemble_gamma(
 
 
 def sample_covariance(snapshots) -> np.ndarray:
-    """Empirical covariance (1/L) * sum of outer products e e^H, built from
-    the row tiles of its upper triangle and exactly Hermitian.
-
-    Accepts a 2-D array, or a list of vectors, with one snapshot per row.
-    Snapshots that are not floating point are averaged in float64.
+    """Empirical covariance (1/L) * sum of outer products e e^H, exactly
+    Hermitian.  Accepts a 2-D array, or a list of vectors, with one snapshot
+    per row; snapshots that are not floating point are averaged in float64.
     """
     data = np.asarray(snapshots)
     if data.ndim != 2 or data.shape[0] < 1:
