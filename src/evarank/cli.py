@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
-    _divide,
     assemble_gamma,
     sample_covariance,
     save_matrix_binary,
@@ -40,12 +39,13 @@ from .fields import (
     ModulatingProcessSpec,
     ProcessKind,
     conjugate_pairs,
-    synthesize_batch,
+    draw_lines,
+    scatter_lines,
 )
 from .lattice import LatticeRect, make_slope_pair
 from .rank import (
     dependent_point_set,
-    factor_rank,
+    estimate_rank,
     find_certificate,
     gamma_rank,
     make_certificate,  # noqa: F401  uncalled; perfbench's tracer finds it here (ROADMAP item 1)
@@ -316,14 +316,12 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     comps = parse_components(cfg)
     model = assemble_gamma(comps, rect, real_valued=run.real_valued)
     prediction = predict_rank(comps, rect, real_valued=run.real_valued)
-    snapshots = synthesize_batch(model, run.trials, seed)
+    # the line draws stay for the sample rank, read on the estimate's shortest side
+    lines = draw_lines(model, run.trials, seed)
+    snapshots = scatter_lines(model, lines)
     estimate = sample_covariance(snapshots)
     exact_rank, _ = gamma_rank(model, rel_tol=args.tolerance)
-    # X = snapshots.conj() / sqrt(trials) has X^H X == estimate; the estimate
-    # is formed, so X takes the batch's own buffer
-    x = np.conjugate(snapshots, out=snapshots)
-    _divide(x, math.sqrt(run.trials))
-    sample_rank, _ = factor_rank(x, rel_tol=args.tolerance)
+    sample_rank, _ = estimate_rank(model, lines, snapshots, estimate, rel_tol=args.tolerance)
     rel_error = model.gap_to(estimate)
     # an --out path ending in .csv or .bin receives the matrix instead of the report
     save = {".csv": save_matrix_csv, ".bin": save_matrix_binary}.get((args.out or "")[-4:])

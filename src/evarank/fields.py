@@ -1,4 +1,6 @@
-"""Evanescent field components, their factor blocks, and seeded synthesis.
+"""Evanescent field components, their factor blocks, and seeded synthesis
+in two stages: line-space draws, one per process sample and carrier, then
+their scatter onto the lattice.
 
 A component pins a coprime slope (a, b), a modulation frequency omega, and a
 1-D modulating process.  Sample (n, m) of the complex component is
@@ -173,49 +175,82 @@ def factor_block(
     return FactorBlock(rows, carriers, comp.process, length)
 
 
-def synthesize_batch(model, trials: int, seed: int, noise_power: float = 0.0) -> np.ndarray:
-    """Seeded snapshots of the model's component sum, shape (trials, N*M).
+def draw_lines(model, trials: int, seed: int) -> np.ndarray:
+    """Seeded line-space draws of the model's component sum, shape
+    (trials, sum(rows)): one column block V_k = u_k L^T per carrier, in the
+    model's block and carrier order, the lines of its line Gram.
 
     Component q draws from the stream (seed, 1, q) one unit draw u per
-    carrier and colours it with the model's Cholesky factor L of its block,
-    so the snapshot is x = sum_q C_q^H L_q u_q and its covariance is Gamma.
+    carrier, of the block's length, and colours it with the model's
+    Cholesky factor L of its block, so each row of V_k has covariance R.
     The real model's cosine and sine carriers take two independent real
-    draws.  One realization is a batch of one, reshaped to (N, M).
+    draws; the complex model's draws are circularly symmetric.
+
+    Raises:
+        ValueError: for trials below one.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    width = sum(block.length * len(block.carriers) for block in model.blocks)
+    lines = np.empty((trials, width), dtype=model.dtype)
+    lo = 0
+    for q, (block, lower) in enumerate(zip(model.blocks, model.lowers)):
+        shape = (trials, block.length)
+        rng = np.random.default_rng([seed, 1, q])
+        for _ in block.carriers:
+            if model.real_valued:
+                unit = rng.standard_normal(shape)
+            else:
+                unit = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                # unit variance split evenly over re/im; numpy's complex division
+                # by a real number is this product, through a slower loop
+                unit *= 1.0 / np.sqrt(2.0)
+            lines[:, lo:lo + block.length] = unit @ lower.T
+            lo += block.length
+    return lines
+
+
+def scatter_lines(model, lines: np.ndarray) -> np.ndarray:
+    """The snapshots x = sum_k C_k^H v_k of line-space draws (`draw_lines`),
+    shape (trials, N*M): lattice point j of carrier w reads column rows[j]
+    of its block, times conj(w[j]).  Apart from the output, one term
+    buffer is allocated."""
+    out = np.zeros((lines.shape[0], model.rect.size), dtype=model.dtype)
+    term = np.empty_like(out)
+    lo = 0
+    for block in model.blocks:
+        for carrier in block.carriers:
+            # rows index within the block's length; "clip" writes straight into term
+            np.take(lines[:, lo:lo + block.length], block.rows, axis=1, out=term, mode="clip")
+            term *= np.conj(carrier)
+            out += term
+            lo += block.length
+    return out
+
+
+def synthesize_batch(model, trials: int, seed: int, noise_power: float = 0.0) -> np.ndarray:
+    """Seeded snapshots of the model's component sum, shape (trials, N*M):
+    `scatter_lines(model, draw_lines(model, trials, seed))`, so the
+    snapshot is x = sum_q C_q^H L_q u_q and its covariance is Gamma.
+    One realization is a batch of one, reshaped to (N, M).
     Optional circular white noise of the given power is added per snapshot
     (complex model only): a real draw scaled into the real parts, then one
-    into the imaginary parts.  Apart from the output, one term buffer and
-    one noise draw of its size are allocated.
+    into the imaginary parts.  Besides the line draws, one term buffer and
+    one noise draw of the output's size are allocated.
 
     Raises:
         ValueError: for trials below one, a noise power that is negative,
             infinite or NaN, or noise on the real model.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     if not 0.0 <= noise_power < math.inf:
         raise ValueError(f"noise power must be non-negative and finite, got {noise_power}")
     if model.real_valued and noise_power > 0.0:
         raise ValueError("snapshot noise is circular complex; the real model takes none")
-    size = model.rect.size
-    out = np.zeros((trials, size), dtype=model.dtype)
-    term = np.empty_like(out)
-    for q, (block, lower) in enumerate(zip(model.blocks, model.lowers)):
-        shape = (trials, lower.shape[0])
-        rng = np.random.default_rng([seed, 1, q])
-        for carrier in block.carriers:
-            if model.real_valued:
-                unit = rng.standard_normal(shape)
-            else:
-                # circularly symmetric: unit variance split evenly over re/im
-                unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-            # rows index within the block's length; "clip" writes straight into term
-            np.take(unit @ lower.T, block.rows, axis=1, out=term, mode="clip")
-            term *= np.conj(carrier)
-            out += term
+    out = scatter_lines(model, draw_lines(model, trials, seed))
     if noise_power > 0.0:
         rng = np.random.default_rng([seed, 2])
         scale = np.sqrt(noise_power / 2.0)
-        draw = np.empty((trials, size))
+        draw = np.empty(out.shape)
         for part in (out.real, out.imag):
             rng.standard_normal(out=draw)
             draw *= scale

@@ -9,7 +9,8 @@ in the interior regime (sum|a_q| < M, sum|b_q| < N, and no two components
 on one slope at one frequency).  A real field is the complex one on the
 conjugate-pair set.  This module computes that prediction, measures the
 numerical rank of an assembled covariance against it (read from its
-whitened line Gram by `gamma_rank`), and backs the count with explicit
+whitened line Gram by `gamma_rank`, and a sample covariance's from its
+line-space draws by `estimate_rank`), and backs the count with explicit
 linear-dependence certificates: inclusion-exclusion combinations over
 shifts along the slope lines that reconstruct a factor column exactly from
 other columns.  A shift tuple's subset offsets fill one bounding box, so a
@@ -29,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .covariance import CovarianceModel, _hermitian_gram
+from .covariance import CovarianceModel, _divide, _hermitian_gram
 from .fields import TWO_PI, conjugate_pairs
 from .lattice import LatticeRect
 
@@ -131,19 +132,49 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
 def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
     """numerical_rank of the model's Gamma, read from `model.short_gram()`:
     the whitened line Gram blockdiag(L^T) G blockdiag(L), sum(rows) square,
-    when the factor has at most N*M rows, Gamma itself otherwise.  The cut
-    and the zero-padding are factor_rank's."""
+    when the factor has at most N*M rows, Gamma itself otherwise, under the
+    cut and zero-padding of `_padded_rank`."""
     return _padded_rank(model.short_gram(), model.rect.size, rel_tol)
 
 
-def factor_rank(factor: np.ndarray, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
-    """numerical_rank of the covariance X^H X, read from the factor X.
+def estimate_rank(
+    model: CovarianceModel,
+    lines: np.ndarray,
+    snapshots: np.ndarray,
+    estimate: np.ndarray,
+    rel_tol: float | None = None,
+) -> tuple[int, np.ndarray]:
+    """numerical_rank of a sample covariance of the model, under the cut and
+    zero-padding of `_padded_rank`, read on its shortest side.
 
-    The nonzero eigenvalues of X^H X are those of the Gram of X on its
-    short side: X X^H when X has at most N*M = X.shape[1] rows, X^H X
-    otherwise.  A sample covariance's factor is snapshots.conj() / sqrt(L).
+    `lines` are L trials of line-space draws V (`fields.draw_lines`),
+    `snapshots` their scatter, and `estimate` the sample covariance X^H X for
+    X = snapshots.conj() / sqrt(L).  With W = V.conj() / sqrt(L) the estimate
+    is C^H W^H W C, so for the QR W = Q T its nonzero eigenvalues are those
+    of T G T^H, with G = C C^H the model's line Gram.  The side is chosen
+    from sizes alone:
+
+    - T G T^H, sum(rows) square, when 2 * min(L, sum(rows)) <= min(L, N*M):
+      the QR and the two products cost about one more eigensolve of its size;
+    - else X X^H, L square, when L <= N*M; X is formed in the buffer of
+      `snapshots`, which is overwritten;
+    - else the estimate itself.
     """
-    return _padded_rank(_short_gram(factor), factor.shape[1], rel_tol)
+    trials, size = snapshots.shape
+    if 2 * min(trials, lines.shape[1]) <= min(trials, size):
+        w = np.conjugate(lines)
+        _divide(w, math.sqrt(trials))
+        t = np.linalg.qr(w, mode="r")
+        gram = t @ model._line_gram @ t.conj().T
+        gram += np.conjugate(gram.T)
+        gram *= 0.5
+    elif trials <= size:
+        x = np.conjugate(snapshots, out=snapshots)
+        _divide(x, math.sqrt(trials))
+        gram = _short_gram(x)
+    else:
+        gram = estimate
+    return _padded_rank(gram, size, rel_tol)
 
 
 def _padded_rank(gram: np.ndarray, size: int, rel_tol: float | None) -> tuple[int, np.ndarray]:

@@ -936,6 +936,46 @@ def test_verbs_decompose_no_full_size_matrix(tmp_path, capsys, monkeypatch, argv
     assert full not in shapes
 
 
+# the stap_mc companion's shape: 32 x 32, 512 trials, sum(rows) = 156 + 94 = 250
+STAP_MC_LIKE = {"rect": {"N": 32, "M": 32}, "seed": 7, "trials": 512,
+                "components": SCALED_COMPONENTS[:1] + [{"a": 2, "b": 1, "omega": 1.6}]}
+
+
+@pytest.mark.parametrize(
+    "payload, short_grams, hermitian_grams",
+    [
+        (STAP_MC_LIKE, 0, 1),  # 2 * 250 <= 512: the line side; the estimate is the one Gram
+        (dict(INTERIOR, seed=4, trials=32), 1, 2),  # 32 trials, 58 lines: X X^H
+        # 40 trials over 16 points, 2 * 26 lines > 16: the estimate is ranked itself
+        ({"rect": {"N": 4, "M": 4}, "components": SCALED_COMPONENTS[:1] + [
+            {"a": 2, "b": 1, "omega": 1.6}], "seed": 4, "trials": 40}, 0, 1),
+    ],
+    ids=["line", "trials", "estimate"],
+)
+def test_simulate_ranks_the_shortest_side(tmp_path, capsys, monkeypatch, payload, short_grams,
+                                          hermitian_grams):
+    import evarank.covariance
+    import evarank.rank
+
+    calls = {"short": 0, "hermitian": 0}
+
+    def counted(key, original):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(evarank.rank, "_short_gram", counted("short", evarank.rank._short_gram))
+    hermitian = counted("hermitian", evarank.covariance._hermitian_gram)
+    for module in (evarank.covariance, evarank.rank):  # sample_covariance's and _short_gram's
+        monkeypatch.setattr(module, "_hermitian_gram", hermitian)
+    code, out, err = run(capsys, "simulate", "--config", write_config(tmp_path, payload))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["sample_rank"] == report["expected_sample_rank"]
+    assert calls == {"short": short_grams, "hermitian": hermitian_grams}
+
+
 @pytest.mark.parametrize(
     "argv, payload",
     [

@@ -10,6 +10,7 @@ from evarank.fields import (
     EvanescentComponent,
     ModulatingProcessSpec,
     ProcessKind,
+    draw_lines,
     lattice_map,
     modulating_indices,
     process_covariance,
@@ -151,6 +152,14 @@ def recursion_synthesis(components, rect, trials, seed, noise_power=0.0, real_va
     return out
 
 
+SYNTHESIS_COMPS = [
+    comp(1, 1, 0.9, WHITE(1.5)),
+    comp(2, -1, 2.0, AR1(1.0, 0.55)),
+    comp(0, 1, 1.3, AR1(2.0, -0.9)),
+    comp(3, 2, 0.4, AR1(0.5, 0.3)),
+]
+
+
 @pytest.mark.parametrize(
     "real_valued, noise_power",
     [(False, 0.0), (False, 0.5), (True, 0.0)],
@@ -158,16 +167,68 @@ def recursion_synthesis(components, rect, trials, seed, noise_power=0.0, real_va
 )
 def test_synthesis_matches_the_recursion(real_valued, noise_power):
     rect = LatticeRect(9, 7)
-    comps = [
-        comp(1, 1, 0.9, WHITE(1.5)),
-        comp(2, -1, 2.0, AR1(1.0, 0.55)),
-        comp(0, 1, 1.3, AR1(2.0, -0.9)),
-        comp(3, 2, 0.4, AR1(0.5, 0.3)),
-    ]
-    got = synthesize_batch(assemble_gamma(comps, rect, real_valued), 16, 11, noise_power)
-    want = recursion_synthesis(comps, rect, 16, 11, noise_power, real_valued)
+    got = synthesize_batch(assemble_gamma(SYNTHESIS_COMPS, rect, real_valued), 16, 11, noise_power)
+    want = recursion_synthesis(SYNTHESIS_COMPS, rect, 16, 11, noise_power, real_valued)
     assert got.dtype == want.dtype
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def single_loop_synthesis(model, trials, seed, noise_power=0.0):
+    """The synthesis as one loop, before its draw and scatter stages were
+    split: per carrier a unit draw, divided by sqrt(2) when complex, coloured
+    by L, gathered into a term buffer and added up; then the noise."""
+    out = np.zeros((trials, model.rect.size), dtype=model.dtype)
+    term = np.empty_like(out)
+    for q, (block, lower) in enumerate(zip(model.blocks, model.lowers)):
+        shape = (trials, lower.shape[0])
+        rng = np.random.default_rng([seed, 1, q])
+        for carrier in block.carriers:
+            if model.real_valued:
+                unit = rng.standard_normal(shape)
+            else:
+                unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+            np.take(unit @ lower.T, block.rows, axis=1, out=term, mode="clip")
+            term *= np.conj(carrier)
+            out += term
+    if noise_power > 0.0:
+        rng = np.random.default_rng([seed, 2])
+        scale = np.sqrt(noise_power / 2.0)
+        draw = np.empty((trials, model.rect.size))
+        for part in (out.real, out.imag):
+            rng.standard_normal(out=draw)
+            draw *= scale
+            part += draw
+    return out
+
+
+@pytest.mark.parametrize(
+    "real_valued, noise_power",
+    [(False, 0.0), (False, 0.5), (True, 0.0)],
+    ids=["complex", "complex-noise", "real"],
+)
+@pytest.mark.parametrize("trials", [1, 16, 300])
+def test_synthesis_is_the_single_loop_bit_for_bit(trials, real_valued, noise_power):
+    for comps in (SYNTHESIS_COMPS, []):
+        model = assemble_gamma(comps, LatticeRect(9, 7), real_valued)
+        got = synthesize_batch(model, trials, 11, noise_power)
+        want = single_loop_synthesis(model, trials, 11, noise_power)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trials", [1, 512])
+def test_complex_draws_are_the_divided_draws_bit_for_bit(trials):
+    # the draw stage scales by 1 / sqrt(2), the product numpy's complex division takes
+    model = assemble_gamma(SYNTHESIS_COMPS, LatticeRect(9, 7))
+    lines = draw_lines(model, trials, 5)
+    lo = 0
+    for q, (block, lower) in enumerate(zip(model.blocks, model.lowers)):
+        rng = np.random.default_rng([5, 1, q])
+        shape = (trials, block.length)
+        unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        assert lines[:, lo:lo + block.length].tobytes() == (unit @ lower.T).tobytes()
+        lo += block.length
+    assert lo == lines.shape[1]
 
 
 def test_seeded_synthesis_is_bit_identical():

@@ -19,13 +19,17 @@ from evarank.fields import (
     ModulatingProcessSpec,
     ProcessKind,
     conjugate_pairs,
+    draw_lines,
+    scatter_lines,
     synthesize_batch,
 )
 from evarank.lattice import LatticeRect, make_slope_pair
 from evarank.rank import (
     RegimeFlag,
+    _padded_rank,
+    _short_gram,
     dependent_point_set,
-    factor_rank,
+    estimate_rank,
     find_certificate,
     gamma_rank,
     make_certificate,
@@ -234,6 +238,13 @@ def test_zero_matrix_has_rank_zero():
 
 # --- factor route against the dense oracle -----------------------------------
 
+def factor_rank(factor, rel_tol=None):
+    """Reference rank of the covariance X^H X, read from its factor X: the
+    Gram on the short side of X, X X^H or X^H X, under the cut that the
+    N*M x N*M covariance gets, N*M = X.shape[1], the spectrum zero-padded."""
+    return _padded_rank(_short_gram(factor), factor.shape[1], rel_tol)
+
+
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
 def test_factor_rank_matches_dense_oracle_on_stock_grid(real_valued):
     for rect, comps in default_grid_cells():
@@ -328,6 +339,86 @@ def test_factor_rank_equals_dense_rank_and_formula_on_interior_configs(
     model, pred = interior_model(n, m, slopes, ars, real_valued)
     rank, _ = factor_rank(model.whitened_factor())
     assert rank == numerical_rank(model.gamma)[0] == pred.formula_value
+
+
+# --- simulate's sample rank against the factor reference --------------------
+
+# any lattice up to 12 x 12 with up to three components, the empty set, the
+# regime's outside and repeated slopes included, and any trial count up to 400
+SIMULATE_CONFIGS = dict(
+    n=st.integers(1, 12),
+    m=st.integers(1, 12),
+    slopes=st.lists(st.sampled_from(_SLOPES), max_size=3),
+    ars=st.lists(st.floats(-0.7, 0.7), min_size=3, max_size=3),
+    trials=st.integers(1, 400),
+    real_valued=st.booleans(),
+    tolerance=st.none() | st.floats(-12.0, -2.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**31),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**SIMULATE_CONFIGS)
+# one per route: 12 lines (24 real) against 64 trials and 144 points, the
+# line side; 20 trials against 37 lines, the trials side; 40 trials against
+# 16 points, the estimate; and the empty set
+@example(n=12, m=12, slopes=[(0, 1)], ars=[0.5] * 3, trials=64, real_valued=False,
+         tolerance=None, seed=1)
+@example(n=12, m=12, slopes=[(0, 1)], ars=[0.5] * 3, trials=64, real_valued=True,
+         tolerance=1e-6, seed=2)
+@example(n=8, m=8, slopes=[(1, 1), (2, -1)], ars=[0.5] * 3, trials=20, real_valued=False,
+         tolerance=None, seed=3)
+@example(n=4, m=4, slopes=[(3, 2), (2, 1)], ars=[0.5] * 3, trials=40, real_valued=False,
+         tolerance=1e-9, seed=4)
+@example(n=4, m=4, slopes=[(3, 2), (2, 1)], ars=[0.5] * 3, trials=40, real_valued=True,
+         tolerance=None, seed=5)
+@example(n=6, m=5, slopes=[], ars=[0.5] * 3, trials=30, real_valued=False, tolerance=None,
+         seed=6)
+def test_simulate_sample_rank_equals_the_factor_reference(
+    n, m, slopes, ars, trials, real_valued, tolerance, seed
+):
+    comps = [
+        comp(a, b, 0.5 + 1.1 * i, AR1(1.0 + i, ar))
+        for i, ((a, b), ar) in enumerate(zip(slopes, ars))
+    ]
+    payload = {
+        "rect": {"N": n, "M": m},
+        "components": [
+            {"a": c.slope.a, "b": c.slope.b, "omega": c.omega,
+             "process": {"kind": "ar1", "variance": c.process.variance,
+                         "ar_coefficient": c.process.ar_coefficient}}
+            for c in comps
+        ],
+        "trials": trials,
+        "seed": seed,
+    }
+    flags = ["--real"] * real_valued + ["--tolerance", repr(tolerance)] * (tolerance is not None)
+    code, out, err = run_verb(payload, "simulate", *flags)
+    assert code == 0, err
+    model = assemble_gamma(comps, LatticeRect(n, m), real_valued=real_valued)
+    snapshots = synthesize_batch(model, trials, seed)
+    rank, _ = factor_rank(snapshots.conj() / math.sqrt(trials), rel_tol=tolerance)
+    assert json.loads(out)["sample_rank"] == rank
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize(
+    "n, slopes, trials",
+    # two components, so that G is not diagonal: 24 lines (48 real) against 100 trials
+    [(12, [(0, 1), (1, 0)], 100), (8, [(1, 1), (2, -1)], 20), (4, [(3, 2), (2, 1)], 40)],
+    ids=["line", "trials", "estimate"],
+)
+def test_estimate_rank_spectrum_matches_the_dense_sample_covariance(n, slopes, trials,
+                                                                    real_valued):
+    model = assemble_gamma(comps_for(slopes), LatticeRect(n, n), real_valued=real_valued)
+    lines = draw_lines(model, trials, 5)
+    snapshots = scatter_lines(model, lines)
+    estimate = sample_covariance(snapshots)
+    dense_rank, dense = numerical_rank(estimate)
+    rank, spectrum = estimate_rank(model, lines, snapshots, estimate)
+    assert rank == dense_rank
+    assert spectrum.shape == dense.shape == (n * n,)
+    np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
 
 
 # --- Gamma's rank from the whitened line Gram against the dense oracle ------
@@ -721,14 +812,14 @@ def test_exhaustive_tuples_agree_with_admissibility(n, m, picks, shifts):
         assert verify_certificate(cert, model) <= 1e-12
 
 
-def run_verify(payload: dict) -> tuple[int, str, str]:
-    """`evarank verify` on a config written to a temporary file."""
+def run_verb(payload: dict, verb: str = "verify", *flags: str) -> tuple[int, str, str]:
+    """`evarank <verb>` on a config written to a temporary file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(payload))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify", "--config", str(path)])
+            code = main([verb, "--config", str(path), *flags])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -753,7 +844,7 @@ def test_real_certificates_cover_every_interior_config(n, m, picks):
                        for (a, b), omega in picks],
         "real_valued": True,
     }
-    code, out, err = run_verify(payload)
+    code, out, err = run_verb(payload)
     if prediction.trustworthy:
         assert code == 0, err
         report = json.loads(out)
