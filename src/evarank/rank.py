@@ -137,13 +137,8 @@ def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[in
     return _padded_rank(model.short_gram(), model.rect.size, rel_tol)
 
 
-def estimate_rank(
-    model: CovarianceModel,
-    lines: np.ndarray,
-    snapshots: np.ndarray,
-    estimate: np.ndarray,
-    rel_tol: float | None = None,
-) -> tuple[int, np.ndarray]:
+def estimate_rank(model: CovarianceModel, lines: np.ndarray, snapshots: np.ndarray,
+                  estimate: np.ndarray, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
     """numerical_rank of a sample covariance of the model, under the cut and
     zero-padding of `_padded_rank`, read on its shortest side.
 
@@ -153,10 +148,9 @@ def estimate_rank(
     is C^H W^H W C, so for the QR W = Q T its nonzero eigenvalues are those
     of T G T^H, with G = C C^H the model's line Gram.  The side is chosen
     from sizes alone:
-
     - T G T^H, sum(rows) square, when 2 * min(L, sum(rows)) <= min(L, N*M):
       the QR and the two products cost about one more eigensolve of its size;
-    - else X X^H, L square, when L <= N*M; X is formed in the buffer of
+    - else X X^H, L square, when L <= N*M, formed in the buffer of
       `snapshots`, which is overwritten;
     - else the estimate itself.
     """
