@@ -316,12 +316,12 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     comps = parse_components(cfg)
     model = assemble_gamma(comps, rect, real_valued=run.real_valued)
     prediction = predict_rank(comps, rect, real_valued=run.real_valued)
-    # the line draws stay for the sample rank, read on the estimate's shortest side
+    # the line draws stay for the sample rank, read on the estimate's short side
     lines = draw_lines(model, run.trials, seed)
     snapshots = scatter_lines(model, lines)
     estimate = sample_covariance(snapshots)
     exact_rank, _ = gamma_rank(model, rel_tol=args.tolerance)
-    sample_rank, _ = estimate_rank(model, lines, snapshots, estimate, rel_tol=args.tolerance)
+    sample_rank, _ = estimate_rank(model, lines, estimate, rel_tol=args.tolerance)
     rel_error = model.gap_to(estimate)
     # an --out path ending in .csv or .bin receives the matrix instead of the report
     save = {".csv": save_matrix_csv, ".bin": save_matrix_binary}.get((args.out or "")[-4:])

@@ -18,8 +18,8 @@ nonzero spectrum needs no F.  With the Cholesky roundoff E =
 blockdiag(R_k - L_k L_k^T), Gamma - F^H F = C^H E C, so its squared norm
 is tr(E G E G).  The gap to a sample covariance gathers Gamma in row tiles
 of its upper triangle and never holds it whole.  The sample covariance and
-the trials-by-trials snapshot Gram (`rank._short_gram`) come from the row
-tiles of their own upper triangle, exactly Hermitian by construction.
+`stap`'s trials-by-trials snapshot Gram come from the row tiles of their
+own upper triangle, exactly Hermitian by construction.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .covariance import CovarianceModel, _divide, _hermitian_gram
+from .covariance import CovarianceModel, _divide
 from .fields import TWO_PI, conjugate_pairs
 from .lattice import LatticeRect
 
@@ -137,37 +137,30 @@ def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[in
     return _padded_rank(model.short_gram(), model.rect.size, rel_tol)
 
 
-def estimate_rank(model: CovarianceModel, lines: np.ndarray, snapshots: np.ndarray,
-                  estimate: np.ndarray, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
+def estimate_rank(model: CovarianceModel, lines: np.ndarray, estimate: np.ndarray,
+                  rel_tol: float | None = None) -> tuple[int, np.ndarray]:
     """numerical_rank of a sample covariance of the model, under the cut and
-    zero-padding of `_padded_rank`, read on its shortest side.
+    zero-padding of `_padded_rank`, read on its short side.
 
-    `lines` are L trials of line-space draws V (`fields.draw_lines`),
-    `snapshots` their scatter, and `estimate` the sample covariance X^H X for
-    X = snapshots.conj() / sqrt(L).  With W = V.conj() / sqrt(L) the estimate
-    is C^H W^H W C, so for the QR W = Q T its nonzero eigenvalues are those
-    of T G T^H, with G = C C^H the model's line Gram.  The side is chosen
-    from sizes alone:
-    - T G T^H, sum(rows) square, when 2 * min(L, sum(rows)) <= min(L, N*M):
-      the QR and the two products cost about one more eigensolve of its size;
-    - else X X^H, L square, when L <= N*M, formed in the buffer of
-      `snapshots`, which is overwritten;
-    - else the estimate itself.
+    `lines` are L trials of line-space draws V (`fields.draw_lines`) and
+    `estimate` the sample covariance of their scatter.  With W = V.conj() /
+    sqrt(L) the estimate is C^H W^H W C, so for the QR W = Q T, T of
+    min(L, sum(rows)) rows, its nonzero eigenvalues are those of T G T^H,
+    with G = C C^H the model's line Gram.  T G T^H is ranked when L <= N*M,
+    where it is at most L square, or when 2 * sum(rows) <= N*M, where the QR
+    and the two products cost about one more eigensolve of its size;
+    otherwise the estimate itself is.
     """
-    trials, size = snapshots.shape
-    if 2 * min(trials, lines.shape[1]) <= min(trials, size):
-        w = np.conjugate(lines)
-        _divide(w, math.sqrt(trials))
-        t = np.linalg.qr(w, mode="r")
-        gram = t @ model._line_gram @ t.conj().T
-        gram += np.conjugate(gram.T)
-        gram *= 0.5
-    elif trials <= size:
-        x = np.conjugate(snapshots, out=snapshots)
-        _divide(x, math.sqrt(trials))
-        gram = _short_gram(x)
-    else:
-        gram = estimate
+    trials, rows = lines.shape
+    size = model.rect.size
+    if trials > size and 2 * rows > size:
+        return _padded_rank(estimate, size, rel_tol)
+    w = np.conjugate(lines)
+    _divide(w, math.sqrt(trials))
+    t = np.linalg.qr(w, mode="r")
+    gram = t @ model._line_gram @ t.conj().T
+    gram += np.conjugate(gram.T)
+    gram *= 0.5
     return _padded_rank(gram, size, rel_tol)
 
 
@@ -180,13 +173,6 @@ def _padded_rank(gram: np.ndarray, size: int, rel_tol: float | None) -> tuple[in
         rel_tol = _default_rel_tol(size)
     rank, spectrum = numerical_rank(gram, rel_tol=rel_tol)
     return rank, np.concatenate([spectrum, np.zeros(size - spectrum.size)])
-
-
-def _short_gram(factor: np.ndarray) -> np.ndarray:
-    """The Gram of X on its short side, X X^H or X^H X, exactly Hermitian."""
-    rows, size = factor.shape
-    # X X^H sums x x^H over the columns x of X, and X^H X over the rows of conj(X)
-    return _hermitian_gram(factor.T if rows <= size else factor.conj())
 
 
 def _default_rel_tol(dim: int) -> float:

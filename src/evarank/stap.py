@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _divide, assemble_gamma
+from .covariance import _divide, _hermitian_gram, assemble_gamma
 from .fields import (
     TWO_PI,
     EvanescentComponent,
@@ -25,7 +25,7 @@ from .fields import (
     synthesize_batch,
 )
 from .lattice import LatticeRect, make_slope_pair
-from .rank import RankPrediction, _short_gram, predict_rank
+from .rank import RankPrediction, predict_rank
 
 # Squared norms of the draws reach N*M * trials * their mean power; a draw's
 # squared sum exceeds 100 times its mean with probability of about exp(-100).
@@ -237,7 +237,7 @@ def suppression_experiment(
     if trials < rect.size:
         y = snapshots.conj()  # a complex batch: a new array
         _divide(y, math.sqrt(trials))
-        values, vectors = np.linalg.eigh(_short_gram(y))
+        values, vectors = np.linalg.eigh(_hermitian_gram(y.T))  # Y Y^H
         eigenvalues[:trials] = np.clip(values[::-1], 0.0, None)
         # Y^H u spans the subspace; QR, not column norms, keeps U orthonormal
         # where u has lost accuracy on eigenvalues far below the largest

@@ -942,22 +942,24 @@ STAP_MC_LIKE = {"rect": {"N": 32, "M": 32}, "seed": 7, "trials": 512,
 
 
 @pytest.mark.parametrize(
-    "payload, short_grams, hermitian_grams",
+    "payload, qrs, ranked",
     [
-        (STAP_MC_LIKE, 0, 1),  # 2 * 250 <= 512: the line side; the estimate is the one Gram
-        (dict(INTERIOR, seed=4, trials=32), 1, 2),  # 32 trials, 58 lines: X X^H
-        # 40 trials over 16 points, 2 * 26 lines > 16: the estimate is ranked itself
-        ({"rect": {"N": 4, "M": 4}, "components": SCALED_COMPONENTS[:1] + [
-            {"a": 2, "b": 1, "omega": 1.6}], "seed": 4, "trials": 40}, 0, 1),
+        (STAP_MC_LIKE, 1, 250),  # 512 trials, 250 lines: T G T^H, 250 square
+        (dict(INTERIOR, seed=4, trials=32), 1, 32),  # 32 trials, 58 lines: T G T^H, 32 square
+        # 200 trials over 144 points, 2 * 12 lines <= 144: T G T^H, 12 square
+        ({"rect": {"N": 12, "M": 12}, "components": [{"a": 0, "b": 1, "omega": 0.9}],
+          "seed": 4, "trials": 200}, 1, 12),
+        # 100 trials over 64 points, 2 * 58 lines > 64: the estimate is ranked itself
+        (dict(INTERIOR, seed=4, trials=100), 0, 64),
     ],
-    ids=["line", "trials", "estimate"],
+    ids=["line", "wide-draws", "many-trials", "estimate"],
 )
-def test_simulate_ranks_the_shortest_side(tmp_path, capsys, monkeypatch, payload, short_grams,
-                                          hermitian_grams):
+def test_simulate_ranks_the_short_side(tmp_path, capsys, monkeypatch, payload, qrs, ranked):
     import evarank.covariance
     import evarank.rank
 
-    calls = {"short": 0, "hermitian": 0}
+    calls = {"qr": 0, "hermitian": 0}
+    shapes = []
 
     def counted(key, original):
         def wrapped(*args, **kwargs):
@@ -965,15 +967,22 @@ def test_simulate_ranks_the_shortest_side(tmp_path, capsys, monkeypatch, payload
             return original(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(evarank.rank, "_short_gram", counted("short", evarank.rank._short_gram))
-    hermitian = counted("hermitian", evarank.covariance._hermitian_gram)
-    for module in (evarank.covariance, evarank.rank):  # sample_covariance's and _short_gram's
-        monkeypatch.setattr(module, "_hermitian_gram", hermitian)
+    def padded(gram, size, rel_tol):
+        shapes.append(gram.shape)
+        return padded_rank(gram, size, rel_tol)
+
+    padded_rank = evarank.rank._padded_rank
+    monkeypatch.setattr(evarank.rank, "_padded_rank", padded)
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    # sample_covariance's Gram is the only one: no trials x trials Gram of the snapshots
+    monkeypatch.setattr(evarank.covariance, "_hermitian_gram",
+                        counted("hermitian", evarank.covariance._hermitian_gram))
     code, out, err = run(capsys, "simulate", "--config", write_config(tmp_path, payload))
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["sample_rank"] == report["expected_sample_rank"]
-    assert calls == {"short": short_grams, "hermitian": hermitian_grams}
+    assert calls == {"qr": qrs, "hermitian": 1}
+    assert shapes[-1] == (ranked, ranked)  # gamma_rank's comes first
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from evarank.covariance import (
     CovarianceModel,
     _divide,
+    _hermitian_gram,
     assemble_gamma,
     load_matrix_binary,
     sample_covariance,
@@ -25,7 +26,6 @@ from evarank.fields import (
     synthesize_batch,
 )
 from evarank.lattice import LatticeRect, SlopePair, make_slope_pair
-from evarank.rank import _short_gram
 
 AR1 = lambda var, ar: ModulatingProcessSpec(ProcessKind.AR1, var, ar)
 WHITE = lambda var: ModulatingProcessSpec(ProcessKind.WHITE, var, 0.0)
@@ -452,10 +452,11 @@ def test_sample_covariance_is_exactly_hermitian(size, side, kind):
 @pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("size", GRAM_SIZES)
 def test_short_gram_is_exactly_hermitian(size, side, kind):
-    # a factor X of trials x N*M whose short-side Gram is size x size
+    # a factor X of trials x N*M whose short-side Gram is size x size: X X^H, as
+    # stap takes it, sums x x^H over the columns x of X, and X^H X over the rows of conj(X)
     shape = (size, size + 7) if side == "below" else (size + 7, size)
     factor = gram_input(*shape, kind)
-    got = _short_gram(factor)
+    got = _hermitian_gram(factor.T if side == "below" else factor.conj())
     assert got.shape == (size, size)
     # the averaged full Gram on the short side
     full = factor @ factor.conj().T if side == "below" else factor.conj().T @ factor

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evarank.cli import default_grid_cells, main
-from evarank.covariance import assemble_gamma, sample_covariance
+from evarank.covariance import _hermitian_gram, assemble_gamma, sample_covariance
 from evarank.fields import (
     EvanescentComponent,
     ModulatingProcessSpec,
@@ -27,7 +27,6 @@ from evarank.lattice import LatticeRect, make_slope_pair
 from evarank.rank import (
     RegimeFlag,
     _padded_rank,
-    _short_gram,
     dependent_point_set,
     estimate_rank,
     find_certificate,
@@ -242,7 +241,10 @@ def factor_rank(factor, rel_tol=None):
     """Reference rank of the covariance X^H X, read from its factor X: the
     Gram on the short side of X, X X^H or X^H X, under the cut that the
     N*M x N*M covariance gets, N*M = X.shape[1], the spectrum zero-padded."""
-    return _padded_rank(_short_gram(factor), factor.shape[1], rel_tol)
+    rows, size = factor.shape
+    # X X^H sums x x^H over the columns x of X, and X^H X over the rows of conj(X)
+    gram = _hermitian_gram(factor.T if rows <= size else factor.conj())
+    return _padded_rank(gram, size, rel_tol)
 
 
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
@@ -360,8 +362,8 @@ SIMULATE_CONFIGS = dict(
 @settings(max_examples=100, deadline=None)
 @given(**SIMULATE_CONFIGS)
 # one per route: 12 lines (24 real) against 64 trials and 144 points, the
-# line side; 20 trials against 37 lines, the trials side; 40 trials against
-# 16 points, the estimate; and the empty set
+# line side; 20 trials against 37 lines, the line side with W wider than
+# tall; 40 trials against 16 points, the estimate; and the empty set
 @example(n=12, m=12, slopes=[(0, 1)], ars=[0.5] * 3, trials=64, real_valued=False,
          tolerance=None, seed=1)
 @example(n=12, m=12, slopes=[(0, 1)], ars=[0.5] * 3, trials=64, real_valued=True,
@@ -406,7 +408,7 @@ def test_simulate_sample_rank_equals_the_factor_reference(
     "n, slopes, trials",
     # two components, so that G is not diagonal: 24 lines (48 real) against 100 trials
     [(12, [(0, 1), (1, 0)], 100), (8, [(1, 1), (2, -1)], 20), (4, [(3, 2), (2, 1)], 40)],
-    ids=["line", "trials", "estimate"],
+    ids=["line", "wide-draws", "estimate"],
 )
 def test_estimate_rank_spectrum_matches_the_dense_sample_covariance(n, slopes, trials,
                                                                     real_valued):
@@ -415,7 +417,7 @@ def test_estimate_rank_spectrum_matches_the_dense_sample_covariance(n, slopes, t
     snapshots = scatter_lines(model, lines)
     estimate = sample_covariance(snapshots)
     dense_rank, dense = numerical_rank(estimate)
-    rank, spectrum = estimate_rank(model, lines, snapshots, estimate)
+    rank, spectrum = estimate_rank(model, lines, estimate)
     assert rank == dense_rank
     assert spectrum.shape == dense.shape == (n * n,)
     np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
