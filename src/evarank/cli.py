@@ -38,6 +38,7 @@ from .fields import (
     EvanescentComponent,
     ModulatingProcessSpec,
     ProcessKind,
+    _refuse_overflow,
     conjugate_pairs,
     draw_lines,
     scatter_lines,
@@ -286,15 +287,14 @@ def cmd_verify(cfg: dict, run: RunSettings, args) -> int:
         # every block point admits the canonical certificate, the same one up to
         # translation, so it is built once and its translates read in one pass
         cert = find_certificate(tuple(targets[0].tolist()), comps, rect)
-        shifts = list(cert.shifts)
         # rank <= N*M - |block| by induction needs every term strictly earlier in
         # the (m, -n) order; translation keeps the order, so one check covers all
         late = [p for p, _ in cert.terms if (p[1], -p[0]) >= (cert.target[1], -cert.target[0])]
         if late:
             failures.append({"point": list(cert.target), "kind": "order", "term": list(late[0]),
-                             "shifts": shifts, "residual": None})
+                             "residual": None})
         residuals = verify_certificate(cert, model, at=targets)
-        failures += [{"point": targets[i].tolist(), "kind": "residual", "shifts": shifts,
+        failures += [{"point": targets[i].tolist(), "kind": "residual",
                       "residual": float(residuals[i])} for i in np.flatnonzero(residuals > tol)]
     report = {
         "mode": "verify",
@@ -314,6 +314,7 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     seed = run.require_seed()
     rect = parse_rect(cfg)
     comps = parse_components(cfg)
+    _refuse_overflow(comps, rect, run.trials)
     model = assemble_gamma(comps, rect, real_valued=run.real_valued)
     prediction = predict_rank(comps, rect, real_valued=run.real_valued)
     # the line draws stay for the sample rank, read on the estimate's short side

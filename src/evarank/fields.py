@@ -14,6 +14,7 @@ by one short 1-D process: the source of every rank deficiency measured later.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -23,6 +24,9 @@ import numpy as np
 from .lattice import LatticeRect, SlopePair
 
 TWO_PI = 2.0 * math.pi
+# Squared norms of the draws reach N*M * trials * their mean power; a draw's
+# squared sum exceeds 100 times its mean with probability of about exp(-100).
+_POWER_HEADROOM = 1e2
 
 
 class ProcessKind(str, Enum):
@@ -173,6 +177,22 @@ def factor_block(
     else:
         carriers = (np.exp(-1j * comp.omega * coords),)
     return FactorBlock(rows, carriers, comp.process, length)
+
+
+def _refuse_overflow(components, rect: LatticeRect, trials: int, noise_power: float = 0.0) -> None:
+    """Raises ValueError when N*M * trials * power * _POWER_HEADROOM, the
+    snapshots' squared norms with headroom, would pass the float64 maximum.
+    An entry's power is the noise power plus each component's marginal
+    variance / (1 - ar^2), its carriers having unit modulus (cos^2 + sin^2 = 1
+    in the real model, whose two carriers take independent draws)."""
+    limit = sys.float_info.max / (_POWER_HEADROOM * rect.size)
+    power = noise_power + sum(c.process.variance / (1.0 - c.process.ar_coefficient**2)
+                              for c in components)
+    if power and trials > limit / power:  # an int compared, never converted: trials may be huge
+        raise ValueError(
+            f"snapshot power overflows float64: N*M * trials * {power:g} "
+            f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
+        )
 
 
 def draw_lines(model, trials: int, seed: int) -> np.ndarray:

@@ -1,12 +1,12 @@
-"""Integer lattice geometry: slope pairs, the lattice rectangle, and the
-half-plane total order.
+"""Integer lattice geometry: slope pairs and the lattice rectangle.
 
 Everything downstream (field synthesis, covariance structure, rank counting)
 reduces to arithmetic on a coprime slope pair (a, b) over a finite N-by-M
 lattice rectangle, so the primitives live here and stay dependency-free.
 The points of the rectangle on one line of a slope are the shifts
-(n + t*b, m - t*a) of any one of them: `fields.lattice_map` gives them one
-process row, and `rank.find_certificate` shifts by one step along each line.
+(n + t*b, m - t*a) of any one of them, along which the line index n*a + m*b
+is constant: `fields.lattice_map` gives them one process row, and
+`rank.find_certificate` shifts by one step along each line.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ class SlopePair:
         if math.gcd(self.a, self.b) != 1:
             raise ValueError(f"slope pair ({self.a}, {self.b}) is not coprime")
         det = self.a * self.d - self.b * self.c
-        expected = -1 if (self.a, self.b) == (0, 1) else 1
-        if det != expected:
+        if det != self.sigma:
             raise ValueError(
-                f"companion determinant a*d - b*c = {det}, expected {expected} "
+                f"companion determinant a*d - b*c = {det}, expected {self.sigma} "
                 f"for slope ({self.a}, {self.b})"
             )
 
@@ -63,10 +62,6 @@ class SlopePair:
     def sigma(self) -> int:
         """Companion determinant a*d - b*c, either +1 or -1."""
         return -1 if (self.a, self.b) == (0, 1) else 1
-
-    def column_index(self, n: int, m: int) -> int:
-        """Index of the lattice line through (n, m): constant along (b, -a)."""
-        return n * self.a + m * self.b
 
 
 def make_slope_pair(a: int, b: int) -> SlopePair:
@@ -102,7 +97,8 @@ def make_slope_pair(a: int, b: int) -> SlopePair:
 
 @dataclass(frozen=True)
 class LatticeRect:
-    """Finite index rectangle D = {0..N-1} x {0..M-1}, vectorized row-major."""
+    """Finite index rectangle D = {0..N-1} x {0..M-1}, vectorized row-major:
+    point (n, m) has index n*M + m."""
 
     N: int
     M: int
@@ -120,35 +116,3 @@ class LatticeRect:
 
     def contains(self, n: int, m: int) -> bool:
         return 0 <= n < self.N and 0 <= m < self.M
-
-    def vec_index(self, n: int, m: int) -> int:
-        """Position of (n, m) in the row-major stacking, n*M + m."""
-        if not self.contains(n, m):
-            raise ValueError(f"point ({n}, {m}) outside {self.N}x{self.M} lattice")
-        return n * self.M + m
-
-    def points(self):
-        """All lattice points in vectorization order."""
-        for n in range(self.N):
-            for m in range(self.M):
-                yield (n, m)
-
-
-def rnshp_precedes(p1: tuple[int, int], p2: tuple[int, int], slope: SlopePair) -> bool:
-    """True when p1 comes no later than p2 in the half-plane order of `slope`.
-
-    The order compares the line index n*a + m*b first, then position along
-    the tied line.  The published tie-break "m <= 0" identifies a unique half
-    of the line whenever a > 0 but degenerates for (0, 1), where m is
-    constant on the tied line; comparing n as a final key restores a genuine
-    total order for every slope while agreeing with the original definition
-    whenever that definition is unambiguous.
-    """
-    n = p1[0] - p2[0]
-    m = p1[1] - p2[1]
-    key = n * slope.a + m * slope.b
-    if key != 0:
-        return key < 0
-    if m != 0:
-        return m < 0
-    return n <= 0

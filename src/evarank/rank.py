@@ -11,14 +11,15 @@ conjugate-pair set.  This module computes that prediction, measures the
 numerical rank of an assembled covariance against it (read from its
 whitened line Gram by `gamma_rank`, and a sample covariance's from its
 line-space draws by `estimate_rank`), and backs the count with explicit
-linear-dependence certificates: inclusion-exclusion combinations over
-shifts along the slope lines that reconstruct a factor column exactly from
-other columns.  A shift tuple's subset offsets fill one bounding box, so a
-target admits the tuple when the box's two corners, translated to it, are
-inside the lattice; the dependent block is the set of points that admit the
-canonical all-ones tuple, and no search is made.  Its coefficients do not
-depend on the target, so one certificate, translated, is checked at every
-point in a single pass.
+linear-dependence certificates.  There is one, the canonical certificate:
+an inclusion-exclusion combination over joint shifts, one step along each
+component's slope line, that reconstructs a factor column exactly from
+columns earlier in the (m, -n) order.  Its subset offsets fill one bounding
+box, so a target admits it when the box's two corners, translated to it,
+are inside the lattice; the dependent block is the set of points that
+admit it, and no search is made.  Its coefficients do not depend on the
+target, so one certificate, translated, is checked at every point in a
+single pass.
 """
 
 from __future__ import annotations
@@ -200,39 +201,30 @@ class DependencyCertificate:
     """
 
     target: tuple[int, int]
-    shifts: tuple[int, ...]
     terms: tuple[tuple[tuple[int, int], complex], ...]
 
 
-def _shift_box(shifts, components) -> tuple[np.ndarray, np.ndarray]:
-    """The bounding box (lo, hi) of the subset offsets sum_S t_i * (b_i, -a_i).
+def _shift_box(components) -> tuple[np.ndarray, np.ndarray]:
+    """The bounding box (lo, hi) of the subset offsets sum_S (b_i, -a_i).
 
     In each coordinate lo sums the negative steps and hi the positive ones,
     so each extreme is the offset of the subset of those steps alone.
     """
-    steps = np.array(
-        [(t * c.slope.b, -t * c.slope.a) for t, c in zip(shifts, components, strict=True)],
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    steps = np.array([(c.slope.b, -c.slope.a) for c in components], dtype=np.int64).reshape(-1, 2)
     return np.minimum(steps, 0).sum(0), np.maximum(steps, 0).sum(0)
 
 
-def shift_tuple_admissible(
-    target, shifts, components, rect: LatticeRect
-) -> bool | np.ndarray:
-    """True when every nonempty-subset shift of `target` stays in the lattice.
+def shift_tuple_admissible(target, components, rect: LatticeRect) -> bool:
+    """True when every nonempty subset's joint shift of `target`, one step
+    along each of its components' lines, stays in the lattice.
 
     Every subset offset lies in `_shift_box`, and each of the box's extremes
     is reached by some subset, so for a target inside the rectangle the
     answer is that target + lo and target + hi are both inside.  lo <= 0 <=
-    hi, so a target outside the rectangle is never admissible.  `target`
-    may also be a (P, 2) array of points: the answer is then a boolean
-    array.
+    hi, so a target outside the rectangle is never admissible.
     """
-    lo, hi = _shift_box(shifts, components)
-    targets = np.asarray(target, dtype=np.int64)
-    inside = _inside(targets + lo, rect) & _inside(targets + hi, rect)
-    return inside if inside.ndim else bool(inside)
+    lo, hi = _shift_box(components)
+    return all(rect.contains(*corner) for corner in (np.add(target, lo), np.add(target, hi)))
 
 
 def _inside(points: np.ndarray, rect: LatticeRect) -> np.ndarray:
@@ -242,54 +234,44 @@ def _inside(points: np.ndarray, rect: LatticeRect) -> np.ndarray:
 
 
 def make_certificate(
-    target: tuple[int, int], shifts, components, rect: LatticeRect
+    target: tuple[int, int], components, rect: LatticeRect
 ) -> DependencyCertificate:
-    """Builds the inclusion-exclusion dependence identity for a shift tuple.
+    """Builds the canonical inclusion-exclusion dependence identity.
 
-    Subset S of components contributes the column at the jointly shifted
-    point with coefficient (-1)^(|S|-1) * exp(-1j * sum_S sigma_i *
-    omega_i * t_i); terms landing on the same point merge.  The all-zero
-    tuple collapses to the single term (target, 1).
+    Subset S of components contributes the column at the point shifted by
+    one step along each of its lines, sum_S (b_i, -a_i), with coefficient
+    (-1)^(|S|-1) * exp(-1j * sum_S sigma_i * omega_i); terms landing on the
+    same point merge.
 
     Raises:
-        ValueError: when the tuple is not `shift_tuple_admissible` at
-            `target`, in which case the identity does not hold over this
-            lattice.
+        ValueError: when `target` is not `shift_tuple_admissible`, in which
+            case the identity does not hold over this lattice.
     """
     components = list(components)
-    shifts = tuple(int(t) for t in shifts)
-    if len(shifts) != len(components):
-        raise ValueError("one shift per component required")
     if not rect.contains(*target):
         raise ValueError(f"target {target} outside {rect.N}x{rect.M} lattice")
     if not components:
         raise ValueError("certificates need at least one component")
-    if not shift_tuple_admissible(target, shifts, components, rect):
-        raise ValueError(f"shift tuple {shifts} leaves the lattice from {target}")
+    if not shift_tuple_admissible(target, components, rect):
+        raise ValueError(f"the all-ones shift leaves the lattice from {target}")
     q = len(components)
     merged: dict[tuple[int, int], complex] = {}
     for size in range(1, q + 1):
         sign = (-1.0) ** (size - 1)
         for subset in itertools.combinations(range(q), size):
-            point = (target[0] + sum(shifts[i] * components[i].slope.b for i in subset),
-                     target[1] - sum(shifts[i] * components[i].slope.a for i in subset))
-            angle = -sum(
-                components[i].slope.sigma * components[i].omega * shifts[i] for i in subset
-            )
+            point = (target[0] + sum(components[i].slope.b for i in subset),
+                     target[1] - sum(components[i].slope.a for i in subset))
+            angle = -sum(components[i].slope.sigma * components[i].omega for i in subset)
             coeff = sign * complex(math.cos(angle), math.sin(angle))
             merged[point] = merged.get(point, 0.0 + 0.0j) + coeff
-    terms = tuple(
-        (point, coeff) for point, coeff in sorted(merged.items()) if coeff != 0.0
-    )
-    return DependencyCertificate(target, shifts, terms)
+    terms = tuple((point, coeff) for point, coeff in sorted(merged.items()) if coeff != 0.0)
+    return DependencyCertificate(target, terms)
 
 
 def find_certificate(
-    target: tuple[int, int],
-    components,
-    rect: LatticeRect,
+    target: tuple[int, int], components, rect: LatticeRect
 ) -> DependencyCertificate | None:
-    """The canonical certificate of `target`, on the all-ones shift tuple.
+    """The canonical certificate of `target`, or None where it does not hold.
 
     Its subset shifts all stay inside exactly on `dependent_point_set`'s
     block, so off that block the one admissibility check returns None.
@@ -302,12 +284,9 @@ def find_certificate(
     components = list(components)
     if not rect.contains(*target):
         raise ValueError(f"target {target} outside {rect.N}x{rect.M} lattice")
-    if not components:
+    if not components or not shift_tuple_admissible(target, components, rect):
         return None
-    shifts = (1,) * len(components)
-    if not shift_tuple_admissible(target, shifts, components, rect):
-        return None
-    return make_certificate(target, shifts, components, rect)
+    return make_certificate(target, components, rect)
 
 
 def verify_certificate(
@@ -389,7 +368,7 @@ def dependent_point_set(components, rect: LatticeRect) -> tuple[range, range]:
     """The n and m ranges of the points whose factor columns are certified
     dependent.
 
-    They are the points that admit the all-ones shift tuple: with (lo, hi)
+    They are the points that admit the canonical certificate: with (lo, hi)
     its `_shift_box`, the block {-lo_n <= n < N - hi_n, sum|a| <= m < M},
     where the n margins absorb the negative and the positive b's.  Interior
     regime only; for the real model, pass the conjugate-pair set.
@@ -404,5 +383,5 @@ def dependent_point_set(components, rect: LatticeRect) -> tuple[range, range]:
             "and no two components on one slope with omegas closer than "
             f"{2 * _HALF_TURN_TOL:g}; use the numerical rank of the assembled covariance instead"
         )
-    (lo_n, lo_m), (hi_n, hi_m) = _shift_box((1,) * len(components), components)
+    (lo_n, lo_m), (hi_n, hi_m) = _shift_box(components)
     return range(-lo_n, rect.N - hi_n), range(-lo_m, rect.M - hi_m)

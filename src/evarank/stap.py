@@ -18,18 +18,16 @@ import numpy as np
 
 from .covariance import _divide, _hermitian_gram, assemble_gamma
 from .fields import (
+    _POWER_HEADROOM,
     TWO_PI,
     EvanescentComponent,
     ModulatingProcessSpec,
     ProcessKind,
+    _refuse_overflow,
     synthesize_batch,
 )
 from .lattice import LatticeRect, make_slope_pair
 from .rank import RankPrediction, predict_rank
-
-# Squared norms of the draws reach N*M * trials * their mean power; a draw's
-# squared sum exceeds 100 times its mean with probability of about exp(-100).
-_POWER_HEADROOM = 1e2
 
 
 @dataclass(frozen=True)
@@ -142,16 +140,9 @@ def dominant_projection(covariance: np.ndarray, r: int) -> np.ndarray:
     return np.eye(dim, dtype=top.dtype) - top @ top.conj().T
 
 
-def _refuse_overflow(scenario: StapScenario, comps, trials: int) -> None:
-    """Raises ValueError when the squared norms taken below would overflow."""
-    limit = sys.float_info.max / (_POWER_HEADROOM * scenario.rect.size)
-    draws = scenario.noise_power + sum(c.process.variance for c in comps)
-    if trials > limit / draws:  # an int compared, never converted: trials may be huge
-        raise ValueError(
-            f"snapshot power overflows float64: N*M * trials * {draws:g} "
-            f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
-        )
-    target = scenario.target
+def _refuse_target_overflow(target: TargetSpec | None, rect: LatticeRect) -> None:
+    """Raises ValueError when the retention's N*M * amplitude**2 would overflow."""
+    limit = sys.float_info.max / (_POWER_HEADROOM * rect.size)
     if target is not None and target.amplitude * target.amplitude > limit:
         raise ValueError(
             f"target power overflows float64: N*M * {target.amplitude:g}**2 "
@@ -230,7 +221,8 @@ def suppression_experiment(
         raise ValueError(f"subspace dimension {r} outside [0, {rect.size}]")
     if 1 <= trials < r:  # a trial count below one is synthesize_batch's to refuse
         raise ValueError(f"subspace dimension {r} exceeds the trial count {trials}")
-    _refuse_overflow(scenario, comps, trials)
+    _refuse_overflow(comps, rect, trials, scenario.noise_power)
+    _refuse_target_overflow(scenario.target, rect)
     model = assemble_gamma(comps, rect)
     snapshots = synthesize_batch(model, trials, seed, noise_power=scenario.noise_power)
     eigenvalues = np.zeros(rect.size)

@@ -19,10 +19,10 @@ from evarank.fields import (
 )
 from evarank.lattice import LatticeRect, make_slope_pair
 from evarank.rank import (
+    DependencyCertificate,
     RegimeFlag,
     dependent_point_set,
     find_certificate,
-    make_certificate,
     numerical_rank,
     predict_rank,
     spectral_gap_ratio,
@@ -158,11 +158,10 @@ def test_criterion_5_certificates_cover_dependent_block(capsys):
         model = assemble_gamma(comps, rect)
         n_range, m_range = dependent_point_set(comps, rect)
         points = [(n, m) for n in n_range for m in m_range]
-        zeros = tuple(0 for _ in comps)
         worst = 0.0
         good = len(points) == rect.size - want
         for point in points:
-            trivial = make_certificate(point, zeros, comps, rect)
+            trivial = DependencyCertificate(point, ((point, 1 + 0j),))
             if verify_certificate(trivial, model) != 0.0:
                 good = False
                 break

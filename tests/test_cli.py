@@ -355,7 +355,7 @@ def test_verify_flags_exactly_the_readers_of_a_faulty_column(tmp_path, capsys, m
     faulty = (4, 2)
     block = model.blocks[1]
     carrier = block.carriers[0].copy()
-    carrier[rect.vec_index(*faulty)] *= 1.001
+    carrier[faulty[0] * rect.M + faulty[1]] *= 1.001
     blocks = [model.blocks[0], dataclasses.replace(block, carriers=(carrier,))]
     broken = dataclasses.replace(model, blocks=blocks)
 
@@ -386,7 +386,7 @@ def test_verify_reports_a_term_that_does_not_precede_its_target(tmp_path, capsys
     def late_term(target, comps, rect):
         cert = find_certificate(target, comps, rect)
         later = (target[0] - 1, target[1])
-        return DependencyCertificate(target, cert.shifts, cert.terms + ((later, 0j),))
+        return DependencyCertificate(target, cert.terms + ((later, 0j),))
 
     monkeypatch.setattr(evarank.cli, "find_certificate", late_term)
     code, out, _ = run(capsys, "verify", "--config", write_config(tmp_path, INTERIOR))
@@ -396,8 +396,8 @@ def test_verify_reports_a_term_that_does_not_precede_its_target(tmp_path, capsys
     (failure,) = report["failures"]
     assert failure["kind"] == "order"
     assert failure["term"] == [failure["point"][0] - 1, failure["point"][1]]
-    assert failure["shifts"] == [1, 1]
     assert failure["residual"] is None
+    assert set(failure) == {"point", "kind", "term", "residual"}
 
 
 # --- simulate -----------------------------------------------------------------
@@ -1007,6 +1007,76 @@ def test_verbs_never_read_gamma(tmp_path, capsys, monkeypatch, argv, payload):
     code, _, err = run(capsys, argv[0], "--config", write_config(tmp_path, payload), *argv[1:])
     assert code == 0
     assert err == ""
+
+
+# --- overflow refusals -----------------------------------------------------------
+
+def _white_pair(variance, trials):
+    return {
+        "rect": {"N": 8, "M": 8},
+        "components": [{"a": 1, "b": 1, "omega": 0.9, "process": {"variance": variance}},
+                       {"a": 1, "b": 2, "omega": 1.6, "process": {"variance": variance}}],
+        "seed": 1,
+        "trials": trials,
+    }
+
+
+# the innovation power 4e301 leaves room; the marginal 4e301 / (1 - 0.9999**2) does not
+AR1_CLUTTER = {
+    "scenario": {"antennas": 8, "pulses": 8, "noise_power": 1.0,
+                 "clutter": {"slope": 1, "power": 4e301, "kind": "ar1", "ar_coefficient": 0.9999}},
+    "seed": 1,
+    "trials": 64,
+}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (("simulate",), _white_pair(1e307, 64)),
+    (("simulate", "--real"), _white_pair(1e307, 64)),
+    (("stap",), AR1_CLUTTER),
+], ids=["simulate", "simulate-real", "stap-ar1"])
+def test_extreme_power_is_refused_in_one_line(tmp_path, argv, payload):
+    # N*M * trials * power overflows float64: a fresh process exits 2 with one
+    # JSON line on stderr, and no numpy warning escapes before it
+    cfg = write_config(tmp_path, payload)
+    proc = subprocess.run(
+        [sys.executable, "-m", "evarank", argv[0], "--config", cfg, *argv[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["error"] == "value"
+    assert diagnostic["message"].startswith("snapshot power overflows float64")
+    assert "Warning" not in proc.stderr
+
+
+def test_simulate_refuses_extreme_power_before_assembly(tmp_path, capsys, monkeypatch):
+    import evarank.cli
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("assembled a model for a refused power")
+
+    monkeypatch.setattr(evarank.cli, "assemble_gamma", unbuilt)
+    code, out, err = run(capsys, "simulate", "--config",
+                         write_config(tmp_path, _white_pair(1e307, 64)))
+    assert code == 2
+    assert out == ""
+    assert "snapshot power overflows" in json.loads(err)["message"]
+
+
+def test_simulate_at_1e300_still_runs(tmp_path, capsys):
+    # 64 points * 16 trials * 2e300 * 100 stays below the float64 maximum
+    code, out, err = run(capsys, "simulate", "--config",
+                         write_config(tmp_path, _white_pair(1e300, 16)))
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["exact_rank"] == report["prediction"] == 34
+    assert report["sample_rank"] == report["expected_sample_rank"] == 16
+    assert math.isfinite(report["frobenius_rel_error"])
 
 
 # --- process entry points --------------------------------------------------------

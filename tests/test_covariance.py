@@ -113,8 +113,8 @@ def test_selection_row_indexing_follows_line_index():
     rect = LatticeRect(5, 4)
     rows, _, _ = lattice_map(EvanescentComponent(slope, 0.5, WHITE(1.0)), rect)
     k_min, _ = modulating_indices(slope, rect)
-    for n, m in rect.points():
-        assert rows[rect.vec_index(n, m)] == slope.column_index(n, m) - k_min
+    for n, m in np.ndindex(rect.N, rect.M):
+        assert rows[n * rect.M + m] == n * slope.a + m * slope.b - k_min
 
 
 # --- modulation: the factor block's carriers ---------------------------------
@@ -158,10 +158,10 @@ def test_single_vertical_component_closed_form():
     omega = 1.1
     rect = LatticeRect(4, 3)
     model = assemble_gamma([comp(0, 1, omega, WHITE(1.0))], rect)
-    for n, m in rect.points():
-        for n2, m2 in rect.points():
+    for n, m in np.ndindex(rect.N, rect.M):
+        for n2, m2 in np.ndindex(rect.N, rect.M):
             want = 0.0 if m != m2 else np.exp(1j * omega * (n - n2))
-            got = model.gamma[rect.vec_index(n, m), rect.vec_index(n2, m2)]
+            got = model.gamma[n * rect.M + m, n2 * rect.M + m2]
             assert abs(got - want) < 1e-14
 
 

@@ -78,7 +78,7 @@ def test_index_range_covers_exactly_the_attained_values(ab):
     slope = make_slope_pair(*ab)
     rect = LatticeRect(6, 5)
     k_min, k_max = modulating_indices(slope, rect)
-    attained = {slope.column_index(n, m) for (n, m) in rect.points()}
+    attained = {n * slope.a + m * slope.b for (n, m) in np.ndindex(rect.N, rect.M)}
     assert min(attained) == k_min
     assert max(attained) == k_max
     assert k_max - k_min + 1 == (rect.N - 1) * abs(slope.a) + (rect.M - 1) * abs(slope.b) + 1
@@ -251,7 +251,7 @@ def test_replication_along_shift_direction(ab):
     rect = LatticeRect(9, 9)
     values = field([c], rect, seed=3)
     slope = c.slope
-    for n, m in rect.points():
+    for n, m in np.ndindex(rect.N, rect.M):
         for t in (-2, -1, 1, 2):
             n2, m2 = n + t * slope.b, m - t * slope.a
             if not rect.contains(n2, m2):

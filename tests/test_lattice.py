@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evarank.fields import EvanescentComponent, ModulatingProcessSpec, ProcessKind, lattice_map
-from evarank.lattice import LatticeRect, SlopePair, make_slope_pair, rnshp_precedes
-from evarank.rank import find_certificate, shift_tuple_admissible
+from evarank.lattice import LatticeRect, SlopePair, make_slope_pair
+from evarank.rank import find_certificate
 
 # Every coprime direction with |a|, |b| <= 3; wide enough to hit the axis
 # conventions, both b signs, and the a > 1 canonical-companion branch.
@@ -78,57 +78,34 @@ def test_companion_identity_property(a, b):
     assert s.a * s.d - s.b * s.c == s.sigma
 
 
-# --- half-plane total order --------------------------------------------------
+# --- the (m, -n) order of the canonical certificate --------------------------
 
-def _order_matrix(points, slope):
-    rows = []
-    for p in points:
-        rows.append([rnshp_precedes(p, q, slope) for q in points])
-    return np.array(rows, dtype=bool)
-
-
-@pytest.mark.parametrize("a,b", SMALL_SLOPES)
-def test_rnshp_is_a_total_order(a, b):
-    slope = make_slope_pair(a, b)
-    points = [(n, m) for n in range(-3, 4) for m in range(-3, 4)]
-    prec = _order_matrix(points, slope)
-    # reflexive
-    assert prec.diagonal().all()
-    # antisymmetric: both directions only on the diagonal
-    both = prec & prec.T
-    assert np.array_equal(both, np.eye(len(points), dtype=bool))
-    # total: at least one direction for every pair
-    assert (prec | prec.T).all()
-    # transitive: reachable-in-two implies reachable-in-one
-    two_step = (prec.astype(int) @ prec.astype(int)) > 0
-    assert not np.any(two_step & ~prec)
+def _precedes_in_order(p1, p2):
+    """p1 strictly before p2 in the (m, -n) order verify checks certificates in."""
+    return (p1[1], -p1[0]) < (p2[1], -p2[0])
 
 
 def test_vertical_order_is_lexicographic():
-    slope = make_slope_pair(0, 1)
-    assert rnshp_precedes((0, -1), (0, 0), slope)  # previous column
-    assert rnshp_precedes((0, 0), (0, 0), slope)   # reflexive
-    assert rnshp_precedes((5, -1), (0, 0), slope)
-    assert not rnshp_precedes((0, 1), (0, 0), slope)
+    # a (0, 1) certificate keeps m and raises n, so its term sorts before the
+    # target on the -n key alone
+    rect = LatticeRect(4, 4)
+    cert = find_certificate((1, 2), [_component(make_slope_pair(0, 1))], rect)
+    assert [p for p, _ in cert.terms] == [(2, 2)]
+    assert _precedes_in_order((2, 2), (1, 2))
+    assert not _precedes_in_order((1, 2), (2, 2))
+    assert not _precedes_in_order((1, 2), (1, 2))  # strict
 
 
 def test_horizontal_order_matches_column_major_lex():
-    slope = make_slope_pair(1, 0)
-    # (k, l) precedes (n, m) iff k < n, or k == n and l <= m
+    # a (1, 0) certificate lowers m, so its term sorts before the target on
+    # the m key, whatever n is
+    rect = LatticeRect(4, 4)
+    cert = find_certificate((1, 2), [_component(make_slope_pair(1, 0))], rect)
+    assert [p for p, _ in cert.terms] == [(1, 1)]
     for k in range(-2, 3):
         for l in range(-2, 3):
-            expected = (k < 0) or (k == 0 and l <= 0)
-            assert rnshp_precedes((k, l), (0, 0), slope) == expected
-
-
-def test_strictness_dichotomy():
-    # for p1 != p2 exactly one direction holds
-    points = [(n, m) for n in range(-3, 4) for m in range(-3, 4)]
-    for a, b in SMALL_SLOPES:
-        slope = make_slope_pair(a, b)
-        prec = _order_matrix(points, slope)
-        off = ~np.eye(len(points), dtype=bool)
-        assert np.array_equal(prec & off, ~prec.T & off)
+            expected = l < 0 or (l == 0 and k > 0)
+            assert _precedes_in_order((1 + k, 2 + l), (1, 2)) == expected
 
 
 # --- shifts along a slope line ------------------------------------------------
@@ -140,8 +117,8 @@ def _component(slope):
 def _line_family(point, slope, rect):
     """The points lattice_map gives `point`'s process row: its slope line."""
     rows, _, _ = lattice_map(_component(slope), rect)
-    row = rows[rect.vec_index(*point)]
-    return {q for q, r in zip(rect.points(), rows) if r == row}
+    row = rows[point[0] * rect.M + point[1]]
+    return {q for q, r in zip(np.ndindex(rect.N, rect.M), rows) if r == row}
 
 
 def _brute_force_shifts(point, slope, rect):
@@ -158,7 +135,7 @@ def _brute_force_shifts(point, slope, rect):
 def test_shifts_match_brute_force(a, b, dims):
     slope = make_slope_pair(a, b)
     rect = LatticeRect(*dims)
-    for point in rect.points():
+    for point in np.ndindex(rect.N, rect.M):
         n, m = point
         assert _line_family(point, slope, rect) == {
             (n + t * slope.b, m - t * slope.a) for t in _brute_force_shifts(point, slope, rect)
@@ -166,11 +143,13 @@ def test_shifts_match_brute_force(a, b, dims):
 
 
 def test_shifts_always_contain_zero():
+    # the zero shift: every point lies on its own line
     rect = LatticeRect(5, 5)
     for a, b in SMALL_SLOPES:
         slope = make_slope_pair(a, b)
-        for point in rect.points():
-            assert shift_tuple_admissible(point, (0,), [_component(slope)], rect)
+        for point in np.ndindex(rect.N, rect.M):
+            assert 0 in _brute_force_shifts(point, slope, rect)
+            assert point in _line_family(point, slope, rect)
 
 
 def test_vertical_shift_family_walks_the_row():
@@ -200,14 +179,14 @@ def test_shifts_partition_equal_line_index():
     rect = LatticeRect(5, 6)
     for a, b in SMALL_SLOPES:
         slope = make_slope_pair(a, b)
-        for p in rect.points():
+        for p in np.ndindex(rect.N, rect.M):
             family = {
                 (p[0] + t * slope.b, p[1] - t * slope.a)
                 for t in _brute_force_shifts(p, slope, rect)
             }
             same_index = {
-                q for q in rect.points()
-                if slope.column_index(*q) == slope.column_index(*p)
+                q for q in np.ndindex(rect.N, rect.M)
+                if q[0] * a + q[1] * b == p[0] * a + p[1] * b
             }
             assert family == same_index
 
@@ -215,9 +194,12 @@ def test_shifts_partition_equal_line_index():
 # --- rectangle helpers -------------------------------------------------------
 
 def test_vec_index_is_row_major():
+    # lattice_map vectorizes n-major: (1, 0) rows read n, (0, 1) rows read m
     rect = LatticeRect(3, 4)
-    assert [rect.vec_index(n, m) for (n, m) in rect.points()] == list(range(12))
-    assert rect.vec_index(1, 2) == 1 * 4 + 2
+    rows, _, _ = lattice_map(_component(make_slope_pair(1, 0)), rect)
+    assert rows.tolist() == [n for n in range(3) for _ in range(4)]
+    rows, _, _ = lattice_map(_component(make_slope_pair(0, 1)), rect)
+    assert rows.tolist() == list(range(4)) * 3
 
 
 def test_rect_validation():

@@ -25,6 +25,7 @@ from evarank.fields import (
 )
 from evarank.lattice import LatticeRect, make_slope_pair
 from evarank.rank import (
+    DependencyCertificate,
     RegimeFlag,
     _padded_rank,
     dependent_point_set,
@@ -506,7 +507,7 @@ def dependent_points(comps, rect):
 
 def independent_points(comps, rect):
     """The complement of the dependent block; its factor columns span everything."""
-    return set(rect.points()) - set(dependent_points(comps, rect))
+    return set(np.ndindex(rect.N, rect.M)) - set(dependent_points(comps, rect))
 
 
 def test_vertical_dependent_block():
@@ -541,7 +542,7 @@ def test_independent_columns_full_rank_and_absorbing():
     comps = comps_for([(2, 1), (1, -1)])
     model = assemble_gamma(comps, rect)
     indep = sorted(independent_points(comps, rect))
-    column = lambda p: model.stacked[:, rect.vec_index(*p)]
+    column = lambda p: model.stacked[:, p[0] * rect.M + p[1]]
     cols = np.stack([column(p) for p in indep], axis=1)
     r, _ = numerical_rank(cols)
     assert r == len(indep) == predict_rank(comps, rect).formula_value
@@ -564,8 +565,7 @@ def test_point_sets_require_interior_regime():
 def test_trivial_certificate_is_identity():
     rect = LatticeRect(6, 6)
     comps = comps_for([(2, 1), (1, 1)])
-    cert = make_certificate((3, 3), (0, 0), comps, rect)
-    assert cert.terms == (((3, 3), 1.0 + 0.0j),)
+    cert = DependencyCertificate((3, 3), (((3, 3), 1.0 + 0.0j),))
     model = assemble_gamma(comps, rect)
     assert verify_certificate(cert, model) == 0.0
 
@@ -575,7 +575,7 @@ def test_single_vertical_certificate_explicit_phase():
     omega = 0.8
     rect = LatticeRect(4, 4)
     comps = [comp(0, 1, omega, WHITE(1.0))]
-    cert = make_certificate((0, 2), (1,), comps, rect)
+    cert = make_certificate((0, 2), comps, rect)
     assert len(cert.terms) == 1
     point, coeff = cert.terms[0]
     assert point == (1, 2)
@@ -588,7 +588,7 @@ def test_pair_certificate_term_structure():
     rect = LatticeRect(15, 15)
     comps = comps_for([(3, 2), (2, 1)])
     n, m = 5, 8
-    cert = make_certificate((n, m), (1, 1), comps, rect)
+    cert = make_certificate((n, m), comps, rect)
     points = {p for p, _ in cert.terms}
     assert points == {(n + 2, m - 3), (n + 1, m - 2), (n + 3, m - 5)}
     coeffs = dict(cert.terms)
@@ -604,7 +604,7 @@ def test_triple_certificate_has_seven_terms_with_alternating_signs():
     rect = LatticeRect(15, 15)
     comps = comps_for([(3, 2), (2, 1), (1, 3)])
     target = (2, 9)
-    cert = make_certificate(target, (1, 1, 1), comps, rect)
+    cert = make_certificate(target, comps, rect)
     assert len(cert.terms) == 7
     assert np.allclose([abs(c) for _, c in cert.terms], 1.0)
     # reconstruct each subset term: sign alternates with subset size
@@ -628,7 +628,7 @@ def test_same_slope_pair_merges_terms():
     # singleton shifts land on the same lattice point and merge
     rect = LatticeRect(6, 4)
     comps = [comp(0, 1, 0.5, WHITE(1.0)), comp(0, 1, 1.9, WHITE(1.0))]
-    cert = make_certificate((0, 2), (1, 1), comps, rect)
+    cert = make_certificate((0, 2), comps, rect)
     points = [p for p, _ in cert.terms]
     assert points == [(1, 2), (2, 2)]
     coeffs = dict(cert.terms)
@@ -642,8 +642,8 @@ def test_certificate_rejects_escaping_shift():
     rect = LatticeRect(5, 5)
     comps = comps_for([(2, 1)])
     with pytest.raises(ValueError):
-        make_certificate((0, 0), (1,), comps, rect)  # (1, -2) leaves the lattice
-    assert not shift_tuple_admissible((0, 0), (1,), comps, rect)
+        make_certificate((0, 0), comps, rect)  # (1, -2) leaves the lattice
+    assert not shift_tuple_admissible((0, 0), comps, rect)
 
 
 def test_certificate_validates_all_subsets():
@@ -651,9 +651,9 @@ def test_certificate_validates_all_subsets():
     rect = LatticeRect(4, 6)
     comps = comps_for([(1, 1), (1, 2)])
     target = (1, 5)
-    assert shift_tuple_admissible(target, (1, 0), comps, rect)
-    assert shift_tuple_admissible(target, (0, 1), comps, rect)
-    assert not shift_tuple_admissible(target, (1, 1), comps, rect)  # joint lands at n=4
+    assert shift_tuple_admissible(target, comps[:1], rect)
+    assert shift_tuple_admissible(target, comps[1:], rect)
+    assert not shift_tuple_admissible(target, comps, rect)  # joint lands at n=4
 
 
 def test_find_certificate_covers_dependent_block():
@@ -663,7 +663,6 @@ def test_find_certificate_covers_dependent_block():
     for point in dependent_points(comps, rect):
         cert = find_certificate(point, comps, rect)
         assert cert is not None
-        assert cert.shifts == (1, 1)  # the canonical all-ones tuple
         assert point not in dict(cert.terms)
         assert verify_certificate(cert, model) <= 1e-10
 
@@ -676,7 +675,7 @@ def test_find_certificate_absent_on_isolated_lines():
     assert find_certificate((0, 0), comps, rect) is None
     assert find_certificate((3, 3), comps, rect) is None
     dependent = set(dependent_points(comps, rect))
-    for point in rect.points():
+    for point in np.ndindex(rect.N, rect.M):
         assert (find_certificate(point, comps, rect) is None) == (point not in dependent)
 
 
@@ -703,14 +702,14 @@ def test_find_certificate_makes_one_admissibility_check(monkeypatch):
     original = evarank.rank.shift_tuple_admissible
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(evarank.rank, "shift_tuple_admissible", counted)
     rect = LatticeRect(48, 48)
     comps = comps_for([(3, 2), (2, -1), (1, 3), (0, 1)])
     assert find_certificate((0, 0), comps, rect) is None
-    assert calls == [(1, 1, 1, 1)]
+    assert len(calls) == 1
 
 
 # Every coprime (a, b) with a <= 3 and |b| <= 3: both b signs and the vertical slope.
@@ -746,20 +745,20 @@ def test_canonical_certificates_cover_every_interior_config(n, m, picks):
         assert find_certificate(point, comps, rect) is None
 
 
-def subset_loop_admissible(target, shifts, comps, rect):
+def subset_loop_admissible(target, comps, rect):
     """The reference admissibility: every nonempty subset's jointly shifted point."""
     for size in range(1, len(comps) + 1):
         for subset in itertools.combinations(range(len(comps)), size):
             nn, mm = target
             for i in subset:
-                nn += shifts[i] * comps[i].slope.b
-                mm -= shifts[i] * comps[i].slope.a
+                nn += comps[i].slope.b
+                mm -= comps[i].slope.a
             if not rect.contains(nn, mm):
                 return False
     return True
 
 
-def dict_certificate_terms(target, shifts, comps):
+def dict_certificate_terms(target, comps):
     """The reference certificate terms: each subset's term at its jointly
     shifted point, merged in a dict in subset order, sorted by point, with
     the zero sums dropped."""
@@ -770,9 +769,9 @@ def dict_certificate_terms(target, shifts, comps):
         for subset in itertools.combinations(range(q), size):
             n, m = target
             for i in subset:
-                n += shifts[i] * comps[i].slope.b
-                m -= shifts[i] * comps[i].slope.a
-            angle = -sum(comps[i].slope.sigma * comps[i].omega * shifts[i] for i in subset)
+                n += comps[i].slope.b
+                m -= comps[i].slope.a
+            angle = -sum(comps[i].slope.sigma * comps[i].omega for i in subset)
             coeff = sign * complex(math.cos(angle), math.sin(angle))
             merged[(n, m)] = merged.get((n, m), 0.0 + 0.0j) + coeff
     return tuple((point, coeff) for point, coeff in sorted(merged.items()) if coeff != 0.0)
@@ -789,28 +788,25 @@ def term_bits(terms):
     picks=st.lists(
         st.tuples(st.sampled_from(CERT_SLOPES), st.floats(0.0, 6.28)), min_size=1, max_size=5
     ),
-    shifts=st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
 )
-@example(n=5, m=5, picks=[((1, 1), 0.9), ((1, -1), 1.6)], shifts=[1, 1, 0, 0, 0])
-def test_exhaustive_tuples_agree_with_admissibility(n, m, picks, shifts):
+@example(n=5, m=5, picks=[((1, 1), 0.9), ((1, -1), 1.6)])
+def test_exhaustive_tuples_agree_with_admissibility(n, m, picks):
     # the box test against every subset, at every lattice point, and each
     # certificate against the dict-merged reference, bit for bit
     rect = LatticeRect(n, m)
     comps = [comp(a, b, omega, AR1(1.0, 0.5)) for (a, b), omega in picks]
     assume(len({c.triple() for c in comps}) == len(comps))
-    shifts = tuple(shifts[:len(comps)])
-    points = list(rect.points())
-    admissible = [subset_loop_admissible(p, shifts, comps, rect) for p in points]
-    assert [shift_tuple_admissible(p, shifts, comps, rect) for p in points] == admissible
-    assert shift_tuple_admissible(np.array(points), shifts, comps, rect).tolist() == admissible
+    points = list(np.ndindex(rect.N, rect.M))
+    admissible = [subset_loop_admissible(p, comps, rect) for p in points]
+    assert [shift_tuple_admissible(p, comps, rect) for p in points] == admissible
     model = assemble_gamma(comps, rect)
     for point, ok in zip(points, admissible):
         if not ok:
             with pytest.raises(ValueError, match="leaves the lattice"):
-                make_certificate(point, shifts, comps, rect)
+                make_certificate(point, comps, rect)
             continue
-        cert = make_certificate(point, shifts, comps, rect)
-        assert term_bits(cert.terms) == term_bits(dict_certificate_terms(point, shifts, comps))
+        cert = make_certificate(point, comps, rect)
+        assert term_bits(cert.terms) == term_bits(dict_certificate_terms(point, comps))
         assert verify_certificate(cert, model) <= 1e-12
 
 
@@ -876,13 +872,13 @@ def test_translated_certificates_match_per_point_certificates(n, m, picks):
     comps = [comp(a, b, omega, AR1(1.0, 0.5)) for (a, b), omega in picks]
     assume(len({c.triple() for c in comps}) == len(comps))
     model = assemble_gamma(comps, rect)
-    points = list(rect.points())
+    points = list(np.ndindex(rect.N, rect.M))
     targets = np.array(points)
     certs = [find_certificate(p, comps, rect) for p in points]
-    admissible = shift_tuple_admissible(targets, (1,) * len(comps), comps, rect)
+    admissible = np.array([shift_tuple_admissible(p, comps, rect) for p in points])
     assert admissible.tolist() == [cert is not None for cert in certs]
-    zeros = make_certificate(points[-1], (0,) * len(comps), comps, rect)
-    assert verify_certificate(zeros, model, at=targets).tolist() == [0.0] * len(points)
+    identity = DependencyCertificate(points[-1], ((points[-1], 1.0 + 0.0j),))
+    assert verify_certificate(identity, model, at=targets).tolist() == [0.0] * len(points)
     if not admissible.any():
         return
     template = certs[int(np.argmax(admissible))]
@@ -899,7 +895,7 @@ def bincount_residual(cert, model):
     calls libm pow, which may miss the correctly rounded square by an ulp."""
     points = [p for p, _ in cert.terms] + [cert.target]
     coeffs = np.array([c for _, c in cert.terms] + [-1.0], dtype=complex)
-    index = [model.rect.vec_index(*p) for p in points]
+    index = np.ravel_multi_index(np.array(points).T, (model.rect.N, model.rect.M))
     gap_sq = head_sq = 0.0
     for block in model.blocks:
         rows = block.rows[index]

@@ -355,3 +355,9 @@ def test_overflow_refusal_comes_before_any_draw(monkeypatch):
     for trials in (32, 128, 10**400):  # a trial count too large for a float still compares
         with pytest.raises(ValueError, match="snapshot power overflows"):
             suppression_experiment(sc, trials=trials, seed=1)
+    # the innovation power 4e301 alone leaves room; its AR(1) marginal
+    # 4e301 / (1 - 0.9999**2), about 2e305, does not
+    clutter = ClutterRidgeSpec(1, 4e301, ProcessKind.AR1, ar_coefficient=0.9999)
+    sc = StapScenario(LatticeRect(8, 8), clutter=clutter, noise_power=1.0)
+    with pytest.raises(ValueError, match="snapshot power overflows"):
+        suppression_experiment(sc, trials=64, seed=1)
