@@ -11,12 +11,13 @@ independent of the factored product.  Synthesis colours its draws with the
 same blocks and the same Cholesky factors.
 
 Gamma's rank and its factorization residual are read in line space, from
-the line Gram G = C C^H, sum(rows) on a side, and each block's Cholesky
-factor L, both built once per model.  The whitened factor F =
-blockdiag(L^T) C has F F^H = blockdiag(L^T) G blockdiag(L), so Gamma's
-nonzero spectrum needs no F.  With the Cholesky roundoff E =
-blockdiag(R_k - L_k L_k^T), Gamma - F^H F = C^H E C, so its squared norm
-is tr(E G E G).  The gap to a sample covariance gathers Gamma in row tiles
+the line Gram G = C C^H, sum(rows) on a side and exactly Hermitian, built
+once per model.  R is positive definite, so rank Gamma = rank G: the rank
+reads G alone, with no variance and no Cholesky factor in it.  The
+residual also reads each block's Cholesky factor L: with the Cholesky
+roundoff E = blockdiag(R_k - L_k L_k^T) and the whitened factor F =
+blockdiag(L^T) C, Gamma - F^H F = C^H E C, so its squared norm is
+tr(E G E G).  The gap to a sample covariance gathers Gamma in row tiles
 of its upper triangle and never holds it whole.  The sample covariance and
 `stap`'s trials-by-trials snapshot Gram come from the row tiles of their
 own upper triangle, exactly Hermitian by construction.
@@ -45,7 +46,6 @@ class CovarianceModel:
     built on first read, and gamma == stacked^H R stacked up to roundoff.
     `lowers` holds each block's Cholesky factor L, and `whitened_factor()`
     folds them into the factor: gamma == F^H F.
-    `short_gram()` shares Gamma's nonzero spectrum without building F.
     """
 
     rect: LatticeRect
@@ -112,16 +112,19 @@ class CovarianceModel:
         """G = C C^H, one line per process sample and carrier (sum(rows) by
         sum(rows)), built once per model: entry (r, s) of the carrier pair
         (p, q) sums w_p[j] * conj(w_q[j]) over the lattice points j that read
-        sample r of p and sample s of q, one bincount per pair."""
+        sample r of p and sample s of q, one bincount per pair.  G is exactly
+        Hermitian: a pair below the diagonal is the conjugate transpose of
+        its mirror, and a diagonal pair is diagonal and real."""
         lines = [(block.rows, block.length, w) for block in self.blocks for w in block.carriers]
         starts = np.cumsum([0] + [length for _, length, _ in lines]).tolist()
         gram = np.zeros((starts[-1], starts[-1]), self.dtype)
         for p, (rows_p, len_p, w_p) in enumerate(lines):
             for q, (rows_q, len_q, w_q) in enumerate(lines[p:], p):
                 key = rows_p * len_q + rows_q
-                weight = w_p * np.conj(w_q)
+                # |w|^2 on the diagonal: w * conj(w) can leave roundoff in its imaginary part
+                weight = w_p.real ** 2 + w_p.imag ** 2 if p == q else w_p * np.conj(w_q)
                 pair = np.bincount(key, weight.real, len_p * len_q)
-                if not self.real_valued:  # bincount takes no complex weights
+                if np.iscomplexobj(weight):  # bincount takes no complex weights
                     pair = pair + 1j * np.bincount(key, weight.imag, len_p * len_q)
                 pair = pair.reshape(len_p, len_q)
                 gram[starts[p]:starts[p + 1], starts[q]:starts[q + 1]] = pair
@@ -132,32 +135,14 @@ class CovarianceModel:
     def lowers(self) -> list[np.ndarray]:
         """Each block's lower-triangular Cholesky factor L, with cov = L L^T
         (cov is real, so L^H = L^T), built once per model: synthesis, the
-        whitened factor, the rank's Gram and the residual read the same ones.
+        whitened factor and the residual read the same ones; the rank reads
+        none.
 
         For the AR(1) family L is the recursion's own map from unit
         innovations to stationary samples: L[k, 0] = s * ar^k / sqrt(1 - ar^2)
         and L[k, j] = s * ar^(k-j) for 1 <= j <= k, with s = sqrt(variance).
         """
         return [np.linalg.cholesky(block.cov) for block in self.blocks]
-
-    def short_gram(self) -> np.ndarray:
-        """An exactly Hermitian matrix whose nonzero eigenvalues are Gamma's,
-        on the short side of F = whitened_factor(); F itself is never built.
-
-        With sum(rows) <= N*M it is K = blockdiag(L^T) G blockdiag(L), one
-        row per process sample and carrier, which equals F F^H.  A taller F
-        (tiny lattices only) gives Gamma, N*M square, gathered.
-        """
-        if sum(block.length * len(block.carriers) for block in self.blocks) > self.rect.size:
-            return self.gamma
-        whiten = [lower.T for block, lower in zip(self.blocks, self.lowers)
-                  for _ in block.carriers]
-        half = _blockdiag_times(whiten, self._line_gram)  # L^T G
-        # G is Hermitian and L real, so (L^T G)^H = G L, and L^T (G L) = K
-        gram = _blockdiag_times(whiten, np.conjugate(half.T, order="C"))
-        gram += np.conjugate(gram.T, out=half)
-        gram /= 2.0
-        return gram
 
     def factorization_residual(self) -> float:
         """||Gamma - F^H F||_F / ||Gamma||_F for F = whitened_factor(), as

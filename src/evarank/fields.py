@@ -82,8 +82,10 @@ class EvanescentComponent:
 def modulating_indices(slope: SlopePair, rect: LatticeRect) -> tuple[int, int]:
     """Inclusive range [k_min, k_max] of n*a + m*b over the rectangle.
 
-    Consecutive integers: with gcd(a, b) = 1 every value in between is hit.
-    Length is (N-1)*|a| + (M-1)*|b| + 1.
+    Length is (N-1)*|a| + (M-1)*|b| + 1, but not every index in between is
+    hit: with gcd(a, b) = 1, |a| <= M and |b| <= N the rectangle reaches
+    N*|a| + M*|b| - |a*b| of them, so (|a|-1)*(|b|-1) samples are never
+    read, each a zero line of the factor.
     """
     ext_n = (rect.N - 1) * slope.a
     ext_m = (rect.M - 1) * slope.b

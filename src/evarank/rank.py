@@ -9,7 +9,7 @@ in the interior regime (sum|a_q| < M, sum|b_q| < N, and no two components
 on one slope at one frequency).  A real field is the complex one on the
 conjugate-pair set.  This module computes that prediction, measures the
 numerical rank of an assembled covariance against it (read from its
-whitened line Gram by `gamma_rank`, and a sample covariance's from its
+process-free line Gram by `gamma_rank`, and a sample covariance's from its
 line-space draws by `estimate_rank`), and backs the count with explicit
 linear-dependence certificates.  There is one, the canonical certificate:
 an inclusion-exclusion combination over joint shifts, one step along each
@@ -131,11 +131,11 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
 
 
 def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
-    """numerical_rank of the model's Gamma, read from `model.short_gram()`:
-    the whitened line Gram blockdiag(L^T) G blockdiag(L), sum(rows) square,
-    when the factor has at most N*M rows, Gamma itself otherwise, under the
-    cut and zero-padding of `_padded_rank`."""
-    return _padded_rank(model.short_gram(), model.rect.size, rel_tol)
+    """numerical_rank of the model's Gamma, read from its line Gram G = C C^H
+    under the cut and zero-padding of `_padded_rank`.  Gamma = C^H R C with R
+    positive definite, so rank Gamma = rank C = rank G; the spectrum is G's,
+    the squared singular values of C, which is Gamma's with R = I."""
+    return _padded_rank(model._line_gram, model.rect.size, rel_tol)
 
 
 def estimate_rank(model: CovarianceModel, lines: np.ndarray, estimate: np.ndarray,
@@ -166,14 +166,16 @@ def estimate_rank(model: CovarianceModel, lines: np.ndarray, estimate: np.ndarra
 
 
 def _padded_rank(gram: np.ndarray, size: int, rel_tol: float | None) -> tuple[int, np.ndarray]:
-    """numerical_rank of a Hermitian Gram that shares its nonzero eigenvalues
-    with an N*M by N*M covariance (N*M = `size`), under the cut that
-    covariance itself would get, the spectrum zero-padded to N*M entries: it
-    stands in for the dense numerical_rank without an N*M eigensolve."""
+    """numerical_rank of a Hermitian Gram whose rank is that of an N*M by N*M
+    covariance (N*M = `size`), under the cut that covariance itself would
+    get: it stands in for the dense numerical_rank without an N*M
+    eigensolve.  The spectrum keeps its top N*M entries, zero-padded to N*M
+    when the Gram is smaller."""
     if rel_tol is None:
         rel_tol = _default_rel_tol(size)
     rank, spectrum = numerical_rank(gram, rel_tol=rel_tol)
-    return rank, np.concatenate([spectrum, np.zeros(size - spectrum.size)])
+    spectrum = spectrum[:size]
+    return min(rank, size), np.concatenate([spectrum, np.zeros(size - spectrum.size)])
 
 
 def _default_rel_tol(dim: int) -> float:

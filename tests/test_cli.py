@@ -110,7 +110,7 @@ def test_rank_real_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", ["rank", "grid", "simulate"])
 def test_rank_routes_build_no_whitened_factor(tmp_path, capsys, monkeypatch, verb):
-    # Gamma's spectrum comes from L^T G L (or Gamma on a tall factor); F is stap's alone
+    # Gamma's rank comes from the line Gram G = C C^H; F is stap's alone
     from evarank.covariance import CovarianceModel
 
     def unbuilt(model):
@@ -134,8 +134,8 @@ def test_rank_routes_build_no_whitened_factor(tmp_path, capsys, monkeypatch, ver
 def test_rank_builds_the_line_gram_and_each_cholesky_factor_once(
     tmp_path, capsys, monkeypatch, verb, real, grams
 ):
-    # one model per run: the rank's whitened line Gram, the factorization
-    # residual, synthesis and stap's F share its G and its Cholesky factors
+    # one model per run: the rank's line Gram, the factorization residual,
+    # synthesis and stap's F share its G and its Cholesky factors
     from functools import cached_property
 
     from evarank.covariance import CovarianceModel
@@ -863,6 +863,50 @@ def test_rank_at_extreme_variance_is_clean(tmp_path, capsys):
     assert report["factorization_residual"] <= 1e-10
 
 
+# --- the rank reads no process: R's scale and conditioning leave it alone ---------
+
+def test_rank_at_ar_coefficient_near_one_agrees(tmp_path, capsys):
+    # cond(R) ~ ((1 + ar) / (1 - ar))^2 ~ 4e10 here: past the cut, had R been in the rank
+    payload = {"rect": {"N": 48, "M": 48}, "components": [
+        {"a": 3, "b": 2, "omega": 0.9, "process": {"kind": "ar1", "ar_coefficient": 0.99999}},
+        {"a": 2, "b": 1, "omega": 1.6, "process": {"kind": "white"}},
+    ]}
+    code, out, err = run(capsys, "rank", "--config", write_config(tmp_path, payload))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["numerical_rank"] == report["prediction"] == 369
+
+
+def test_rank_at_subnormal_variance_agrees(tmp_path, capsys):
+    # the factorization residual is left unchecked: the Cholesky of R underflows here
+    payload = dict(INTERIOR, components=[
+        {"a": 3, "b": 2, "omega": 0.9,
+         "process": {"kind": "ar1", "ar_coefficient": 0.5, "variance": 4e-320}},
+        {"a": 2, "b": -1, "omega": 1.6, "process": {"kind": "white", "variance": 4e-320}},
+    ])
+    code, out, err = run(capsys, "rank", "--config", write_config(tmp_path, payload))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["numerical_rank"] == report["prediction"] == 49
+
+
+HUGE_VARIANCE = {"rect": {"N": 8, "M": 8},
+                 "components": [{"a": 1, "b": 1, "omega": 0.9, "process": {"variance": 1e308}}]}
+
+
+@pytest.mark.parametrize("verb, payload", [("rank", HUGE_VARIANCE),
+                                           ("grid", {"grid": {"cells": [HUGE_VARIANCE]}})],
+                         ids=["rank", "grid"])
+def test_rank_at_largest_variance_is_clean(tmp_path, capsys, verb, payload):
+    code, out, err = run(capsys, verb, "--config", write_config(tmp_path, payload))
+    assert (code, err) == (0, "")
+    if verb == "rank":
+        report = json.loads(out)
+        assert report["numerical_rank"] == report["prediction"] == 15
+    else:
+        assert out.splitlines()[-1] == "SUMMARY,pass=1,cells=1,flagged=0"
+
+
 SCALED_COMPONENTS = [
     {"a": 3, "b": 2, "omega": 0.9, "process": {"kind": "ar1", "ar_coefficient": 0.5}},
     {"a": 2, "b": -1, "omega": 1.6, "process": {"kind": "white"}},
@@ -991,10 +1035,12 @@ def test_simulate_ranks_the_short_side(tmp_path, capsys, monkeypatch, payload, q
         (("rank",), INTERIOR),
         (("rank", "--real"), REAL_SINGLE),
         (("grid",), {"grid": {"cells": [INTERIOR]}}),
+        # the real model's 4 x 4 cell has 32 lines against 16 points
+        (("grid", "--real"), {"grid": {"N": [4, 16], "M": [4, 16], "slopes": [[3, 2]]}}),
         (("simulate",), dict(INTERIOR, seed=4, trials=32)),
         (("simulate", "--real"), dict(REAL_SINGLE, seed=4, trials=32)),
     ],
-    ids=["rank", "rank-real", "grid", "simulate", "simulate-real"],
+    ids=["rank", "rank-real", "grid", "grid-real-tall", "simulate", "simulate-real"],
 )
 def test_verbs_never_read_gamma(tmp_path, capsys, monkeypatch, argv, payload):
     # the residual and the sample error gather Gamma by row tiles, never whole

@@ -340,6 +340,16 @@ def test_line_space_residual_matches_dense_reference(monkeypatch, seed, real):
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("side", [8, 48])
+def test_line_gram_is_exactly_hermitian(side, real):
+    # the rank's symmetric eigensolve needs G == G^H bit for bit, its diagonal real
+    comps = [comp(3, 2, 0.9, AR1(1.3, 0.5)), comp(2, -1, 1.6), comp(2, 1, 2.3)]
+    gram = assemble_gamma(comps, LatticeRect(side, side), real_valued=real)._line_gram
+    assert np.array_equal(gram, gram.conj().T)
+    assert not np.any(np.diagonal(gram).imag)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("rect", TILE_EDGE_RECTS, ids=lambda r: f"nm{r.size}")
 def test_tiled_gap_to_estimate_matches_dense_reference(rect, real):
     model = assemble_gamma(TILED_COMPS, rect, real_valued=real)

@@ -20,6 +20,7 @@ from evarank.fields import (
     ProcessKind,
     conjugate_pairs,
     draw_lines,
+    lattice_map,
     scatter_lines,
     synthesize_batch,
 )
@@ -424,10 +425,17 @@ def test_estimate_rank_spectrum_matches_the_dense_sample_covariance(n, slopes, t
     np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
 
 
-# --- Gamma's rank from the whitened line Gram against the dense oracle ------
+# --- Gamma's rank from the line Gram against the dense oracle ----------------
 
 def line_count(model):
     return sum(block.length * len(block.carriers) for block in model.blocks)
+
+
+def factor_spectrum(model):
+    """The squared singular values of C = model.stacked, zero-padded to N*M:
+    an SVD independent of the line Gram and of the process."""
+    sigma = np.linalg.svd(model.stacked, compute_uv=False)
+    return np.concatenate([sigma ** 2, np.zeros(model.rect.size - sigma.size)])
 
 
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
@@ -435,15 +443,12 @@ def test_gamma_rank_matches_dense_oracle_on_stock_grid(real_valued):
     sides = {"wide": 0, "tall": 0}
     for rect, comps in default_grid_cells():
         model = assemble_gamma(comps, rect, real_valued=real_valued)
-        dense_rank, dense = numerical_rank(model.gamma)
         rank, spectrum = gamma_rank(model)
-        assert rank == dense_rank, (rect, [c.triple() for c in comps])
-        assert spectrum.shape == dense.shape == (rect.size,)
-        np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
-        # the short side: L^T G L on sum(rows) lines, or Gamma on a taller factor
-        side = "tall" if line_count(model) > rect.size else "wide"
-        assert model.short_gram().shape[0] == min(line_count(model), rect.size)
-        sides[side] += 1
+        assert rank == numerical_rank(model.gamma)[0], (rect, [c.triple() for c in comps])
+        assert spectrum.shape == (rect.size,)
+        np.testing.assert_allclose(spectrum[:rank], factor_spectrum(model)[:rank],
+                                   rtol=1e-9, atol=0)
+        sides["tall" if line_count(model) > rect.size else "wide"] += 1
     assert sides["wide"] > 0
     # the real model's 4 x N cells with sum|a| or sum|b| of 3 carry more lines than points
     assert (sides["tall"] > 0) == real_valued
@@ -451,17 +456,18 @@ def test_gamma_rank_matches_dense_oracle_on_stock_grid(real_valued):
 
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
 def test_gamma_rank_spectrum_matches_the_factor_gram(real_valued):
-    # K = blockdiag(L^T) G blockdiag(L) is F F^H, entry by entry up to roundoff
+    # the spectrum is C C^H's: the processes' variances and AR coefficients leave it alone
     rect = LatticeRect(30, 30)
-    comps = [comp(3, 2, 0.9, AR1(1.3, 0.6)), comp(2, -1, 1.7, WHITE(0.7)),
-             comp(3, 2, 2.9, AR1(0.8, -0.4))]
-    model = assemble_gamma(comps, rect, real_valued=real_valued)
-    factor = model.whitened_factor()
-    gram = model.short_gram()
-    assert gram.shape[0] == factor.shape[0] == line_count(model) < rect.size
-    assert np.array_equal(gram, gram.conj().T)
-    expected = factor @ factor.conj().T
-    assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+    slopes = [(3, 2, 0.9), (2, -1, 1.7), (3, 2, 2.9)]
+    processes = [AR1(1.3, 0.6), WHITE(0.7), AR1(0.8, -0.4)]
+    model = assemble_gamma([comp(*s, p) for s, p in zip(slopes, processes)], rect,
+                           real_valued=real_valued)
+    white = assemble_gamma([comp(*s) for s in slopes], rect, real_valued=real_valued)
+    assert line_count(model) < rect.size
+    rank, spectrum = gamma_rank(model)
+    assert rank == numerical_rank(model.gamma)[0]
+    assert np.array_equal(spectrum, gamma_rank(white)[1])
+    np.testing.assert_allclose(spectrum[:rank], factor_spectrum(model)[:rank], rtol=1e-9, atol=0)
 
 
 def test_gamma_rank_spectrum_past_the_factor_rows_is_zero():
@@ -475,17 +481,51 @@ def test_gamma_rank_spectrum_past_the_factor_rows_is_zero():
 
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
 def test_gamma_rank_of_tall_factor_and_empty_model(real_valued):
-    # more lines than lattice points: the spectrum is read from Gamma itself
+    # more lines than lattice points: G's spectrum keeps its top N*M entries
     rect = LatticeRect(4, 4)
     model = assemble_gamma(comps_for([(3, 2), (2, 1)]), rect, real_valued=real_valued)
     assert line_count(model) > rect.size
-    assert model.short_gram() is model.gamma
-    assert gamma_rank(model)[0] == numerical_rank(model.gamma)[0] == rect.size
+    rank, spectrum = gamma_rank(model)
+    assert rank == numerical_rank(model.gamma)[0] == rect.size
+    assert spectrum.shape == (rect.size,)
+    np.testing.assert_allclose(spectrum, factor_spectrum(model), rtol=1e-9, atol=0)
+    # a cut below roundoff counts G's roundoff eigenvalues, but never past N*M
+    assert gamma_rank(model, rel_tol=1e-300)[0] == rect.size
     empty = assemble_gamma([], rect, real_valued=real_valued)
-    assert empty.short_gram().shape == (0, 0)
+    assert empty._line_gram.shape == (0, 0)
     rank, spectrum = gamma_rank(empty)
     assert rank == 0
     assert np.array_equal(spectrum, np.zeros(rect.size))
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+def test_gamma_rank_reads_no_cholesky_factor(monkeypatch, real_valued):
+    # rank Gamma = rank C: the rank decision needs neither L nor any Cholesky
+    from evarank.covariance import CovarianceModel
+
+    def refused(*args):
+        raise AssertionError("the rank read a Cholesky factor")
+
+    rect = LatticeRect(16, 16)  # 244 real lines: no tall factor
+    model = assemble_gamma([comp(3, 2, 0.9, AR1(1.3, 0.99)), comp(2, -1, 1.7, WHITE(0.7))],
+                           rect, real_valued=real_valued)
+    dense_rank, _ = numerical_rank(model.gamma)
+    monkeypatch.setattr(CovarianceModel, "lowers", property(refused))
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    assert gamma_rank(model)[0] == dense_rank
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (2, -3), (4, 3), (5, -2), (1, 3)])
+def test_gamma_rank_counts_the_samples_one_component_reaches(a, b):
+    # integer ground truth: (|a|-1)(|b|-1) samples in [k_min, k_max] are never
+    # reached, and the rank counts the others
+    rect = LatticeRect(9, 11)
+    component = comp(a, b, 0.9, AR1(1.0, 0.5))
+    rows, length, _ = lattice_map(component, rect)
+    reached = int(np.unique(rows).size)
+    assert reached == rect.N * abs(a) + rect.M * abs(b) - abs(a * b)
+    assert length - reached == (abs(a) - 1) * (abs(b) - 1)
+    assert gamma_rank(assemble_gamma([component], rect))[0] == reached
 
 
 @settings(max_examples=60, deadline=None)
