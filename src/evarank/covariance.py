@@ -7,8 +7,8 @@ factors across components gives Gamma = C^H R C with R block-diagonal and
 positive definite, so the rank of Gamma is exactly the rank of C.  The
 factor blocks come from `fields.factor_block`; the model stores only those
 blocks and derives Gamma from them on demand, by an elementwise gather
-independent of the factored product.  Synthesis colours its draws with the
-same blocks and the same Cholesky factors.
+independent of the factored product.  Each block holds its own R and its
+Cholesky factor L, and synthesis colours its draws with the same ones.
 
 Gamma's rank and its factorization residual are read in line space, from
 the line Gram G = C C^H, sum(rows) on a side and exactly Hermitian, built
@@ -44,8 +44,8 @@ class CovarianceModel:
 
     `gamma` and `stacked` (every carrier's dense factor block, stacked) are
     built on first read, and gamma == stacked^H R stacked up to roundoff.
-    `lowers` holds each block's Cholesky factor L, and `whitened_factor()`
-    folds them into the factor: gamma == F^H F.
+    `whitened_factor()` folds each block's Cholesky factor L into the
+    factor: gamma == F^H F.
     """
 
     rect: LatticeRect
@@ -92,8 +92,9 @@ class CovarianceModel:
 
     @cached_property
     def stacked(self) -> np.ndarray:
-        dense = [block.dense(w) for block in self.blocks for w in block.carriers]
-        return np.vstack(dense) if dense else np.zeros((0, self.rect.size), dtype=self.dtype)
+        parts = [np.eye(block.length)[:, block.rows] * w
+                 for block in self.blocks for w in block.carriers]
+        return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
     def whitened_factor(self) -> np.ndarray:
         """F = blockdiag(L^H) C with cov = L L^H per block, so gamma == F^H F.
@@ -102,9 +103,7 @@ class CovarianceModel:
         sample and carrier, sum(rows) by N*M in all.  Built on every call;
         of the verbs, only stap's power sums read it.
         """
-        parts = []
-        for block, lower in zip(self.blocks, self.lowers):
-            parts.extend(lower.T[:, block.rows] * w for w in block.carriers)
+        parts = [block.lower.T[:, block.rows] * w for block in self.blocks for w in block.carriers]
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
     @cached_property
@@ -131,19 +130,6 @@ class CovarianceModel:
                 gram[starts[q]:starts[q + 1], starts[p]:starts[p + 1]] = pair.conj().T
         return gram
 
-    @cached_property
-    def lowers(self) -> list[np.ndarray]:
-        """Each block's lower-triangular Cholesky factor L, with cov = L L^T
-        (cov is real, so L^H = L^T), built once per model: synthesis, the
-        whitened factor and the residual read the same ones; the rank reads
-        none.
-
-        For the AR(1) family L is the recursion's own map from unit
-        innovations to stationary samples: L[k, 0] = s * ar^k / sqrt(1 - ar^2)
-        and L[k, j] = s * ar^(k-j) for 1 <= j <= k, with s = sqrt(variance).
-        """
-        return [np.linalg.cholesky(block.cov) for block in self.blocks]
-
     def factorization_residual(self) -> float:
         """||Gamma - F^H F||_F / ||Gamma||_F for F = whitened_factor(), as
         sqrt(tr(E G E G) / tr(R G R G)) on the line Gram; 0.0 when Gamma is
@@ -152,10 +138,10 @@ class CovarianceModel:
         unit = self._unit()
         root = math.sqrt(unit)  # exact: unit is a power of four
         exact, gap = [], []
-        for block, lower in zip(self.blocks, self.lowers):
+        for block in self.blocks:
             # R / unit and L / root are exact, so no variance over- or underflows
             cov = block.cov / unit
-            lower = lower / root
+            lower = block.lower / root
             exact.extend([cov] * len(block.carriers))
             gap.extend([cov - lower @ lower.T] * len(block.carriers))
         gram = self._line_gram
@@ -188,14 +174,12 @@ class CovarianceModel:
         return math.sqrt(gap_sq) / math.sqrt(exact_sq)
 
     def _unit(self) -> float:
-        """A power of four within a factor of two of max diag Gamma, so that
-        Gamma / unit has entries of order one at any variance."""
-        diag = sum(
-            (np.diagonal(block.cov)[block.rows] * np.abs(w) ** 2
-             for block in self.blocks for w in block.carriers),
-            np.zeros(self.rect.size),
-        )
-        half = min(max(math.frexp(float(diag.max()))[1] // 2, -_UNIT_HALF_EXP), _UNIT_HALF_EXP)
+        """A power of four within a factor of two of the total marginal
+        variance, every diagonal entry of Gamma up to roundoff (each
+        component reaches every lattice point, its carriers of unit
+        modulus), so that Gamma / unit is of order one at any variance."""
+        total = sum(block.process.marginal_variance for block in self.blocks)
+        half = min(max(math.frexp(total)[1] // 2, -_UNIT_HALF_EXP), _UNIT_HALF_EXP)
         return math.ldexp(1.0, 2 * half)
 
 
@@ -303,14 +287,8 @@ def sample_covariance(snapshots) -> np.ndarray:
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     """Writes a complex matrix as CSV with interleaved real/imag cells."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    with open(path, "w", encoding="ascii") as fh:
-        for row in matrix:
-            cells: list[str] = []
-            for value in row:
-                cells.append(f"{value.real:.17g}")
-                cells.append(f"{value.imag:.17g}")
-            fh.write(",".join(cells) + "\n")
+    pairs = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+    np.savetxt(path, pairs, fmt="%.17g", delimiter=",")
 
 
 def save_matrix_binary(matrix: np.ndarray, path) -> None:

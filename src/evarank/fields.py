@@ -61,6 +61,11 @@ class ModulatingProcessSpec:
         if self.kind is ProcessKind.WHITE and self.ar_coefficient != 0.0:
             raise ValueError("white process takes no AR coefficient")
 
+    @property
+    def marginal_variance(self) -> float:
+        """variance / (1 - ar^2), the power of each sample of the process."""
+        return self.variance / (1.0 - self.ar_coefficient**2)
+
 
 @dataclass(frozen=True)
 class EvanescentComponent:
@@ -126,17 +131,14 @@ def lattice_map(comp: EvanescentComponent, rect: LatticeRect):
 
 
 def process_covariance(spec: ModulatingProcessSpec, size: int) -> np.ndarray:
-    """Covariance of `size` consecutive modulating samples.
-
-    White noise gives variance * I; the AR(1) family gives the symmetric
-    Toeplitz matrix with entry variance * ar^|i-j| / (1 - ar^2).  Both are
-    real and positive definite, which is what makes rank(Gamma) = rank(C)
-    an identity rather than an inequality.
+    """Covariance of `size` consecutive modulating samples: the symmetric
+    Toeplitz matrix with entry variance * ar^|i-j| / (1 - ar^2), which for
+    white noise (ar = 0) is variance * I bit for bit.  It is real and
+    positive definite, which is what makes rank(Gamma) = rank(C) an
+    identity rather than an inequality.
     """
     if size < 1:
         raise ValueError("process covariance needs a positive size")
-    if spec.kind is ProcessKind.WHITE:
-        return spec.variance * np.eye(size)
     ar = spec.ar_coefficient
     # one power per lag, gathered: the same floats as ar ** |i - j| entrywise
     autocov = spec.variance * ar ** np.arange(size) / (1.0 - ar * ar)
@@ -161,11 +163,13 @@ class FactorBlock:
         read: routes that read only rows and carriers never build it."""
         return process_covariance(self.process, self.length)
 
-    def dense(self, carrier: np.ndarray) -> np.ndarray:
-        """The (length, N*M) factor block of one carrier."""
-        out = np.zeros((self.length, self.rows.size), dtype=carrier.dtype)
-        out[self.rows, np.arange(self.rows.size)] = carrier
-        return out
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """R's lower Cholesky factor L, R = L L^T, built on first read; for
+        AR(1) the recursion's map from unit innovations to stationary samples:
+        L[k, 0] = s * ar^k / sqrt(1 - ar^2) and L[k, j] = s * ar^(k-j) for
+        1 <= j <= k, with s = sqrt(variance)."""
+        return np.linalg.cholesky(self.cov)
 
 
 def factor_block(
@@ -183,17 +187,23 @@ def factor_block(
 
 def _refuse_overflow(components, rect: LatticeRect, trials: int, noise_power: float = 0.0) -> None:
     """Raises ValueError when N*M * trials * power * _POWER_HEADROOM, the
-    snapshots' squared norms with headroom, would pass the float64 maximum.
-    An entry's power is the noise power plus each component's marginal
-    variance / (1 - ar^2), its carriers having unit modulus (cos^2 + sin^2 = 1
-    in the real model, whose two carriers take independent draws)."""
+    snapshots' squared norms with headroom, would pass the float64 maximum,
+    or when a marginal variance or a positive noise power is subnormal, as
+    the draws would be.  An entry's power is the noise power plus each
+    component's marginal variance, its carriers having unit modulus
+    (cos^2 + sin^2 = 1 in the real model)."""
     limit = sys.float_info.max / (_POWER_HEADROOM * rect.size)
-    power = noise_power + sum(c.process.variance / (1.0 - c.process.ar_coefficient**2)
-                              for c in components)
+    marginals = [c.process.marginal_variance for c in components]
+    power = noise_power + sum(marginals)
     if power and trials > limit / power:  # an int compared, never converted: trials may be huge
         raise ValueError(
             f"snapshot power overflows float64: N*M * trials * {power:g} "
             f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
+        )
+    tiny = [p for p in (*marginals, noise_power) if 0.0 < p < sys.float_info.min]
+    if tiny:
+        raise ValueError(
+            f"snapshot power underflows float64: {tiny[0]:g} is below {sys.float_info.min:g}"
         )
 
 
@@ -203,8 +213,8 @@ def draw_lines(model, trials: int, seed: int) -> np.ndarray:
     model's block and carrier order, the lines of its line Gram.
 
     Component q draws from the stream (seed, 1, q) one unit draw u per
-    carrier, of the block's length, and colours it with the model's
-    Cholesky factor L of its block, so each row of V_k has covariance R.
+    carrier, of the block's length, and colours it with the block's
+    Cholesky factor L, so each row of V_k has covariance R.
     The real model's cosine and sine carriers take two independent real
     draws; the complex model's draws are circularly symmetric.
 
@@ -216,7 +226,7 @@ def draw_lines(model, trials: int, seed: int) -> np.ndarray:
     width = sum(block.length * len(block.carriers) for block in model.blocks)
     lines = np.empty((trials, width), dtype=model.dtype)
     lo = 0
-    for q, (block, lower) in enumerate(zip(model.blocks, model.lowers)):
+    for q, block in enumerate(model.blocks):
         shape = (trials, block.length)
         rng = np.random.default_rng([seed, 1, q])
         for _ in block.carriers:
@@ -227,7 +237,7 @@ def draw_lines(model, trials: int, seed: int) -> np.ndarray:
                 # unit variance split evenly over re/im; numpy's complex division
                 # by a real number is this product, through a slower loop
                 unit *= 1.0 / np.sqrt(2.0)
-            lines[:, lo:lo + block.length] = unit @ lower.T
+            lines[:, lo:lo + block.length] = unit @ block.lower.T
             lo += block.length
     return lines
 

@@ -135,32 +135,34 @@ def test_rank_builds_the_line_gram_and_each_cholesky_factor_once(
     tmp_path, capsys, monkeypatch, verb, real, grams
 ):
     # one model per run: the rank's line Gram, the factorization residual,
-    # synthesis and stap's F share its G and its Cholesky factors
+    # synthesis and stap's F share its G and each block's Cholesky factor
     from functools import cached_property
 
     from evarank.covariance import CovarianceModel
+    from evarank.fields import FactorBlock
 
-    built_grams, models, factored = [], [], []
+    built_grams, lowered, factored = [], [], []
     build_gram = CovarianceModel._line_gram.func
-    build_lowers = CovarianceModel.lowers.func
+    build_lower = FactorBlock.lower.func
     cholesky = np.linalg.cholesky
 
     def counted_gram(model):
         built_grams.append(model)
         return build_gram(model)
 
-    def counted_lowers(model):
-        models.append(model)
-        return build_lowers(model)
+    def counted_lower(block):
+        lowered.append(block)
+        return build_lower(block)
 
     def counted_cholesky(matrix):
         factored.append(matrix.shape)
         return cholesky(matrix)
 
-    for name, func in (("_line_gram", counted_gram), ("lowers", counted_lowers)):
+    for owner, name, func in ((CovarianceModel, "_line_gram", counted_gram),
+                              (FactorBlock, "lower", counted_lower)):
         prop = cached_property(func)
-        prop.__set_name__(CovarianceModel, name)
-        monkeypatch.setattr(CovarianceModel, name, prop)
+        prop.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, prop)
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     payload = REAL_INTERIOR if real else INTERIOR
     blocks = len(payload["components"])
@@ -175,8 +177,8 @@ def test_rank_builds_the_line_gram_and_each_cholesky_factor_once(
     if verb == "rank":
         assert json.loads(out)["factorization_residual"] <= 1e-10
     assert len(built_grams) == grams
-    assert len(models) == 1
-    assert len(models[0].blocks) == len(factored) == blocks
+    assert len({id(block) for block in lowered}) == len(lowered)  # once per block
+    assert len(lowered) == len(factored) == blocks
 
 
 # oracle_large's slopes at its size: (3, 2) AR(1) and (2, 1) white at 48 x 48
@@ -1076,14 +1078,31 @@ AR1_CLUTTER = {
 }
 
 
-@pytest.mark.parametrize("argv, payload", [
-    (("simulate",), _white_pair(1e307, 64)),
-    (("simulate", "--real"), _white_pair(1e307, 64)),
-    (("stap",), AR1_CLUTTER),
-], ids=["simulate", "simulate-real", "stap-ar1"])
-def test_extreme_power_is_refused_in_one_line(tmp_path, argv, payload):
-    # N*M * trials * power overflows float64: a fresh process exits 2 with one
-    # JSON line on stderr, and no numpy warning escapes before it
+def _white_32_21(variance):
+    # (3, 2) and (2, 1) white at 8 x 8: 49 lines, below the 64 trials
+    return dict(_white_pair(variance, 64), components=[
+        {"a": 3, "b": 2, "omega": 0.9, "process": {"variance": variance}},
+        {"a": 2, "b": 1, "omega": 1.6, "process": {"variance": variance}}])
+
+
+TINY_JAMMER = dict(STAP, scenario=dict(STAP["scenario"], jammers=[
+    {"angle_freq": 0.7, "power": 4e-320}, {"angle_freq": 1.8, "power": 1e6}]))
+
+
+@pytest.mark.parametrize("argv, payload, end", [
+    (("simulate",), _white_pair(1e307, 64), "overflows"),
+    (("simulate", "--real"), _white_pair(1e307, 64), "overflows"),
+    (("stap",), AR1_CLUTTER, "overflows"),
+    (("simulate",), _white_32_21(4e-320), "underflows"),
+    (("simulate", "--real"), _white_32_21(4e-320), "underflows"),
+    (("simulate",), _white_32_21(1e-315), "underflows"),
+    (("stap",), TINY_JAMMER, "underflows"),
+], ids=["simulate", "simulate-real", "stap-ar1", "simulate-4e-320", "simulate-real-4e-320",
+        "simulate-1e-315", "stap-jammer-4e-320"])
+def test_extreme_power_is_refused_in_one_line(tmp_path, argv, payload, end):
+    # N*M * trials * power overflows float64, or a subnormal power would draw
+    # subnormal snapshots and a false sample rank: a fresh process exits 2
+    # with one JSON line on stderr, and no numpy warning escapes before it
     cfg = write_config(tmp_path, payload)
     proc = subprocess.run(
         [sys.executable, "-m", "evarank", argv[0], "--config", cfg, *argv[1:]],
@@ -1095,8 +1114,18 @@ def test_extreme_power_is_refused_in_one_line(tmp_path, argv, payload):
     (line,) = proc.stderr.splitlines()
     diagnostic = json.loads(line)
     assert diagnostic["error"] == "value"
-    assert diagnostic["message"].startswith("snapshot power overflows float64")
+    assert diagnostic["message"].startswith(f"snapshot power {end} float64")
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("variance", [3e-308, 1e-300])
+def test_simulate_at_smallest_normal_power_still_runs(tmp_path, capsys, variance):
+    code, out, err = run(capsys, "simulate", "--config",
+                         write_config(tmp_path, _white_32_21(variance)))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["exact_rank"] == report["prediction"] == 49
+    assert report["sample_rank"] == report["expected_sample_rank"] == 49
 
 
 def test_simulate_refuses_extreme_power_before_assembly(tmp_path, capsys, monkeypatch):

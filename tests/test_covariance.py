@@ -18,6 +18,7 @@ from evarank.covariance import (
 )
 from evarank.fields import (
     EvanescentComponent,
+    FactorBlock,
     ModulatingProcessSpec,
     ProcessKind,
     lattice_map,
@@ -131,7 +132,12 @@ def test_modulation_entries_vertical():
 # --- process covariance ------------------------------------------------------
 
 def test_white_covariance_is_scaled_identity():
-    assert np.array_equal(process_covariance(WHITE(2.5), 4), 2.5 * np.eye(4))
+    # the AR(1) formula at ar = 0 gives variance * I bit for bit
+    for size in (1, 2, 40, 300):
+        for variance in (1e-300, 0.37, 2.5, 1e300):
+            got, want = process_covariance(WHITE(variance), size), variance * np.eye(size)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_ar1_covariance_frozen_example():
@@ -284,17 +290,16 @@ TILED_COMPS = [comp(3, 2, 0.9, AR1(1.3, 0.5)), comp(2, -1, 1.7, WHITE(0.8))]
 
 def perturb_one_cholesky_row(monkeypatch):
     """F^H F != Gamma: the middle row of each block's L is scaled by 1 + 1e-6."""
-    original = CovarianceModel.lowers.func
+    original = FactorBlock.lower.func
 
-    def perturbed(model):
-        lowers = original(model)
-        for lower in lowers:
-            lower[lower.shape[0] // 2] *= 1 + 1e-6
-        return lowers
+    def perturbed(block):
+        lower = original(block)
+        lower[lower.shape[0] // 2] *= 1 + 1e-6
+        return lower
 
     prop = cached_property(perturbed)
-    prop.__set_name__(CovarianceModel, "lowers")
-    monkeypatch.setattr(CovarianceModel, "lowers", prop)
+    prop.__set_name__(FactorBlock, "lower")
+    monkeypatch.setattr(FactorBlock, "lower", prop)
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -306,6 +311,38 @@ def test_tiled_residual_matches_dense_reference(monkeypatch, rect, real):
     dense = relative_gap(factor.conj().T @ factor, model.gamma)
     assert dense > 1e-8  # the injected mismatch shows
     assert model.factorization_residual() == pytest.approx(dense, rel=1e-9)
+
+
+def diagonal_unit(model):
+    """The scale unit read from max diag Gamma, accumulated over N*M."""
+    diag = sum(
+        (np.diagonal(block.cov)[block.rows] * np.abs(w) ** 2
+         for block in model.blocks for w in block.carriers),
+        np.zeros(model.rect.size),
+    )
+    half = min(max(math.frexp(float(diag.max()))[1] // 2, -510), 510)
+    return math.ldexp(1.0, 2 * half)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+@pytest.mark.parametrize("comps", [
+    [comp(3, 2, 0.9, WHITE(1.0)), comp(2, -1, 1.7, WHITE(1.0))],
+    [comp(3, 2, 0.9, AR1(0.75, 0.5))],
+], ids=["white-pair", "ar1"])
+def test_unit_from_the_specs_keeps_every_ratio_bit_for_bit(monkeypatch, comps, scale, real):
+    # total marginal variance 2.0 and 1.0: on a power of two, where max diag
+    # Gamma may round below it; a unit a factor of four off scales every term
+    # exactly too, so the ratios keep their bits
+    comps = [EvanescentComponent(c.slope, c.omega, ModulatingProcessSpec(
+        c.process.kind, c.process.variance * scale, c.process.ar_coefficient)) for c in comps]
+    model = assemble_gamma(comps, LatticeRect(9, 7), real_valued=real)
+    estimate = sample_covariance(synthesize_batch(model, 16, 4))
+    got = (model.factorization_residual(), model.gap_to(estimate))
+    for factor in (1.0, 4.0, 0.25):
+        monkeypatch.setattr(CovarianceModel, "_unit", lambda m: factor * diagonal_unit(m))
+        want = (model.factorization_residual(), model.gap_to(estimate))
+        assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
 
 
 # negative b and the vertical and horizontal slopes; drawn with replacement, so
@@ -524,6 +561,40 @@ def test_binary_rejects_bad_magic(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(ValueError):
         load_matrix_binary(path)
+
+
+def loop_csv(matrix, path):
+    """Reference writer: one formatted cell per real and imaginary part."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    with open(path, "w", encoding="ascii") as fh:
+        for row in matrix:
+            cells = []
+            for value in row:
+                cells.append(f"{value.real:.17g}")
+                cells.append(f"{value.imag:.17g}")
+            fh.write(",".join(cells) + "\n")
+
+
+def _csv_inputs():
+    rng = np.random.default_rng(3)
+    exponents = rng.integers(-300, 301, size=(12, 9))
+    spread = (rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))) * 10.0 ** exponents
+    spread[0, :4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    spread[1, :3] = [5e-324, complex(-4e-320, 2.2250738585072014e-308), 1.7976931348623157e308]
+    return {
+        "complex": spread,
+        "real": spread.real[:, ::-1],  # a strided view
+        "integer": rng.integers(-10**6, 10**6, size=(5, 7)),
+        "lists": [[1, 2.5, -3j], [0.1 + 0.2j, -0.0, 1e-310]],
+    }
+
+
+@pytest.mark.parametrize("name", ["complex", "real", "integer", "lists"])
+def test_csv_is_the_per_cell_loop_byte_for_byte(tmp_path, name):
+    matrix = _csv_inputs()[name]
+    save_matrix_csv(matrix, tmp_path / "got.csv")
+    loop_csv(matrix, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_csv_interleaves_real_imag(tmp_path):

@@ -93,11 +93,11 @@ def test_ar1_covariance_gathered_by_lag_is_the_entrywise_power(size):
         assert np.array_equal(process_covariance(AR1(1.7, ar), size), want)
 
 
-# --- the model's Cholesky factors ---------------------------------------------
+# --- each block's Cholesky factor ---------------------------------------------
 
 def cholesky_of(spec, n):
     # slope (0, 1) on a 1 x n lattice reads n consecutive process samples
-    return assemble_gamma([comp(0, 1, 0.0, spec)], LatticeRect(1, n)).lowers[0]
+    return assemble_gamma([comp(0, 1, 0.0, spec)], LatticeRect(1, n)).blocks[0].lower
 
 
 @pytest.mark.parametrize("n", [1, 2, 40])
@@ -179,7 +179,8 @@ def single_loop_synthesis(model, trials, seed, noise_power=0.0):
     by L, gathered into a term buffer and added up; then the noise."""
     out = np.zeros((trials, model.rect.size), dtype=model.dtype)
     term = np.empty_like(out)
-    for q, (block, lower) in enumerate(zip(model.blocks, model.lowers)):
+    for q, block in enumerate(model.blocks):
+        lower = block.lower
         shape = (trials, lower.shape[0])
         rng = np.random.default_rng([seed, 1, q])
         for carrier in block.carriers:
@@ -222,11 +223,11 @@ def test_complex_draws_are_the_divided_draws_bit_for_bit(trials):
     model = assemble_gamma(SYNTHESIS_COMPS, LatticeRect(9, 7))
     lines = draw_lines(model, trials, 5)
     lo = 0
-    for q, (block, lower) in enumerate(zip(model.blocks, model.lowers)):
+    for q, block in enumerate(model.blocks):
         rng = np.random.default_rng([5, 1, q])
         shape = (trials, block.length)
         unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        assert lines[:, lo:lo + block.length].tobytes() == (unit @ lower.T).tobytes()
+        assert lines[:, lo:lo + block.length].tobytes() == (unit @ block.lower.T).tobytes()
         lo += block.length
     assert lo == lines.shape[1]
 

@@ -501,7 +501,7 @@ def test_gamma_rank_of_tall_factor_and_empty_model(real_valued):
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
 def test_gamma_rank_reads_no_cholesky_factor(monkeypatch, real_valued):
     # rank Gamma = rank C: the rank decision needs neither L nor any Cholesky
-    from evarank.covariance import CovarianceModel
+    from evarank.fields import FactorBlock
 
     def refused(*args):
         raise AssertionError("the rank read a Cholesky factor")
@@ -510,7 +510,7 @@ def test_gamma_rank_reads_no_cholesky_factor(monkeypatch, real_valued):
     model = assemble_gamma([comp(3, 2, 0.9, AR1(1.3, 0.99)), comp(2, -1, 1.7, WHITE(0.7))],
                            rect, real_valued=real_valued)
     dense_rank, _ = numerical_rank(model.gamma)
-    monkeypatch.setattr(CovarianceModel, "lowers", property(refused))
+    monkeypatch.setattr(FactorBlock, "lower", property(refused))
     monkeypatch.setattr(np.linalg, "cholesky", refused)
     assert gamma_rank(model)[0] == dense_rank
 
