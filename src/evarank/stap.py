@@ -211,7 +211,7 @@ def suppression_experiment(
             the snapshots span at most `trials` directions, and any further
             ones would come from an arbitrary basis of their null space.
             Also when the squared norms of the draws or of the target
-            steering vector would overflow float64.
+            steering vector would overflow float64, or a power is subnormal.
     """
     comps = scenario_to_components(scenario)
     rect = scenario.rect
