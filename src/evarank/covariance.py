@@ -17,10 +17,11 @@ reads G alone, with no variance and no Cholesky factor in it.  The
 residual also reads each block's Cholesky factor L: with the Cholesky
 roundoff E = blockdiag(R_k - L_k L_k^T) and the whitened factor F =
 blockdiag(L^T) C, Gamma - F^H F = C^H E C, so its squared norm is
-tr(E G E G).  The gap to a sample covariance gathers Gamma in row tiles
-of its upper triangle and never holds it whole.  The sample covariance and
-`stap`'s trials-by-trials snapshot Gram come from the row tiles of their
-own upper triangle, exactly Hermitian by construction.
+tr(E G E G), read from G's carrier blocks.  The gap to a sample
+covariance gathers Gamma in row tiles of its upper triangle and never
+holds it whole.  The sample covariance and `stap`'s trials-by-trials
+snapshot Gram come from the row tiles of their own upper triangle,
+exactly Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import EvanescentComponent, FactorBlock, check_distinct_triples, factor_block
+from .fields import _power_of_four_near
 from .lattice import LatticeRect
 
 BINARY_MAGIC = b"EVCM0001"
@@ -92,8 +94,7 @@ class CovarianceModel:
 
     @cached_property
     def stacked(self) -> np.ndarray:
-        parts = [np.eye(block.length)[:, block.rows] * w
-                 for block in self.blocks for w in block.carriers]
+        parts = [np.eye(length)[:, rows] * w for _, rows, length, w, _, _ in self._carriers()]
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
     def whitened_factor(self) -> np.ndarray:
@@ -106,6 +107,12 @@ class CovarianceModel:
         parts = [block.lower.T[:, block.rows] * w for block in self.blocks for w in block.carriers]
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
+    def _carriers(self) -> list[tuple[int, np.ndarray, int, np.ndarray, int, int]]:
+        """(k, rows, length, w, lo, hi) per carrier w of block k: its lines are G's rows lo:hi."""
+        lines = [(k, b.rows, b.length, w) for k, b in enumerate(self.blocks) for w in b.carriers]
+        ends = np.cumsum([line[2] for line in lines]).tolist()
+        return [(*line, end - line[2], end) for line, end in zip(lines, ends)]
+
     @cached_property
     def _line_gram(self) -> np.ndarray:
         """G = C C^H, one line per process sample and carrier (sum(rows) by
@@ -114,11 +121,11 @@ class CovarianceModel:
         sample r of p and sample s of q, one bincount per pair.  G is exactly
         Hermitian: a pair below the diagonal is the conjugate transpose of
         its mirror, and a diagonal pair is diagonal and real."""
-        lines = [(block.rows, block.length, w) for block in self.blocks for w in block.carriers]
-        starts = np.cumsum([0] + [length for _, length, _ in lines]).tolist()
-        gram = np.zeros((starts[-1], starts[-1]), self.dtype)
-        for p, (rows_p, len_p, w_p) in enumerate(lines):
-            for q, (rows_q, len_q, w_q) in enumerate(lines[p:], p):
+        carriers = self._carriers()
+        size = carriers[-1][-1] if carriers else 0
+        gram = np.zeros((size, size), self.dtype)
+        for p, (_, rows_p, len_p, w_p, lo_p, hi_p) in enumerate(carriers):
+            for q, (_, rows_q, len_q, w_q, lo_q, hi_q) in enumerate(carriers[p:], p):
                 key = rows_p * len_q + rows_q
                 # |w|^2 on the diagonal: w * conj(w) can leave roundoff in its imaginary part
                 weight = w_p.real ** 2 + w_p.imag ** 2 if p == q else w_p * np.conj(w_q)
@@ -126,8 +133,8 @@ class CovarianceModel:
                 if np.iscomplexobj(weight):  # bincount takes no complex weights
                     pair = pair + 1j * np.bincount(key, weight.imag, len_p * len_q)
                 pair = pair.reshape(len_p, len_q)
-                gram[starts[p]:starts[p + 1], starts[q]:starts[q + 1]] = pair
-                gram[starts[q]:starts[q + 1], starts[p]:starts[p + 1]] = pair.conj().T
+                gram[lo_p:hi_p, lo_q:hi_q] = pair
+                gram[lo_q:hi_q, lo_p:hi_p] = pair.conj().T
         return gram
 
     def factorization_residual(self) -> float:
@@ -136,20 +143,37 @@ class CovarianceModel:
         zero.  E = R - L L^T is formed block by block, so the value measures
         the Cholesky roundoff alone, and nothing cancels."""
         unit = self._unit()
-        root = math.sqrt(unit)  # exact: unit is a power of four
-        exact, gap = [], []
-        for block in self.blocks:
-            # R / unit and L / root are exact, so no variance over- or underflows
-            cov = block.cov / unit
-            lower = block.lower / root
-            exact.extend([cov] * len(block.carriers))
-            gap.extend([cov - lower @ lower.T] * len(block.carriers))
-        gram = self._line_gram
-        exact_sq = _trace_square(exact, gram)
+        # unit is a power of four: R / unit and L / sqrt(unit) are exact, with no over- or underflow
+        exact = [block.cov / unit for block in self.blocks]
+        exact_sq = self._trace_square(exact)
         if exact_sq == 0.0:
             return 0.0
+        lowers = [block.lower / math.sqrt(unit) for block in self.blocks]
+        gap = [cov - lower @ lower.T for cov, lower in zip(exact, lowers)]
         # tr(E G E G) >= 0; only roundoff in the trace can take it below
-        return math.sqrt(max(_trace_square(gap, gram), 0.0)) / math.sqrt(exact_sq)
+        return math.sqrt(max(self._trace_square(gap), 0.0)) / math.sqrt(exact_sq)
+
+    def _trace_square(self, per_block: list[np.ndarray]) -> float:
+        """tr((D G)^2), D = blockdiag(per_block[k] per carrier of block k), real
+        symmetric: the sum of tr(D_p G_pq D_q G_qp) over carrier pairs.  In a
+        block G_pq is diagonal x (a point reads one sample per carrier, and a
+        block's carriers share rows): x^T (D o D) x.  Any other pair is taken
+        once, Re sum (D_p G_pq) o (D_q G_qp)^T, and counted twice by cyclicity;
+        its products read G's float64 (re, im) pairs, real ones, not complex."""
+        gram, carriers = self._line_gram, self._carriers()
+        wide, c = gram.view(np.float64), gram.itemsize // 8
+        total = 0.0
+        for p, (k_p, *_, lo_p, hi_p) in enumerate(carriers):
+            for q, (k_q, *_, lo_q, hi_q) in enumerate(carriers[p:], p):
+                if k_q == k_p:  # x is real: the complex model's only such pair is p == q
+                    x = np.diagonal(gram[lo_p:hi_p, lo_q:hi_q]).real
+                    term = x @ (per_block[k_p] ** 2 @ x)
+                else:
+                    left = (per_block[k_p] @ wide[lo_p:hi_p, c * lo_q:c * hi_q]).view(gram.dtype)
+                    right = (per_block[k_q] @ wide[lo_q:hi_q, c * lo_p:c * hi_p]).view(gram.dtype)
+                    term = np.sum(left * right.T).real
+                total += term if p == q else 2.0 * term
+        return float(total)
 
     def gap_to(self, matrix: np.ndarray) -> float:
         """||matrix - Gamma||_F / ||Gamma||_F for a Hermitian N*M x N*M
@@ -174,37 +198,12 @@ class CovarianceModel:
         return math.sqrt(gap_sq) / math.sqrt(exact_sq)
 
     def _unit(self) -> float:
-        """A power of four within a factor of two of the total marginal
-        variance, every diagonal entry of Gamma up to roundoff (each
-        component reaches every lattice point, its carriers of unit
-        modulus), so that Gamma / unit is of order one at any variance."""
-        total = sum(block.process.marginal_variance for block in self.blocks)
-        half = min(max(math.frexp(total)[1] // 2, -_UNIT_HALF_EXP), _UNIT_HALF_EXP)
-        return math.ldexp(1.0, 2 * half)
+        """A power of four near the total marginal variance, Gamma's diagonal up
+        to roundoff (each component reaches every point through unit-modulus carriers)."""
+        return _power_of_four_near(sum(block.process.marginal_variance for block in self.blocks))
 
 
 _TILE_ROWS = 256
-_UNIT_HALF_EXP = 510  # 4**-510 and 4**510 are both normal floats
-
-
-def _blockdiag_times(blocks, matrix: np.ndarray) -> np.ndarray:
-    """blockdiag(blocks) @ matrix for real square blocks and a C-ordered
-    matrix.  A complex matrix is read as its interleaved float64 (re, im)
-    pairs, so each block takes one real product, not a complex one."""
-    product = np.empty_like(matrix)
-    lo = 0
-    for block in blocks:
-        hi = lo + block.shape[0]
-        product[lo:hi] = (block @ matrix[lo:hi].view(np.float64)).view(matrix.dtype)
-        lo = hi
-    return product
-
-
-def _trace_square(blocks, gram: np.ndarray) -> float:
-    """tr((D G)^2) for D = blockdiag(blocks), real symmetric, and Hermitian
-    G: the squared Frobenius norm of G^(1/2) D G^(1/2)."""
-    product = _blockdiag_times(blocks, gram)
-    return float(np.sum(product * product.T).real)
 
 
 def _upper_sum_sq(tile: np.ndarray, width: int) -> float:

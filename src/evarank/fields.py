@@ -140,9 +140,15 @@ def process_covariance(spec: ModulatingProcessSpec, size: int) -> np.ndarray:
     if size < 1:
         raise ValueError("process covariance needs a positive size")
     ar = spec.ar_coefficient
-    # one power per lag, gathered: the same floats as ar ** |i - j| entrywise
     autocov = spec.variance * ar ** np.arange(size) / (1.0 - ar * ar)
-    return autocov[np.abs(np.arange(size)[:, None] - np.arange(size)[None, :])]
+    # row i: the lags mirrored, from -i on, a strided view copied once; the floats of ar ** |i - j|
+    mirrored = np.concatenate([autocov[:0:-1], autocov])
+    return np.lib.stride_tricks.sliding_window_view(mirrored, size)[::-1].copy()
+
+
+def _power_of_four_near(x: float) -> float:
+    """4**k within a factor of two of x > 0, |k| <= 510 so that it is normal: division is exact."""
+    return math.ldexp(1.0, 2 * min(max(math.frexp(x)[1] // 2, -510), 510))
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,10 @@ class FactorBlock:
         """R's lower Cholesky factor L, R = L L^T, built on first read; for
         AR(1) the recursion's map from unit innovations to stationary samples:
         L[k, 0] = s * ar^k / sqrt(1 - ar^2) and L[k, j] = s * ar^(k-j) for
-        1 <= j <= k, with s = sqrt(variance)."""
-        return np.linalg.cholesky(self.cov)
+        1 <= j <= k, with s = sqrt(variance).  Read through R / 4^k near 1:
+        exact, so cholesky(R)'s bits, except where R's own factor underflows."""
+        unit = _power_of_four_near(self.process.marginal_variance)
+        return np.linalg.cholesky(self.cov / unit) * math.sqrt(unit)
 
 
 def factor_block(
@@ -188,19 +196,19 @@ def factor_block(
 def _refuse_overflow(components, rect: LatticeRect, trials: int, noise_power: float = 0.0) -> None:
     """Raises ValueError when N*M * trials * power * _POWER_HEADROOM, the
     snapshots' squared norms with headroom, would pass the float64 maximum,
-    or when a marginal variance or a positive noise power is subnormal, as
-    the draws would be.  An entry's power is the noise power plus each
-    component's marginal variance, its carriers having unit modulus
-    (cos^2 + sin^2 = 1 in the real model)."""
+    or when an innovation variance (R's factor, at most the marginal one) or
+    a positive noise power is subnormal, as the draws would be.  An entry's
+    power is the noise power plus each component's marginal variance, its
+    carriers having unit modulus (cos^2 + sin^2 = 1 in the real model)."""
     limit = sys.float_info.max / (_POWER_HEADROOM * rect.size)
-    marginals = [c.process.marginal_variance for c in components]
-    power = noise_power + sum(marginals)
+    power = noise_power + sum(c.process.marginal_variance for c in components)
     if power and trials > limit / power:  # an int compared, never converted: trials may be huge
         raise ValueError(
             f"snapshot power overflows float64: N*M * trials * {power:g} "
             f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
         )
-    tiny = [p for p in (*marginals, noise_power) if 0.0 < p < sys.float_info.min]
+    variances = (*(c.process.variance for c in components), noise_power)
+    tiny = [p for p in variances if 0.0 < p < sys.float_info.min]
     if tiny:
         raise ValueError(
             f"snapshot power underflows float64: {tiny[0]:g} is below {sys.float_info.min:g}"
@@ -225,20 +233,16 @@ def draw_lines(model, trials: int, seed: int) -> np.ndarray:
         raise ValueError("trials must be positive")
     width = sum(block.length * len(block.carriers) for block in model.blocks)
     lines = np.empty((trials, width), dtype=model.dtype)
-    lo = 0
-    for q, block in enumerate(model.blocks):
-        shape = (trials, block.length)
-        rng = np.random.default_rng([seed, 1, q])
-        for _ in block.carriers:
-            if model.real_valued:
-                unit = rng.standard_normal(shape)
-            else:
-                unit = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                # unit variance split evenly over re/im; numpy's complex division
-                # by a real number is this product, through a slower loop
-                unit *= 1.0 / np.sqrt(2.0)
-            lines[:, lo:lo + block.length] = unit @ block.lower.T
-            lo += block.length
+    rngs = [np.random.default_rng([seed, 1, q]) for q in range(len(model.blocks))]
+    for q, _, length, _, lo, hi in model._carriers():
+        shape = (trials, length)
+        unit = rngs[q].standard_normal(shape)
+        if not model.real_valued:
+            unit = unit + 1j * rngs[q].standard_normal(shape)
+            # unit variance split evenly over re/im; numpy's complex division
+            # by a real number is this product, through a slower loop
+            unit *= 1.0 / np.sqrt(2.0)
+        lines[:, lo:hi] = unit @ model.blocks[q].lower.T
     return lines
 
 
@@ -249,14 +253,11 @@ def scatter_lines(model, lines: np.ndarray) -> np.ndarray:
     buffer is allocated."""
     out = np.zeros((lines.shape[0], model.rect.size), dtype=model.dtype)
     term = np.empty_like(out)
-    lo = 0
-    for block in model.blocks:
-        for carrier in block.carriers:
-            # rows index within the block's length; "clip" writes straight into term
-            np.take(lines[:, lo:lo + block.length], block.rows, axis=1, out=term, mode="clip")
-            term *= np.conj(carrier)
-            out += term
-            lo += block.length
+    for _, rows, _, carrier, lo, hi in model._carriers():
+        # rows index within the block's length; "clip" writes straight into term
+        np.take(lines[:, lo:hi], rows, axis=1, out=term, mode="clip")
+        term *= np.conj(carrier)
+        out += term
     return out
 
 

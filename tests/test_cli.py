@@ -880,7 +880,6 @@ def test_rank_at_ar_coefficient_near_one_agrees(tmp_path, capsys):
 
 
 def test_rank_at_subnormal_variance_agrees(tmp_path, capsys):
-    # the factorization residual is left unchecked: the Cholesky of R underflows here
     payload = dict(INTERIOR, components=[
         {"a": 3, "b": 2, "omega": 0.9,
          "process": {"kind": "ar1", "ar_coefficient": 0.5, "variance": 4e-320}},
@@ -890,6 +889,7 @@ def test_rank_at_subnormal_variance_agrees(tmp_path, capsys):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["numerical_rank"] == report["prediction"] == 49
+    assert report["factorization_residual"] <= 1e-10
 
 
 HUGE_VARIANCE = {"rect": {"N": 8, "M": 8},
@@ -1085,6 +1085,18 @@ def _white_32_21(variance):
         {"a": 2, "b": 1, "omega": 1.6, "process": {"variance": variance}}])
 
 
+def _tiny_innovation_32_21():
+    # innovation variance 1e-310 under a normal marginal one, about 5e-304
+    payload = _white_32_21(1e-300)
+    payload["components"][0]["process"] = {"kind": "ar1", "variance": 1e-310,
+                                           "ar_coefficient": 0.9999999}
+    return payload
+
+
+TINY_CLUTTER = dict(AR1_CLUTTER, scenario=dict(AR1_CLUTTER["scenario"], clutter=dict(
+    AR1_CLUTTER["scenario"]["clutter"], power=1e-310, ar_coefficient=0.9999999)))
+
+
 TINY_JAMMER = dict(STAP, scenario=dict(STAP["scenario"], jammers=[
     {"angle_freq": 0.7, "power": 4e-320}, {"angle_freq": 1.8, "power": 1e6}]))
 
@@ -1097,8 +1109,12 @@ TINY_JAMMER = dict(STAP, scenario=dict(STAP["scenario"], jammers=[
     (("simulate", "--real"), _white_32_21(4e-320), "underflows"),
     (("simulate",), _white_32_21(1e-315), "underflows"),
     (("stap",), TINY_JAMMER, "underflows"),
+    (("simulate",), _tiny_innovation_32_21(), "underflows"),
+    (("simulate", "--real"), _tiny_innovation_32_21(), "underflows"),
+    (("stap",), TINY_CLUTTER, "underflows"),
 ], ids=["simulate", "simulate-real", "stap-ar1", "simulate-4e-320", "simulate-real-4e-320",
-        "simulate-1e-315", "stap-jammer-4e-320"])
+        "simulate-1e-315", "stap-jammer-4e-320", "simulate-ar1-innovation-1e-310",
+        "simulate-real-ar1-innovation-1e-310", "stap-clutter-innovation-1e-310"])
 def test_extreme_power_is_refused_in_one_line(tmp_path, argv, payload, end):
     # N*M * trials * power overflows float64, or a subnormal power would draw
     # subnormal snapshots and a false sample rank: a fresh process exits 2

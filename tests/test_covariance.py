@@ -151,6 +151,36 @@ def test_ar1_zero_coefficient_reduces_to_white():
     )
 
 
+def gathered_covariance(spec, size):
+    """R through an int64 lag matrix and a gather: the reference for the
+    strided route."""
+    ar = spec.ar_coefficient
+    autocov = spec.variance * ar ** np.arange(size) / (1.0 - ar * ar)
+    return autocov[np.abs(np.arange(size)[:, None] - np.arange(size)[None, :])]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 40, 301])
+@pytest.mark.parametrize("spec", [WHITE(0.37), AR1(1.3, 0.5), AR1(2.0, -0.85), AR1(1e-300, 0.9)],
+                         ids=["white", "ar1", "ar1-negative", "ar1-tiny"])
+def test_process_covariance_is_the_lag_gather_bit_for_bit(spec, size):
+    got = process_covariance(spec, size)
+    want = gathered_covariance(spec, size)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_process_covariance_peak_is_about_one_covariance():
+    # the lag-matrix gather peaked at twice R's bytes at this size
+    size = 1280
+    tracemalloc.start()
+    try:
+        cov = process_covariance(AR1(1.3, 0.5), size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * cov.nbytes
+
+
 def test_process_covariance_positive_definite():
     for spec in (WHITE(0.5), AR1(1.0, 0.9), AR1(2.0, -0.85)):
         cov = process_covariance(spec, 40)
@@ -374,6 +404,36 @@ def test_line_space_residual_matches_dense_reference(monkeypatch, seed, real):
     dense = relative_gap(factor.conj().T @ factor, model.gamma)
     assert dense > 1e-8  # the injected mismatch shows
     assert model.factorization_residual() == pytest.approx(dense, rel=1e-9)
+
+
+def dense_trace_square(model, per_block):
+    """tr((D G)^2) with D = blockdiag(per_block[k] for each carrier of block
+    k) formed whole, one dense product: the reference for the carrier-block
+    trace."""
+    parts = [d for d, block in zip(per_block, model.blocks) for _ in block.carriers]
+    size = sum(d.shape[0] for d in parts)
+    dense = np.zeros((size, size))
+    lo = 0
+    for d in parts:
+        dense[lo:lo + d.shape[0], lo:lo + d.shape[0]] = d
+        lo += d.shape[0]
+    product = dense @ model._line_gram
+    return float(np.trace(product @ product).real)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("seed", range(12))
+def test_carrier_block_traces_match_dense_references(monkeypatch, seed, real):
+    rect, comps = random_line_space_config(seed)
+    model = assemble_gamma(comps, rect, real_valued=real)
+    # tr(R G R G) = ||C^H R C||_F^2 = ||Gamma||_F^2
+    exact = model._trace_square([block.cov for block in model.blocks])
+    assert exact == pytest.approx(np.linalg.norm(model.gamma) ** 2, rel=1e-12)
+    perturb_one_cholesky_row(monkeypatch)
+    gap = [block.cov - block.lower @ block.lower.T for block in model.blocks]
+    want = dense_trace_square(model, gap)
+    assert want > 0.0  # the injected mismatch shows
+    assert model._trace_square(gap) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
