@@ -9,8 +9,9 @@ Verbs:
 
 The verbs that draw (simulate, stap) take all randomness from an explicit
 seed in the config or --seed; there is no wall-clock default, so identical
-config plus seed reproduces output byte for byte.  Errors print a
-single-line JSON diagnostic to stderr.
+config plus seed reproduces output byte for byte per BLAS build and thread
+count; across them only float digits move, never a rank or an exit code.
+Errors print a single-line JSON diagnostic to stderr.
 Exit codes: 0 pass, 1 disagreement, 2 bad config or out of memory,
 3 regime-flagged only.
 """
@@ -322,7 +323,7 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     snapshots = scatter_lines(model, lines)
     estimate = sample_covariance(snapshots)
     exact_rank, _ = gamma_rank(model, rel_tol=args.tolerance)
-    sample_rank, _ = estimate_rank(model, lines, estimate, rel_tol=args.tolerance)
+    sample_rank, _ = estimate_rank(model, lines, rel_tol=args.tolerance)
     rel_error = model.gap_to(estimate)
     # an --out path ending in .csv or .bin receives the matrix instead of the report
     save = {".csv": save_matrix_csv, ".bin": save_matrix_binary}.get((args.out or "")[-4:])

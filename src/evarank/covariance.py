@@ -8,14 +8,14 @@ positive definite, so the rank of Gamma is exactly the rank of C.  The
 factor blocks come from `fields.factor_block`; the model stores only those
 blocks and derives Gamma from them on demand, by an elementwise gather
 independent of the factored product.  Each block holds its own R and its
-Cholesky factor L, and synthesis colours its draws with the same ones.
+factor L, R = L L^T in closed form, and synthesis colours its draws with L.
 
 Gamma's rank and its factorization residual are read in line space, from
 the line Gram G = C C^H, sum(rows) on a side and exactly Hermitian, built
 once per model.  R is positive definite, so rank Gamma = rank G: the rank
-reads G alone, with no variance and no Cholesky factor in it.  The
-residual also reads each block's Cholesky factor L: with the Cholesky
-roundoff E = blockdiag(R_k - L_k L_k^T) and the whitened factor F =
+reads G alone, with no variance and no factor L in it.  The residual also
+reads each block's L: with E = blockdiag(R_k - L_k L_k^T), the closed
+form's roundoff against the formula, and the whitened factor F =
 blockdiag(L^T) C, Gamma - F^H F = C^H E C, so its squared norm is
 tr(E G E G), read from G's carrier blocks.  The gap to a sample
 covariance gathers Gamma in row tiles of its upper triangle and never
@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import EvanescentComponent, FactorBlock, check_distinct_triples, factor_block
-from .fields import _power_of_four_near
+from .fields import process_covariance
 from .lattice import LatticeRect
 
 BINARY_MAGIC = b"EVCM0001"
@@ -46,8 +46,8 @@ class CovarianceModel:
 
     `gamma` and `stacked` (every carrier's dense factor block, stacked) are
     built on first read, and gamma == stacked^H R stacked up to roundoff.
-    `whitened_factor()` folds each block's Cholesky factor L into the
-    factor: gamma == F^H F.
+    `whitened_factor()` folds each block's factor L into the factor:
+    gamma == F^H F.
     """
 
     rect: LatticeRect
@@ -141,10 +141,10 @@ class CovarianceModel:
         """||Gamma - F^H F||_F / ||Gamma||_F for F = whitened_factor(), as
         sqrt(tr(E G E G) / tr(R G R G)) on the line Gram; 0.0 when Gamma is
         zero.  E = R - L L^T is formed block by block, so the value measures
-        the Cholesky roundoff alone, and nothing cancels."""
+        L's closed form against R's Toeplitz formula, and nothing cancels."""
         unit = self._unit()
-        # unit is a power of four: R / unit and L / sqrt(unit) are exact, with no over- or underflow
-        exact = [block.cov / unit for block in self.blocks]
+        # R from its formula at unit's scale, and L / sqrt(unit): exact, with no over- or underflow
+        exact = [process_covariance(block.process, block.length, unit) for block in self.blocks]
         exact_sq = self._trace_square(exact)
         if exact_sq == 0.0:
             return 0.0
@@ -198,9 +198,11 @@ class CovarianceModel:
         return math.sqrt(gap_sq) / math.sqrt(exact_sq)
 
     def _unit(self) -> float:
-        """A power of four near the total marginal variance, Gamma's diagonal up
-        to roundoff (each component reaches every point through unit-modulus carriers)."""
-        return _power_of_four_near(sum(block.process.marginal_variance for block in self.blocks))
+        """4**k within a factor of two of the total marginal variance, Gamma's
+        diagonal up to roundoff (each component reaches every point through
+        unit-modulus carriers); |k| <= 510 so that it is normal: division is exact."""
+        total = sum(block.process.marginal_variance for block in self.blocks)
+        return math.ldexp(1.0, 2 * min(max(math.frexp(total)[1] // 2, -510), 510))
 
 
 _TILE_ROWS = 256

@@ -130,25 +130,26 @@ def lattice_map(comp: EvanescentComponent, rect: LatticeRect):
     return rows, k_max - k_min + 1, coords
 
 
-def process_covariance(spec: ModulatingProcessSpec, size: int) -> np.ndarray:
-    """Covariance of `size` consecutive modulating samples: the symmetric
-    Toeplitz matrix with entry variance * ar^|i-j| / (1 - ar^2), which for
-    white noise (ar = 0) is variance * I bit for bit.  It is real and
-    positive definite, which is what makes rank(Gamma) = rank(C) an
-    identity rather than an inequality.
+def _toeplitz(diagonals: np.ndarray, size: int) -> np.ndarray:
+    """The size-square Toeplitz matrix of entry (i, j) = diagonals[size - 1 - i + j],
+    the lowest diagonal first: one strided view of them, copied once."""
+    return np.lib.stride_tricks.sliding_window_view(diagonals, size)[::-1].copy()
+
+
+def process_covariance(spec: ModulatingProcessSpec, size: int, unit: float = 1.0) -> np.ndarray:
+    """Covariance of `size` consecutive modulating samples, over `unit`: the
+    symmetric Toeplitz matrix with entry variance * ar^|i-j| / (1 - ar^2),
+    which for white noise (ar = 0) is variance * I bit for bit.  It is real
+    and positive definite, which is what makes rank(Gamma) = rank(C) an
+    identity rather than an inequality.  Dividing the variance first, by a
+    power of two, keeps the entries accurate where R's own would be subnormal.
     """
     if size < 1:
         raise ValueError("process covariance needs a positive size")
     ar = spec.ar_coefficient
-    autocov = spec.variance * ar ** np.arange(size) / (1.0 - ar * ar)
-    # row i: the lags mirrored, from -i on, a strided view copied once; the floats of ar ** |i - j|
-    mirrored = np.concatenate([autocov[:0:-1], autocov])
-    return np.lib.stride_tricks.sliding_window_view(mirrored, size)[::-1].copy()
-
-
-def _power_of_four_near(x: float) -> float:
-    """4**k within a factor of two of x > 0, |k| <= 510 so that it is normal: division is exact."""
-    return math.ldexp(1.0, 2 * min(max(math.frexp(x)[1] // 2, -510), 510))
+    autocov = spec.variance / unit * ar ** np.arange(size) / (1.0 - ar * ar)
+    # the lags mirrored: diagonal d holds the lag-|d| autocovariance
+    return _toeplitz(np.concatenate([autocov[:0:-1], autocov]), size)
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,16 @@ class FactorBlock:
 
     @cached_property
     def lower(self) -> np.ndarray:
-        """R's lower Cholesky factor L, R = L L^T, built on first read; for
-        AR(1) the recursion's map from unit innovations to stationary samples:
-        L[k, 0] = s * ar^k / sqrt(1 - ar^2) and L[k, j] = s * ar^(k-j) for
-        1 <= j <= k, with s = sqrt(variance).  Read through R / 4^k near 1:
-        exact, so cholesky(R)'s bits, except where R's own factor underflows."""
-        unit = _power_of_four_near(self.process.marginal_variance)
-        return np.linalg.cholesky(self.cov / unit) * math.sqrt(unit)
+        """R's lower Cholesky factor L, R = L L^T, built on first read in closed
+        form, R's Toeplitz gather with zeros above the diagonal: the AR(1)
+        recursion's map from unit innovations to stationary samples, L[k, 0] =
+        s * ar^k / sqrt(1 - ar^2), L[k, j] = s * ar^(k-j) for 1 <= j <= k, with
+        s = sqrt(variance); s * I for white noise (ar = 0)."""
+        ar, size = self.process.ar_coefficient, self.length
+        powers = math.sqrt(self.process.variance) * ar ** np.arange(size)
+        lower = _toeplitz(np.concatenate([powers[::-1], np.zeros(size - 1)]), size)
+        lower[:, 0] /= math.sqrt(1.0 - ar * ar)
+        return lower
 
 
 def factor_block(
@@ -221,8 +225,8 @@ def draw_lines(model, trials: int, seed: int) -> np.ndarray:
     model's block and carrier order, the lines of its line Gram.
 
     Component q draws from the stream (seed, 1, q) one unit draw u per
-    carrier, of the block's length, and colours it with the block's
-    Cholesky factor L, so each row of V_k has covariance R.
+    carrier, of the block's length, and colours it with the block's factor
+    L, the AR(1) recursion in closed form, so each row of V_k has covariance R.
     The real model's cosine and sine carriers take two independent real
     draws; the complex model's draws are circularly symmetric.
 

@@ -138,31 +138,20 @@ def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[in
     return _padded_rank(model._line_gram, model.rect.size, rel_tol)
 
 
-def estimate_rank(model: CovarianceModel, lines: np.ndarray, estimate: np.ndarray,
+def estimate_rank(model: CovarianceModel, lines: np.ndarray,
                   rel_tol: float | None = None) -> tuple[int, np.ndarray]:
-    """numerical_rank of a sample covariance of the model, under the cut and
-    zero-padding of `_padded_rank`, read on its short side.
-
-    `lines` are L trials of line-space draws V (`fields.draw_lines`) and
-    `estimate` the sample covariance of their scatter.  With W = V.conj() /
-    sqrt(L) the estimate is C^H W^H W C, so for the QR W = Q T, T of
-    min(L, sum(rows)) rows, its nonzero eigenvalues are those of T G T^H,
-    with G = C C^H the model's line Gram.  T G T^H is ranked when L <= N*M,
-    where it is at most L square, or when 2 * sum(rows) <= N*M, where the QR
-    and the two products cost about one more eigensolve of its size;
-    otherwise the estimate itself is.
-    """
-    trials, rows = lines.shape
-    size = model.rect.size
-    if trials > size and 2 * rows > size:
-        return _padded_rank(estimate, size, rel_tol)
+    """numerical_rank of the sample covariance of L trials of the model's
+    line-space draws V (`fields.draw_lines`), under the cut and zero-padding
+    of `_padded_rank`, without reading it: with W = V.conj() / sqrt(L) it is
+    C^H W^H W C, so for the QR W = Q T its nonzero eigenvalues are those of
+    T G T^H, min(L, sum(rows)) square, with G = C C^H the model's line Gram."""
     w = np.conjugate(lines)
-    _divide(w, math.sqrt(trials))
+    _divide(w, math.sqrt(lines.shape[0]))
     t = np.linalg.qr(w, mode="r")
     gram = t @ model._line_gram @ t.conj().T
     gram += np.conjugate(gram.T)
     gram *= 0.5
-    return _padded_rank(gram, size, rel_tol)
+    return _padded_rank(gram, model.rect.size, rel_tol)
 
 
 def _padded_rank(gram: np.ndarray, size: int, rel_tol: float | None) -> tuple[int, np.ndarray]:

@@ -135,7 +135,8 @@ def test_rank_builds_the_line_gram_and_each_cholesky_factor_once(
     tmp_path, capsys, monkeypatch, verb, real, grams
 ):
     # one model per run: the rank's line Gram, the factorization residual,
-    # synthesis and stap's F share its G and each block's Cholesky factor
+    # synthesis and stap's F share its G and each block's factor L, built in
+    # closed form: LAPACK's Cholesky is never called
     from functools import cached_property
 
     from evarank.covariance import CovarianceModel
@@ -177,8 +178,8 @@ def test_rank_builds_the_line_gram_and_each_cholesky_factor_once(
     if verb == "rank":
         assert json.loads(out)["factorization_residual"] <= 1e-10
     assert len(built_grams) == grams
-    assert len({id(block) for block in lowered}) == len(lowered)  # once per block
-    assert len(lowered) == len(factored) == blocks
+    assert len({id(block) for block in lowered}) == len(lowered) == blocks  # once per block
+    assert factored == []
 
 
 # oracle_large's slopes at its size: (3, 2) AR(1) and (2, 1) white at 48 x 48
@@ -919,7 +920,7 @@ SCALED_COMPONENTS = [
 @pytest.mark.parametrize("side", [20, 24])  # 400 and 576 lattice points: two and three row tiles
 @pytest.mark.parametrize("argv", [("rank",), ("rank", "--real"), ("simulate",)],
                          ids=["rank", "rank-real", "simulate"])
-def test_tiled_gaps_at_extreme_variance(tmp_path, capsys, argv, side, variance):
+def test_tiled_gaps_at_extreme_variance(tmp_path, capsys, monkeypatch, argv, side, variance):
     def report(var):
         payload = {
             "rect": {"N": side, "M": side},
@@ -938,8 +939,27 @@ def test_tiled_gaps_at_extreme_variance(tmp_path, capsys, argv, side, variance):
     got, baseline = report(variance), report(1.0)
     if argv[0] == "rank":
         assert got["numerical_rank"] == baseline["numerical_rank"] == got["prediction"]
-        # exactly zero would mean the squared norms underflowed, not that F^H F == Gamma
-        assert 0.0 < got["factorization_residual"] <= 1e-10
+        assert got["factorization_residual"] <= 1e-10
+        # L's closed form may meet R's formula exactly, so 0.0 is no sign of underflow;
+        # a perturbed L must read the same residual at every scale
+        from functools import cached_property
+
+        from evarank.fields import FactorBlock
+
+        original = FactorBlock.lower.func
+
+        def perturbed(block):
+            lower = original(block)
+            lower[lower.shape[0] // 2] *= 1 + 1e-6
+            return lower
+
+        prop = cached_property(perturbed)
+        prop.__set_name__(FactorBlock, "lower")
+        monkeypatch.setattr(FactorBlock, "lower", prop)
+        got, baseline = report(variance), report(1.0)
+        assert baseline["factorization_residual"] > 1e-8
+        assert got["factorization_residual"] == pytest.approx(
+            baseline["factorization_residual"], rel=1e-9)
     else:  # the snapshots scale with the variance, so the relative error does not
         want = baseline["frobenius_rel_error"]
         assert got["frobenius_rel_error"] == pytest.approx(want, rel=1e-9)
@@ -992,11 +1012,11 @@ STAP_MC_LIKE = {"rect": {"N": 32, "M": 32}, "seed": 7, "trials": 512,
     [
         (STAP_MC_LIKE, 1, 250),  # 512 trials, 250 lines: T G T^H, 250 square
         (dict(INTERIOR, seed=4, trials=32), 1, 32),  # 32 trials, 58 lines: T G T^H, 32 square
-        # 200 trials over 144 points, 2 * 12 lines <= 144: T G T^H, 12 square
+        # 200 trials over 144 points and 12 lines: T G T^H, 12 square
         ({"rect": {"N": 12, "M": 12}, "components": [{"a": 0, "b": 1, "omega": 0.9}],
           "seed": 4, "trials": 200}, 1, 12),
-        # 100 trials over 64 points, 2 * 58 lines > 64: the estimate is ranked itself
-        (dict(INTERIOR, seed=4, trials=100), 0, 64),
+        # 100 trials over 64 points and 58 lines: T G T^H, 58 square, never the estimate
+        (dict(INTERIOR, seed=4, trials=100), 1, 58),
     ],
     ids=["line", "wide-draws", "many-trials", "estimate"],
 )

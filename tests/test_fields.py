@@ -101,15 +101,15 @@ def cholesky_of(spec, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 40])
-@pytest.mark.parametrize("ar", [-0.9, -0.3, 0.55, 0.9])
+@pytest.mark.parametrize("ar", [-0.9, -0.3, 0.55, 0.9, 0.99999])
 def test_cholesky_is_the_ar1_recursion_map(ar, n):
-    # x[0] = s * u[0] / sqrt(1 - ar^2) and x[k] = ar * x[k-1] + s * u[k] is x = L u
-    variance = 1.7
-    k = np.arange(n)
-    want = np.sqrt(variance) * np.tril(float(ar) ** np.abs(k[:, None] - k[None, :]))
-    want[:, 0] /= np.sqrt(1.0 - ar * ar)
-    got = cholesky_of(AR1(variance, ar), n)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # the closed form x[0] = s * u[0] / sqrt(1 - ar^2), x[k] = ar * x[k-1] + s * u[k]
+    # is x = L u; LAPACK's factor of the Toeplitz R is the oracle
+    for variance in (1e-300, 1.7, 1e300):
+        want = np.linalg.cholesky(process_covariance(AR1(variance, ar), n))
+        got = cholesky_of(AR1(variance, ar), n)
+        assert np.array_equal(np.triu(got, 1), np.zeros((n, n)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("n", [1, 2, 40])

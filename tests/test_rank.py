@@ -363,9 +363,9 @@ SIMULATE_CONFIGS = dict(
 
 @settings(max_examples=100, deadline=None)
 @given(**SIMULATE_CONFIGS)
-# one per route: 12 lines (24 real) against 64 trials and 144 points, the
-# line side; 20 trials against 37 lines, the line side with W wider than
-# tall; 40 trials against 16 points, the estimate; and the empty set
+# one per shape: 12 lines (24 real) against 64 trials and 144 points; 20
+# trials against 37 lines, W wider than tall; 40 trials against 16 points
+# and 26 lines (52 real), T G T^H larger than the estimate; and the empty set
 @example(n=12, m=12, slopes=[(0, 1)], ars=[0.5] * 3, trials=64, real_valued=False,
          tolerance=None, seed=1)
 @example(n=12, m=12, slopes=[(0, 1)], ars=[0.5] * 3, trials=64, real_valued=True,
@@ -408,7 +408,9 @@ def test_simulate_sample_rank_equals_the_factor_reference(
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize(
     "n, slopes, trials",
-    # two components, so that G is not diagonal: 24 lines (48 real) against 100 trials
+    # two components, so that G is not diagonal: 24 lines (48 real) against 100 trials;
+    # 20 trials against 37 lines; 40 trials against 16 points and 26 lines (52 real),
+    # where T G T^H is larger than the estimate, and still ranked in its place
     [(12, [(0, 1), (1, 0)], 100), (8, [(1, 1), (2, -1)], 20), (4, [(3, 2), (2, 1)], 40)],
     ids=["line", "wide-draws", "estimate"],
 )
@@ -419,7 +421,7 @@ def test_estimate_rank_spectrum_matches_the_dense_sample_covariance(n, slopes, t
     snapshots = scatter_lines(model, lines)
     estimate = sample_covariance(snapshots)
     dense_rank, dense = numerical_rank(estimate)
-    rank, spectrum = estimate_rank(model, lines, estimate)
+    rank, spectrum = estimate_rank(model, lines)
     assert rank == dense_rank
     assert spectrum.shape == dense.shape == (n * n,)
     np.testing.assert_allclose(spectrum[:rank], dense[:rank], rtol=1e-9, atol=0)
