@@ -453,7 +453,8 @@ _FLAGS = {
     "--real": {"action": "store_const", "const": True, "dest": "real_valued",
                "help": "use the real-valued field model"},
     "--tolerance": {"type": float,
-                    "help": "relative tolerance (singular-value cut or certificate residual)"},
+                    "help": "relative tolerance: the rank cut, relative to the largest pivot "
+                            "or eigenvalue, or the certificate residual gate"},
 }
 
 # verb -> (handler, help, the flags it reads besides --config and --out)

@@ -13,7 +13,10 @@ factor L, R = L L^T in closed form, and synthesis colours its draws with L.
 Gamma's rank and its factorization residual are read in line space, from
 the line Gram G = C C^H, sum(rows) on a side and exactly Hermitian, built
 once per model.  R is positive definite, so rank Gamma = rank G: the rank
-reads G alone, with no variance and no factor L in it.  The residual also
+reads G alone, with no variance and no factor L in it.  The rows of one
+carrier's distinct lines read disjoint points and are orthogonal, so the
+rank (`rank.gamma_rank`) eliminates the longest block's lines exactly, as
+diagonal pivots, and eigensolves only their Schur complement.  The residual also
 reads each block's L: with E = blockdiag(R_k - L_k L_k^T), the closed
 form's roundoff against the formula, and the whitened factor F =
 blockdiag(L^T) C, Gamma - F^H F = C^H E C, so its squared norm is

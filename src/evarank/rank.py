@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .covariance import CovarianceModel, _divide
+from .covariance import _TILE_ROWS, CovarianceModel, _divide, _hermitian_gram
 from .fields import TWO_PI, conjugate_pairs
 from .lattice import LatticeRect
 
@@ -131,11 +131,46 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
 
 
 def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
-    """numerical_rank of the model's Gamma, read from its line Gram G = C C^H
-    under the cut and zero-padding of `_padded_rank`.  Gamma = C^H R C with R
-    positive definite, so rank Gamma = rank C = rank G; the spectrum is G's,
-    the squared singular values of C, which is Gamma's with R = I."""
-    return _padded_rank(model._line_gram, model.rect.size, rel_tol)
+    """numerical_rank of the model's Gamma, read from one block elimination of
+    its line Gram G = C C^H, under the cut and zero-padding of `_padded_rank`.
+
+    Gamma = C^H R C with R positive definite, so rank Gamma = rank C = rank G.
+    One carrier's lines read disjoint lattice points, and a block's carriers
+    share rows, so rows of G on distinct lines of one block are orthogonal.
+    From each line of the block with the most lines (the first on ties) one
+    row is taken, the carrier with the largest diagonal entry d: the line's
+    point count in the complex model, at least half of it in the real one
+    (cos^2 + sin^2 = 1).  Lines with d > 0 are the pivots, D = diag(d); the
+    others are never reached, zero rows, and are dropped.  With B the pivot
+    rows' entries in the rest, G is congruent to blockdiag(D, S) for the
+    Schur complement S = G_rest - B^H D^-1 B, so by Sylvester's law of
+    inertia rank G = |D| + rank S, and the spectrum is the magnitudes of D
+    and of S's eigenvalues.  Only S is eigensolved, sum(rows) less the
+    block's line count on a side: never when nothing is left."""
+    size = model.rect.size
+    if not model.blocks:
+        return _padded_rank(np.zeros(0), size, rel_tol)
+    gram = model._line_gram
+    longest = max(range(len(model.blocks)), key=lambda k: model.blocks[k].length)  # first on ties
+    lines = np.arange(model.blocks[longest].length)
+    starts = np.array([lo for k, *_, lo, _ in model._carriers() if k == longest])
+    diagonal = np.array([gram.diagonal()[lo:lo + lines.size].real for lo in starts])
+    pick = diagonal.argmax(0)  # carriers x lines; the first carrier on ties
+    taken, d = starts[pick] + lines, diagonal[pick, lines]
+    pivots, d = taken[d > 0], d[d > 0]
+    rest = np.delete(np.arange(gram.shape[0]), taken)
+    # conj(B) / sqrt(d), whose exactly Hermitian Gram is B^H D^-1 B
+    scaled = gram[np.ix_(pivots, rest)]
+    np.conjugate(scaled, out=scaled)
+    scaled /= np.sqrt(d)[:, None]
+    schur = _hermitian_gram(scaled)
+    del scaled
+    # S = G_rest - B^H D^-1 B in place, a row tile of G_rest at a time: the
+    # difference of two exactly Hermitian matrices is exactly Hermitian
+    for lo in range(0, rest.size, _TILE_ROWS):
+        tile = schur[lo:lo + _TILE_ROWS]
+        np.subtract(gram[np.ix_(rest[lo:lo + _TILE_ROWS], rest)], tile, out=tile)
+    return _padded_rank(np.concatenate([d, numerical_rank(schur)[1]]), size, rel_tol)
 
 
 def estimate_rank(model: CovarianceModel, lines: np.ndarray,
@@ -151,20 +186,20 @@ def estimate_rank(model: CovarianceModel, lines: np.ndarray,
     gram = t @ model._line_gram @ t.conj().T
     gram += np.conjugate(gram.T)
     gram *= 0.5
-    return _padded_rank(gram, model.rect.size, rel_tol)
+    return _padded_rank(numerical_rank(gram)[1], model.rect.size, rel_tol)
 
 
-def _padded_rank(gram: np.ndarray, size: int, rel_tol: float | None) -> tuple[int, np.ndarray]:
-    """numerical_rank of a Hermitian Gram whose rank is that of an N*M by N*M
-    covariance (N*M = `size`), under the cut that covariance itself would
-    get: it stands in for the dense numerical_rank without an N*M
-    eigensolve.  The spectrum keeps its top N*M entries, zero-padded to N*M
-    when the Gram is smaller."""
+def _padded_rank(values: np.ndarray, size: int, rel_tol: float | None) -> tuple[int, np.ndarray]:
+    """The cut an N*M by N*M covariance would get (N*M = `size`), over values
+    whose magnitudes stand in for its singular values without an N*M
+    eigensolve: sorted, they keep their top N*M entries, zero-padded to N*M,
+    and the rank counts those above rel_tol times the largest, rel_tol
+    defaulting to numerical_rank's at N*M."""
     if rel_tol is None:
         rel_tol = _default_rel_tol(size)
-    rank, spectrum = numerical_rank(gram, rel_tol=rel_tol)
-    spectrum = spectrum[:size]
-    return min(rank, size), np.concatenate([spectrum, np.zeros(size - spectrum.size)])
+    spectrum = np.sort(np.abs(values))[::-1][:size]
+    spectrum = np.concatenate([spectrum, np.zeros(size - spectrum.size)])
+    return int(np.count_nonzero(spectrum > rel_tol * float(spectrum[0]))), spectrum
 
 
 def _default_rel_tol(dim: int) -> float:

@@ -1033,12 +1033,12 @@ def test_simulate_ranks_the_short_side(tmp_path, capsys, monkeypatch, payload, q
             return original(*args, **kwargs)
         return wrapped
 
-    def padded(gram, size, rel_tol):
+    def ranked_gram(gram, *args, **kwargs):
         shapes.append(gram.shape)
-        return padded_rank(gram, size, rel_tol)
+        return numerical_rank(gram, *args, **kwargs)
 
-    padded_rank = evarank.rank._padded_rank
-    monkeypatch.setattr(evarank.rank, "_padded_rank", padded)
+    numerical_rank = evarank.rank.numerical_rank
+    monkeypatch.setattr(evarank.rank, "numerical_rank", ranked_gram)
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
     # sample_covariance's Gram is the only one: no trials x trials Gram of the snapshots
     monkeypatch.setattr(evarank.covariance, "_hermitian_gram",
@@ -1048,7 +1048,7 @@ def test_simulate_ranks_the_short_side(tmp_path, capsys, monkeypatch, payload, q
     report = json.loads(out)
     assert report["sample_rank"] == report["expected_sample_rank"]
     assert calls == {"qr": qrs, "hermitian": 1}
-    assert shapes[-1] == (ranked, ranked)  # gamma_rank's comes first
+    assert shapes[-1] == (ranked, ranked)  # gamma_rank's Schur complement comes first
 
 
 @pytest.mark.parametrize(

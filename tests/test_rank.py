@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evarank.cli import default_grid_cells, main
-from evarank.covariance import _hermitian_gram, assemble_gamma, sample_covariance
+from evarank.covariance import _TILE_ROWS, _hermitian_gram, assemble_gamma, sample_covariance
 from evarank.fields import (
     EvanescentComponent,
     ModulatingProcessSpec,
@@ -246,7 +247,7 @@ def factor_rank(factor, rel_tol=None):
     rows, size = factor.shape
     # X X^H sums x x^H over the columns x of X, and X^H X over the rows of conj(X)
     gram = _hermitian_gram(factor.T if rows <= size else factor.conj())
-    return _padded_rank(gram, size, rel_tol)
+    return _padded_rank(numerical_rank(gram)[1], size, rel_tol)
 
 
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
@@ -433,11 +434,40 @@ def line_count(model):
     return sum(block.length * len(block.carriers) for block in model.blocks)
 
 
-def factor_spectrum(model):
-    """The squared singular values of C = model.stacked, zero-padded to N*M:
-    an SVD independent of the line Gram and of the process."""
-    sigma = np.linalg.svd(model.stacked, compute_uv=False)
-    return np.concatenate([sigma ** 2, np.zeros(model.rect.size - sigma.size)])
+def schur_spectrum(model):
+    """Reference for gamma_rank's spectrum: the eigenvalue magnitudes of
+    blockdiag(D, S), sorted and zero-padded to N*M, for the pivot block D of
+    the line Gram G on the longest block's lines (one row per reached line,
+    its carrier with the largest diagonal entry) and the Schur complement S
+    from a dense solve on D, which is checked to be exactly diagonal."""
+    gram = model._line_gram
+    starts = np.cumsum([0] + [b.length * len(b.carriers) for b in model.blocks])
+    k = int(np.argmax([b.length for b in model.blocks]))  # the first on ties
+    block = model.blocks[k]
+    lines = np.arange(block.length)
+    rows = starts[k] + lines + block.length * np.arange(len(block.carriers))[:, None]
+    diagonal = gram[rows, rows].real
+    taken = rows[diagonal.argmax(0), lines]
+    pivots = taken[gram[taken, taken].real > 0]
+    rest = np.setdiff1d(np.arange(len(gram)), taken)
+    pivot_block = gram[np.ix_(pivots, pivots)]
+    assert np.array_equal(pivot_block, np.diag(np.diagonal(pivot_block)))
+    coupling = gram[np.ix_(pivots, rest)]
+    schur = gram[np.ix_(rest, rest)] - coupling.conj().T @ np.linalg.solve(pivot_block, coupling)
+    values = np.concatenate([np.linalg.eigvalsh(pivot_block),
+                             np.linalg.eigvalsh((schur + schur.conj().T) / 2)])
+    top = np.sort(np.abs(values))[::-1][:model.rect.size]
+    return np.concatenate([top, np.zeros(model.rect.size - top.size)])
+
+
+def assert_schur_spectrum(model, rank, spectrum):
+    """gamma_rank's spectrum is the reference's above the cut, and the count
+    of reference values above the default cut is the rank."""
+    reference = schur_spectrum(model)
+    assert spectrum.shape == reference.shape == (model.rect.size,)
+    np.testing.assert_allclose(spectrum[:rank], reference[:rank], rtol=1e-9, atol=0)
+    cut = 1e3 * model.rect.size * np.finfo(np.float64).eps * reference[0]
+    assert np.count_nonzero(reference > cut) == rank
 
 
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
@@ -447,9 +477,7 @@ def test_gamma_rank_matches_dense_oracle_on_stock_grid(real_valued):
         model = assemble_gamma(comps, rect, real_valued=real_valued)
         rank, spectrum = gamma_rank(model)
         assert rank == numerical_rank(model.gamma)[0], (rect, [c.triple() for c in comps])
-        assert spectrum.shape == (rect.size,)
-        np.testing.assert_allclose(spectrum[:rank], factor_spectrum(model)[:rank],
-                                   rtol=1e-9, atol=0)
+        assert_schur_spectrum(model, rank, spectrum)
         sides["tall" if line_count(model) > rect.size else "wide"] += 1
     assert sides["wide"] > 0
     # the real model's 4 x N cells with sum|a| or sum|b| of 3 carry more lines than points
@@ -458,7 +486,8 @@ def test_gamma_rank_matches_dense_oracle_on_stock_grid(real_valued):
 
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
 def test_gamma_rank_spectrum_matches_the_factor_gram(real_valued):
-    # the spectrum is C C^H's: the processes' variances and AR coefficients leave it alone
+    # the spectrum is that of blockdiag(D, S), congruent to C C^H: the processes'
+    # variances and AR coefficients leave it alone
     rect = LatticeRect(30, 30)
     slopes = [(3, 2, 0.9), (2, -1, 1.7), (3, 2, 2.9)]
     processes = [AR1(1.3, 0.6), WHITE(0.7), AR1(0.8, -0.4)]
@@ -469,7 +498,7 @@ def test_gamma_rank_spectrum_matches_the_factor_gram(real_valued):
     rank, spectrum = gamma_rank(model)
     assert rank == numerical_rank(model.gamma)[0]
     assert np.array_equal(spectrum, gamma_rank(white)[1])
-    np.testing.assert_allclose(spectrum[:rank], factor_spectrum(model)[:rank], rtol=1e-9, atol=0)
+    assert_schur_spectrum(model, rank, spectrum)
 
 
 def test_gamma_rank_spectrum_past_the_factor_rows_is_zero():
@@ -483,15 +512,14 @@ def test_gamma_rank_spectrum_past_the_factor_rows_is_zero():
 
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
 def test_gamma_rank_of_tall_factor_and_empty_model(real_valued):
-    # more lines than lattice points: G's spectrum keeps its top N*M entries
+    # more lines than lattice points: the spectrum keeps its top N*M entries
     rect = LatticeRect(4, 4)
     model = assemble_gamma(comps_for([(3, 2), (2, 1)]), rect, real_valued=real_valued)
     assert line_count(model) > rect.size
     rank, spectrum = gamma_rank(model)
     assert rank == numerical_rank(model.gamma)[0] == rect.size
-    assert spectrum.shape == (rect.size,)
-    np.testing.assert_allclose(spectrum, factor_spectrum(model), rtol=1e-9, atol=0)
-    # a cut below roundoff counts G's roundoff eigenvalues, but never past N*M
+    assert_schur_spectrum(model, rank, spectrum)
+    # a cut below roundoff counts S's roundoff eigenvalues, but never past N*M
     assert gamma_rank(model, rel_tol=1e-300)[0] == rect.size
     empty = assemble_gamma([], rect, real_valued=real_valued)
     assert empty._line_gram.shape == (0, 0)
@@ -537,6 +565,136 @@ def test_gamma_rank_equals_dense_rank_and_formula_on_interior_configs(
 ):
     model, pred = interior_model(n, m, slopes, ars, real_valued)
     assert gamma_rank(model)[0] == numerical_rank(model.gamma)[0] == pred.formula_value
+
+
+def g_route_rank(model):
+    """The rank of the line Gram G itself, under the cut Gamma would get."""
+    return numerical_rank(model._line_gram, rel_tol=1e3 * model.rect.size * np.finfo(float).eps)[0]
+
+
+# fixed, well separated frequencies, with the real model's collisions among them:
+# 0 and pi, and the mirror pair 0.7 and 2*pi - 0.7
+_DIFFERENTIAL_OMEGAS = [0.0, 0.7, 1.3, 2.1, math.pi, 3.9, 2 * math.pi - 0.7]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    m=st.integers(1, 16),
+    picks=st.lists(st.tuples(st.sampled_from(_SLOPES), st.sampled_from(_DIFFERENTIAL_OMEGAS)),
+                   max_size=4, unique=True),
+    real_valued=st.booleans(),
+)
+# two (0, 1) jammers sharing a slope; a slope sum reaching its side; more lines
+# than points (real: 64 lines, 16 points); and the empty model
+@example(n=16, m=16, picks=[((0, 1), 0.7), ((0, 1), 2.1), ((1, 1), 1.3)], real_valued=False)
+@example(n=16, m=16, picks=[((0, 1), 0.7), ((0, 1), 2.1)], real_valued=True)
+@example(n=6, m=5, picks=[((3, 2), 0.7), ((3, -1), 1.3)], real_valued=False)
+@example(n=4, m=4, picks=[((3, 2), 0.7), ((2, 1), 1.3)], real_valued=True)
+@example(n=5, m=7, picks=[], real_valued=True)
+def test_gamma_rank_is_the_line_gram_rank_and_the_dense_rank(n, m, picks, real_valued):
+    # the elimination changes the route, not the rank, inside the regime or out of it
+    comps = [comp(a, b, omega, AR1(1.0 + i, 0.5)) for i, ((a, b), omega) in enumerate(picks)]
+    model = assemble_gamma(comps, LatticeRect(n, m), real_valued=real_valued)
+    assert gamma_rank(model)[0] == g_route_rank(model) == numerical_rank(model.gamma)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    m=st.integers(1, 16),
+    picks=st.lists(st.tuples(st.sampled_from(_SLOPES),
+                             st.floats(0.0, 2 * math.pi, exclude_max=True)),
+                   max_size=4, unique=True),
+    real_valued=st.booleans(),
+)
+# near collisions inside the regime, where G reads below the formula: a real
+# component at omega = 1e-5, next to its mirror (G 13, the formula 14), and two
+# complex (1, -2) components 1e-5 apart (G 56, the elimination 71, the formula 81)
+@example(n=3, m=5, picks=[((1, 0), 3.0), ((1, 1), 1e-5)], real_valued=True)
+@example(n=13, m=13, picks=[((1, -2), 0.0), ((1, -2), 1e-5), ((0, 1), 0.0)], real_valued=False)
+def test_gamma_rank_resolves_at_least_what_the_line_gram_does(n, m, picks, real_valued):
+    # at the cut the two routes read different values: S^-1 is a principal block
+    # of G^-1, so S's k-th smallest eigenvalue is at least G's, and D and S's
+    # largest values are at most G's, so the cut is no higher; the elimination
+    # counts at least G's rank, and inside the regime never past the formula
+    comps = [comp(a, b, omega) for (a, b), omega in picks]
+    rect = LatticeRect(n, m)
+    model = assemble_gamma(comps, rect, real_valued=real_valued)
+    rank = gamma_rank(model)[0]
+    assert rank >= g_route_rank(model)
+    pred = predict_rank(comps, rect, real_valued=real_valued)
+    if pred.regime_flag is RegimeFlag.INTERIOR:
+        assert rank <= pred.formula_value
+
+
+@pytest.mark.parametrize("delta", [0.5, 1e-3, 1e-4, 1e-6])
+def test_gamma_rank_is_the_line_gram_rank_on_near_collisions(delta):
+    # two (2, 1) components delta apart beside a (1, 3) one at 32 x 32: the
+    # formula reads 295 each time, and the float routes stop resolving the pair
+    # near 1e-4 (287 there, 212 at 1e-6); only agreement between the routes is
+    # asserted, not that those counts are right
+    rect = LatticeRect(32, 32)
+    model = assemble_gamma([comp(2, 1, 0.9), comp(2, 1, 0.9 + delta), comp(1, 3, 1.6)], rect)
+    assert gamma_rank(model)[0] == g_route_rank(model) == numerical_rank(model.gamma)[0]
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+def test_rank_eigensolves_only_the_schur_complement(tmp_path, monkeypatch, real_valued):
+    # one eigensolve per rank, of S: sum(rows) less the longest block's 236
+    # lines, 142 square complex and 520 square real, where G is 378 and 756
+    shapes = []
+
+    def spied(matrix, *args, **kwargs):
+        shapes.append((matrix.shape, matrix.dtype))
+        return eigvalsh(matrix, *args, **kwargs)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", spied)
+    config = tmp_path / "rank.json"
+    config.write_text(json.dumps({"rect": {"N": 48, "M": 48}, "components": [
+        {"a": 3, "b": 2, "omega": 0.9, "process": {"kind": "ar1", "ar_coefficient": 0.5}},
+        {"a": 2, "b": 1, "omega": 1.6}]}))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["rank", "--config", str(config)] + ["--real"] * real_valued) == 0
+    assert json.loads(out.getvalue())["numerical_rank"] == (708 if real_valued else 369)
+    side = 520 if real_valued else 142
+    assert shapes == [((side, side), np.float64 if real_valued else np.complex128)]
+
+
+def test_one_complex_component_needs_no_eigensolve(tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a one-component cell took an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"grid": {"cells": [
+        {"rect": {"N": 12, "M": 9}, "components": [{"a": 3, "b": 2, "omega": 0.9}]}]}}))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["grid", "--config", str(config)]) == 0
+    # 12*3 + 9*2 - 6 = 48 reached lines: the rank, with nothing past it
+    assert out.getvalue().splitlines()[1].split(",")[4:8] == ["48", "48", "1", "inf"]
+
+
+def test_gamma_rank_holds_one_schur_sized_array_beside_g():
+    # the benchmark's rank slopes at 48 x 48 --real: G (756 square), S (520
+    # square) and B, the 234 pivot rows' entries in the rest, which the Gram of
+    # conj(B) / sqrt(d) reads whole, plus one of that Gram's row tiles, with 10 %
+    # slack; a second S-sized array breaks it
+    model = assemble_gamma([comp(3, 2, 0.9, AR1(1.0, 0.5)), comp(2, 1, 1.6)],
+                           LatticeRect(48, 48), real_valued=True)
+    rest, pivots = 756 - 236, 234
+    tracemalloc.start()
+    try:
+        assert gamma_rank(model)[0] == 708
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    item = model._line_gram.itemsize
+    assert model._line_gram.shape == (756, 756) and item == 8
+    held = 756 * 756 + rest * rest + pivots * rest + _TILE_ROWS * rest
+    assert peak <= 1.1 * held * item
 
 
 # --- dependent / independent point sets ---------------------------------------
