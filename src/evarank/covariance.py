@@ -14,9 +14,10 @@ Gamma's rank and its factorization residual are read in line space, from
 the line Gram G = C C^H, sum(rows) on a side and exactly Hermitian, built
 once per model.  R is positive definite, so rank Gamma = rank G: the rank
 reads G alone, with no variance and no factor L in it.  The rows of one
-carrier's distinct lines read disjoint points and are orthogonal, so the
+block's distinct lines read disjoint points and are orthogonal, so the
 rank (`rank.gamma_rank`) eliminates the longest block's lines exactly, as
-diagonal pivots, and eigensolves only their Schur complement.  The residual also
+1x1 pivots and, for the real model's cos and sin rows, 2x2 line pivots,
+and eigensolves only their Schur complement.  The residual also
 reads each block's L: with E = blockdiag(R_k - L_k L_k^T), the closed
 form's roundoff against the formula, and the whitened factor F =
 blockdiag(L^T) C, Gamma - F^H F = C^H E C, so its squared norm is
@@ -209,6 +210,8 @@ class CovarianceModel:
 
 
 _TILE_ROWS = 256
+# the largest operand copy numpy makes in _average_adjoint's in-place sums
+_OVERLAP_BYTES = 1 << 16
 
 
 def _upper_sum_sq(tile: np.ndarray, width: int) -> float:
@@ -233,13 +236,30 @@ def _hermitian_gram(a: np.ndarray) -> np.ndarray:
         tile = out[lo:hi, lo:]
         # conjugating a's column tile, not a, keeps the copy to one tile
         np.matmul(a[:, lo:hi].conj().T, a[:, lo:], out=tile)
-        # the block below the tile is the plain transpose of the unconjugated product
+        # the block below the tile is the plain transpose of the unconjugated
+        # product; it lies past the tile's rows in out, so numpy copies nothing
         out[hi:, lo:hi] = tile[:, hi - lo:].T
         np.conjugate(tile, out=tile)
-        square = out[lo:hi, lo:hi]
-        square += square.conj().T
-        square *= 0.5  # exact, where numpy's complex division by 2.0 is a slower loop
+        _average_adjoint(out[lo:hi, lo:hi])
     return out
+
+
+def _average_adjoint(square: np.ndarray) -> None:
+    """square = (square + square^H) / 2 in place, with the arithmetic of
+    `square += square.conj().T` but a few rows at a time: numpy copies an
+    operand that shares its target's buffer, and each such copy stays within
+    _OVERLAP_BYTES.  Rows [i, j) from column i on take their sums first, then
+    the block below them takes its own from a copy of those rows' originals."""
+    width = square.shape[0]
+    step = max(1, _OVERLAP_BYTES // (width * square.itemsize))
+    for i in range(0, width, step):
+        j = min(i + step, width)
+        if j < width:
+            upper = np.conjugate(square[i:j, j:])
+        square[i:j, i:] += square[i:, i:j].conj().T
+        if j < width:
+            square[j:, i:j] += upper.T
+    square *= 0.5  # exact, where numpy's complex division by 2.0 is a slower loop
 
 
 def _divide(x: np.ndarray, divisor: float) -> None:

@@ -114,10 +114,7 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("numerical rank needs a 2-D matrix")
-    if not np.all(np.isfinite(matrix.real)) or (
-        np.iscomplexobj(matrix) and not np.all(np.isfinite(matrix.imag))
-    ):
-        raise ValueError("matrix has non-finite entries")
+    _require_finite(matrix)
     if matrix.size == 0:
         return 0, np.zeros(0)
     square = matrix.shape[0] == matrix.shape[1]
@@ -130,6 +127,21 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
     return int(np.count_nonzero(spectrum > rel_tol * float(spectrum[0]))), spectrum
 
 
+def _require_finite(matrix: np.ndarray) -> None:
+    if not np.all(np.isfinite(matrix.real)) or (
+        np.iscomplexobj(matrix) and not np.all(np.isfinite(matrix.imag))
+    ):
+        raise ValueError("matrix has non-finite entries")
+
+
+def _hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a square matrix that its construction makes exactly
+    Hermitian, unsorted: numerical_rank's finiteness check and symmetric
+    eigensolve, without its test for the symmetry the caller guarantees."""
+    _require_finite(matrix)
+    return np.linalg.eigvalsh(matrix) if matrix.size else np.zeros(0)
+
+
 def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
     """numerical_rank of the model's Gamma, read from one block elimination of
     its line Gram G = C C^H, under the cut and zero-padding of `_padded_rank`.
@@ -137,40 +149,112 @@ def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[in
     Gamma = C^H R C with R positive definite, so rank Gamma = rank C = rank G.
     One carrier's lines read disjoint lattice points, and a block's carriers
     share rows, so rows of G on distinct lines of one block are orthogonal.
-    From each line of the block with the most lines (the first on ties) one
-    row is taken, the carrier with the largest diagonal entry d: the line's
-    point count in the complex model, at least half of it in the real one
-    (cos^2 + sin^2 = 1).  Lines with d > 0 are the pivots, D = diag(d); the
-    others are never reached, zero rows, and are dropped.  With B the pivot
-    rows' entries in the rest, G is congruent to blockdiag(D, S) for the
-    Schur complement S = G_rest - B^H D^-1 B, so by Sylvester's law of
-    inertia rank G = |D| + rank S, and the spectrum is the magnitudes of D
-    and of S's eigenvalues.  Only S is eigensolved, sum(rows) less the
-    block's line count on a side: never when nothing is left."""
+    The block with the most lines (the first on ties) is eliminated line by
+    line, with a 1x1 or a 2x2 pivot per line:
+
+    - A complex line has one row, whose diagonal entry is the line's point
+      count.  Lines with points are 1x1 pivots; the others are never
+      reached, zero rows, and are dropped.
+    - A real line has a cos row and a sin row.  With n points it is a 2x2
+      pivot P = [[sum cos^2, sum cos sin], [sum cos sin, sum sin^2]] when
+      n >= 2: by Lagrange's identity det P = sum_{j<k} sin^2(omega (v_k -
+      v_j)), and consecutive points differ in v by the slope's determinant
+      +-1, so det P >= (n - 1) sin^2 omega.  A one-point line's two rows are
+      multiples of one factor row: the larger diagonal entry, at least 1/2
+      (cos^2 + sin^2 = 1), is a 1x1 pivot and the other row is dropped, as
+      an unreached line's two are.  The point counts are integers read from
+      the block's rows, so no threshold decides which lines pair.
+    - Near omega = 0 or pi a 2x2 pivot is singular or nearly so, and the
+      real block keeps one row per line instead, its carrier with the larger
+      diagonal entry, as a 1x1 pivot; the other rows stay in the rest.  The
+      rule holds the det bound against the cut the rank applies anyway.
+      P's small eigenvalue det P / lambda_big is at least (n - 1) sin^2
+      omega / n >= sin^2 omega / 2, as lambda_big <= tr P = n.  The
+      spectrum's top is at most ||G||_2 (P is a principal block of G, and
+      S below is at most G_rest), and ||G||_2 = ||C||_2^2 <= ||C||_1
+      ||C||_inf <= sqrt(2) q max(N, M) for q components: a lattice point's
+      column of C holds |cos| + |sin| <= sqrt(2) per component, and a line
+      has at most max(N, M) points.  So the lines pair when sin^2 omega / 2
+      exceeds that bound times the larger of rel_tol and its default: each
+      2x2 pivot then counts twice under the cut, and no Cholesky step
+      divides by a value the cut would drop.
+
+    With B the pivot rows' entries in the rest and P = blockdiag of the
+    pivots, G is congruent to blockdiag(P, S) for the Schur complement S =
+    G_rest - B^H P^-1 B, so by Sylvester's law of inertia rank G = rank P +
+    rank S, and the spectrum is the magnitudes of P's eigenvalues (the 2x2
+    ones in closed form, the small one as det / lambda_big, free of
+    cancellation) and of S's.  Only S is eigensolved, sum(rows) less the
+    block's rows: never when nothing is left."""
     size = model.rect.size
     if not model.blocks:
         return _padded_rank(np.zeros(0), size, rel_tol)
     gram = model._line_gram
     longest = max(range(len(model.blocks)), key=lambda k: model.blocks[k].length)  # first on ties
-    lines = np.arange(model.blocks[longest].length)
+    block = model.blocks[longest]
+    lines = np.arange(block.length)
     starts = np.array([lo for k, *_, lo, _ in model._carriers() if k == longest])
     diagonal = np.array([gram.diagonal()[lo:lo + lines.size].real for lo in starts])
     pick = diagonal.argmax(0)  # carriers x lines; the first carrier on ties
     taken, d = starts[pick] + lines, diagonal[pick, lines]
-    pivots, d = taken[d > 0], d[d > 0]
-    rest = np.delete(np.arange(gram.shape[0]), taken)
-    # conj(B) / sqrt(d), whose exactly Hermitian Gram is B^H D^-1 B
+    paired = len(starts) == 2 and _lines_pair(model, model.components[longest].omega, rel_tol)
+    if paired:
+        points = np.bincount(block.rows, minlength=lines.size)
+        two, one = points > 1, points == 1
+        cos_rows, sin_rows = starts[:, None] + lines[two]
+        pivots, d = np.concatenate([cos_rows, sin_rows, taken[one]]), d[one]
+        # every row of the block leaves the rest: its rows are starts[0]:starts[1] + length
+        rest = np.r_[:starts[0], starts[1] + lines.size:gram.shape[0]]
+    else:
+        pivots, d = taken[d > 0], d[d > 0]
+        rest = np.delete(np.arange(gram.shape[0]), taken)
+    # X = conj(B) scaled row by row, whose exactly Hermitian Gram X^T conj(X) is B^H P^-1 B
     scaled = gram[np.ix_(pivots, rest)]
-    np.conjugate(scaled, out=scaled)
-    scaled /= np.sqrt(d)[:, None]
+    if paired:
+        values = _pair_pivots(scaled, diagonal[:, two], gram[cos_rows, sin_rows], d)
+    else:
+        np.conjugate(scaled, out=scaled)
+        scaled /= np.sqrt(d)[:, None]
+        values = d
     schur = _hermitian_gram(scaled)
     del scaled
-    # S = G_rest - B^H D^-1 B in place, a row tile of G_rest at a time: the
+    # S = G_rest - B^H P^-1 B in place, a row tile of G_rest at a time: the
     # difference of two exactly Hermitian matrices is exactly Hermitian
     for lo in range(0, rest.size, _TILE_ROWS):
         tile = schur[lo:lo + _TILE_ROWS]
         np.subtract(gram[np.ix_(rest[lo:lo + _TILE_ROWS], rest)], tile, out=tile)
-    return _padded_rank(np.concatenate([d, numerical_rank(schur)[1]]), size, rel_tol)
+    return _padded_rank(np.concatenate([values, _hermitian_eigenvalues(schur)]), size, rel_tol)
+
+
+def _lines_pair(model: CovarianceModel, omega: float, rel_tol: float | None) -> bool:
+    """Whether a real block at omega takes 2x2 pivots (`gamma_rank`): sin^2
+    omega / 2 above the cut max(rel_tol, default) * sqrt(2) q max(N, M)."""
+    rect = model.rect
+    tol = max(rel_tol or 0.0, _default_rel_tol(rect.size))
+    return math.sin(omega) ** 2 / 2 > tol * math.sqrt(2) * len(model.blocks) * max(rect.N, rect.M)
+
+
+def _pair_pivots(scaled: np.ndarray, diagonal: np.ndarray, cross: np.ndarray,
+                 d: np.ndarray) -> np.ndarray:
+    """Scales the pivot rows of `gamma_rank` in place by the inverse of each
+    pivot's Cholesky factor, and returns the pivots' eigenvalues.
+
+    `scaled` holds the paired lines' cos rows, then their sin rows, then the
+    1x1 pivots' rows; `diagonal` the paired lines' (sum cos^2, sum sin^2) and
+    `cross` their sum cos sin.  With P = L L^T, L = [[l11, 0], [l21, l22]],
+    the cos row c becomes c / l11, and the sin row s becomes (s - l21 c /
+    l11) / l22."""
+    p11, p22 = diagonal
+    count = p11.size
+    det = p11 * p22 - cross * cross
+    l11 = np.sqrt(p11)
+    cos, sin, one = scaled[:count], scaled[count:2 * count], scaled[2 * count:]
+    cos /= l11[:, None]
+    sin -= (cross / l11)[:, None] * cos
+    sin /= np.sqrt(det / p11)[:, None]
+    one /= np.sqrt(d)[:, None]
+    big = (p11 + p22) / 2 + np.hypot((p11 - p22) / 2, cross)
+    return np.concatenate([big, det / big, d])
 
 
 def estimate_rank(model: CovarianceModel, lines: np.ndarray,
@@ -186,7 +270,7 @@ def estimate_rank(model: CovarianceModel, lines: np.ndarray,
     gram = t @ model._line_gram @ t.conj().T
     gram += np.conjugate(gram.T)
     gram *= 0.5
-    return _padded_rank(numerical_rank(gram)[1], model.rect.size, rel_tol)
+    return _padded_rank(_hermitian_eigenvalues(gram), model.rect.size, rel_tol)
 
 
 def _padded_rank(values: np.ndarray, size: int, rel_tol: float | None) -> tuple[int, np.ndarray]:

@@ -968,15 +968,19 @@ def test_tiled_gaps_at_extreme_variance(tmp_path, capsys, monkeypatch, argv, sid
 # --- the rank and subspace questions never decompose an N*M by N*M matrix ---------
 
 REAL_SINGLE = {"rect": {"N": 8, "M": 8}, "components": [{"a": 1, "b": 1, "omega": 0.9}]}
+# the real model's pivots take every row of one component, so the rank decomposes only
+# when a second component is left over
+REAL_PAIR = {"rect": {"N": 8, "M": 8},
+             "components": [{"a": 1, "b": 1, "omega": 0.9}, {"a": 2, "b": -1, "omega": 1.6}]}
 
 
 @pytest.mark.parametrize(
     "argv, payload",
     [
         (("rank",), INTERIOR),  # 58 factor rows against 64 lattice points
-        (("rank", "--real"), REAL_SINGLE),  # 30 rows
+        (("rank", "--real"), REAL_PAIR),  # 74 rows, 30 after the (2, -1) block's 44 pivots
         (("grid",), {"grid": {"cells": [INTERIOR]}}),
-        (("grid", "--real"), {"grid": {"cells": [REAL_SINGLE]}}),
+        (("grid", "--real"), {"grid": {"cells": [REAL_PAIR]}}),
         (("simulate",), dict(INTERIOR, seed=4, trials=32)),  # 32 snapshots of 64 entries
         (("stap",), STAP),  # 16 rows; 128 snapshots of 64 entries
         (("stap",), dict(STAP, trials=32)),  # 32 snapshots: the trials x trials Gram
@@ -1033,12 +1037,12 @@ def test_simulate_ranks_the_short_side(tmp_path, capsys, monkeypatch, payload, q
             return original(*args, **kwargs)
         return wrapped
 
-    def ranked_gram(gram, *args, **kwargs):
+    def ranked_gram(gram):
         shapes.append(gram.shape)
-        return numerical_rank(gram, *args, **kwargs)
+        return eigenvalues(gram)
 
-    numerical_rank = evarank.rank.numerical_rank
-    monkeypatch.setattr(evarank.rank, "numerical_rank", ranked_gram)
+    eigenvalues = evarank.rank._hermitian_eigenvalues
+    monkeypatch.setattr(evarank.rank, "_hermitian_eigenvalues", ranked_gram)
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
     # sample_covariance's Gram is the only one: no trials x trials Gram of the snapshots
     monkeypatch.setattr(evarank.covariance, "_hermitian_gram",

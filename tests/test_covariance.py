@@ -6,7 +6,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from evarank import covariance
 from evarank.covariance import (
+    _TILE_ROWS,
     CovarianceModel,
     _divide,
     _hermitian_gram,
@@ -568,6 +570,55 @@ def test_short_gram_is_exactly_hermitian(size, side, kind):
     # the averaged full Gram on the short side
     full = factor @ factor.conj().T if side == "below" else factor.conj().T @ factor
     assert_hermitian_and_close(got, (full + full.conj().T) / 2.0)
+
+
+def whole_square_gram(a):
+    """_hermitian_gram with each tile's leading square averaged in one
+    statement, `square += square.conj().T`, whose operand numpy copied whole:
+    the bit-for-bit reference for the averages taken a few rows at a time."""
+    if a.dtype.kind not in "fc":
+        a = a.astype(np.float64)
+    size = a.shape[1]
+    out = np.empty((size, size), a.dtype)
+    for lo in range(0, size, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, size)
+        tile = out[lo:hi, lo:]
+        np.matmul(a[:, lo:hi].conj().T, a[:, lo:], out=tile)
+        out[hi:, lo:hi] = tile[:, hi - lo:].T
+        np.conjugate(tile, out=tile)
+        square = out[lo:hi, lo:hi]
+        square += square.conj().T
+        square *= 0.5
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 1000, None], ids=["row", "ragged", "default"])
+@pytest.mark.parametrize("kind", ["real", "complex", "integer"])
+@pytest.mark.parametrize("size", GRAM_SIZES)
+def test_hermitian_gram_averages_in_row_blocks_bit_for_bit(monkeypatch, size, kind, budget):
+    # one row, a ragged few and the default budget per step; the bytes compare
+    # signed zeros too
+    if budget is not None:
+        monkeypatch.setattr(covariance, "_OVERLAP_BYTES", budget)
+    data = gram_input(size + 7, size, kind)
+    got, want = _hermitian_gram(data), whole_square_gram(data)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_hermitian_gram_copies_no_leading_square():
+    # gamma_rank's Schur Gram at 48 x 48 --real before its 2x2 pivots: 234 rows of
+    # 520; the whole-square average copied its 256-square operand (512 KiB), and
+    # 0.66 MB was held beside the output; the steps' copies and numpy's
+    # per-call buffers now stay below three quarters of that square
+    data = gram_input(234, 520, "real")
+    tracemalloc.start()
+    try:
+        got = _hermitian_gram(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes <= 0.75 * _TILE_ROWS * _TILE_ROWS * got.itemsize
 
 
 # --- export ------------------------------------------------------------------

@@ -42,6 +42,7 @@ from evarank.rank import (
     verify_certificate,
 )
 
+EPS = np.finfo(np.float64).eps
 AR1 = lambda var, ar: ModulatingProcessSpec(ProcessKind.AR1, var, ar)
 WHITE = lambda var: ModulatingProcessSpec(ProcessKind.WHITE, var, 0.0)
 
@@ -434,12 +435,25 @@ def line_count(model):
     return sum(block.length * len(block.carriers) for block in model.blocks)
 
 
+def pairs_lines(model):
+    """Whether gamma_rank pivots the longest block's lines in 2x2 blocks: a
+    real block whose omega is clear of 0 and pi, sin^2 omega / 2 above the
+    default cut times sqrt(2) q max(N, M), a bound on the spectrum's top."""
+    rect = model.rect
+    omega = model.components[int(np.argmax([b.length for b in model.blocks]))].omega
+    top = math.sqrt(2) * len(model.blocks) * max(rect.N, rect.M)
+    return model.real_valued and math.sin(omega) ** 2 / 2 > 1e3 * rect.size * EPS * top
+
+
 def schur_spectrum(model):
     """Reference for gamma_rank's spectrum: the eigenvalue magnitudes of
-    blockdiag(D, S), sorted and zero-padded to N*M, for the pivot block D of
-    the line Gram G on the longest block's lines (one row per reached line,
-    its carrier with the largest diagonal entry) and the Schur complement S
-    from a dense solve on D, which is checked to be exactly diagonal."""
+    blockdiag(P, S), sorted and zero-padded to N*M, for the pivot block P of
+    the line Gram G on the longest block's lines and the Schur complement S
+    from a dense solve on P.  With `pairs_lines`, a line with two or more
+    points gives both its rows and a one-point line the row of its carrier
+    with the largest diagonal entry, and the block's other rows are dropped;
+    otherwise each reached line gives that one row, and the others stay in
+    S.  P is checked to be block-diagonal in those 2x2 and 1x1 blocks."""
     gram = model._line_gram
     starts = np.cumsum([0] + [b.length * len(b.carriers) for b in model.blocks])
     k = int(np.argmax([b.length for b in model.blocks]))  # the first on ties
@@ -448,10 +462,24 @@ def schur_spectrum(model):
     rows = starts[k] + lines + block.length * np.arange(len(block.carriers))[:, None]
     diagonal = gram[rows, rows].real
     taken = rows[diagonal.argmax(0), lines]
-    pivots = taken[gram[taken, taken].real > 0]
-    rest = np.setdiff1d(np.arange(len(gram)), taken)
+    if pairs_lines(model):
+        points = np.bincount(block.rows, minlength=block.length)
+        groups = [rows[:, line] for line in lines if points[line] > 1]
+        groups += [taken[[line]] for line in lines if points[line] == 1]
+        dropped = rows.ravel()
+    else:
+        groups = [[line] for line in taken if gram[line, line].real > 0]
+        dropped = taken
+    pivots = np.concatenate(groups).astype(int) if groups else np.zeros(0, int)
+    shape = np.zeros((pivots.size, pivots.size), bool)
+    lo = 0
+    for group in groups:
+        assert len(group) in (1, 2)
+        shape[lo:lo + len(group), lo:lo + len(group)] = True
+        lo += len(group)
     pivot_block = gram[np.ix_(pivots, pivots)]
-    assert np.array_equal(pivot_block, np.diag(np.diagonal(pivot_block)))
+    assert np.all(pivot_block[~shape] == 0)
+    rest = np.setdiff1d(np.arange(len(gram)), dropped)
     coupling = gram[np.ix_(pivots, rest)]
     schur = gram[np.ix_(rest, rest)] - coupling.conj().T @ np.linalg.solve(pivot_block, coupling)
     values = np.concatenate([np.linalg.eigvalsh(pivot_block),
@@ -558,6 +586,33 @@ def test_gamma_rank_counts_the_samples_one_component_reaches(a, b):
     assert gamma_rank(assemble_gamma([component], rect))[0] == reached
 
 
+def refuse_eigensolves(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the rank took an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (3, 2), (2, -3), (4, 3), (5, -2), (1, 3)])
+@pytest.mark.parametrize("n, m", [(7, 20), (16, 13), (9, 11), (12, 12), (8, 15), (11, 17)])
+def test_gamma_rank_counts_one_real_components_lines(monkeypatch, n, m, a, b):
+    # integer ground truth off the fold, from the lattice map alone: a line with
+    # two points or more is a 2x2 pivot of rank 2, a one-point line a 1x1 pivot,
+    # and an unreached line nothing; no rows are left to eigensolve, and the
+    # count is the real formula's
+    rect = LatticeRect(n, m)
+    component = comp(a, b, 0.9, AR1(1.0, 0.5))
+    rows, length, _ = lattice_map(component, rect)
+    points = np.bincount(rows, minlength=length)
+    count = 2 * np.count_nonzero(points > 1) + np.count_nonzero(points == 1)
+    pred = predict_rank([component], rect, real_valued=True)
+    assert pred.regime_flag is RegimeFlag.INTERIOR
+    model = assemble_gamma([component], rect, real_valued=True)
+    refuse_eigensolves(monkeypatch)
+    assert gamma_rank(model)[0] == count == pred.formula_value
+
+
 @settings(max_examples=60, deadline=None)
 @given(**INTERIOR_CONFIGS)
 def test_gamma_rank_equals_dense_rank_and_formula_on_interior_configs(
@@ -592,6 +647,10 @@ _DIFFERENTIAL_OMEGAS = [0.0, 0.7, 1.3, 2.1, math.pi, 3.9, 2 * math.pi - 0.7]
 @example(n=6, m=5, picks=[((3, 2), 0.7), ((3, -1), 1.3)], real_valued=False)
 @example(n=4, m=4, picks=[((3, 2), 0.7), ((2, 1), 1.3)], real_valued=True)
 @example(n=5, m=7, picks=[], real_valued=True)
+# real blocks on the fold, whose 2x2 pivots would be singular or nearly so: the
+# longest at pi beside one at 0, and at 0 beside another slope's 0.7
+@example(n=2, m=2, picks=[((0, 1), 0.0), ((1, 1), math.pi)], real_valued=True)
+@example(n=2, m=1, picks=[((0, 1), 0.0), ((0, 1), 0.7)], real_valued=True)
 def test_gamma_rank_is_the_line_gram_rank_and_the_dense_rank(n, m, picks, real_valued):
     # the elimination changes the route, not the rank, inside the regime or out of it
     comps = [comp(a, b, omega, AR1(1.0 + i, 0.5)) for i, ((a, b), omega) in enumerate(picks)]
@@ -613,6 +672,9 @@ def test_gamma_rank_is_the_line_gram_rank_and_the_dense_rank(n, m, picks, real_v
 # complex (1, -2) components 1e-5 apart (G 56, the elimination 71, the formula 81)
 @example(n=3, m=5, picks=[((1, 0), 3.0), ((1, 1), 1e-5)], real_valued=True)
 @example(n=13, m=13, picks=[((1, -2), 0.0), ((1, -2), 1e-5), ((0, 1), 0.0)], real_valued=False)
+# real blocks on the fold: the longest at a subnormal sin^2 omega, and at 0
+@example(n=2, m=4, picks=[((0, 1), 0.0), ((1, 1), 8.3e-157)], real_valued=True)
+@example(n=2, m=1, picks=[((0, 1), 0.0), ((0, 1), 1.0)], real_valued=True)
 def test_gamma_rank_resolves_at_least_what_the_line_gram_does(n, m, picks, real_valued):
     # at the cut the two routes read different values: S^-1 is a principal block
     # of G^-1, so S's k-th smallest eigenvalue is at least G's, and D and S's
@@ -639,10 +701,14 @@ def test_gamma_rank_is_the_line_gram_rank_on_near_collisions(delta):
     assert gamma_rank(model)[0] == g_route_rank(model) == numerical_rank(model.gamma)[0]
 
 
-@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
-def test_rank_eigensolves_only_the_schur_complement(tmp_path, monkeypatch, real_valued):
-    # one eigensolve per rank, of S: sum(rows) less the longest block's 236
-    # lines, 142 square complex and 520 square real, where G is 378 and 756
+def rank_model(omega_32=0.9, omega_21=1.6):
+    """The benchmark's rank slopes at 48 x 48, real: (3, 2) AR(1) and (2, 1) white."""
+    return assemble_gamma([comp(3, 2, omega_32, AR1(1.0, 0.5)), comp(2, 1, omega_21)],
+                          LatticeRect(48, 48), real_valued=True)
+
+
+def spy_eigensolves(monkeypatch):
+    """The shapes and dtypes np.linalg.eigvalsh is called on, from now on."""
     shapes = []
 
     def spied(matrix, *args, **kwargs):
@@ -651,6 +717,45 @@ def test_rank_eigensolves_only_the_schur_complement(tmp_path, monkeypatch, real_
 
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", spied)
+    return shapes
+
+
+@pytest.mark.parametrize("omega", [1e-3, 1e-7, math.pi - 1e-7])
+def test_gamma_rank_is_the_line_gram_rank_near_a_fold(monkeypatch, omega):
+    # the (2, 1) component near 0 or pi, where its sin rows fall toward zero, and
+    # the longest block, (3, 2) at 0.9, paired: every route resolves the sin rows
+    # at 1e-3 (708, the formula) and none does at 1e-7 or pi - 1e-7 (584)
+    model = rank_model(omega_21=omega)
+    shapes = spy_eigensolves(monkeypatch)
+    rank = gamma_rank(model)[0]
+    assert shapes == [((284, 284), np.float64)]
+    assert rank == g_route_rank(model) == numerical_rank(model.gamma)[0]
+
+
+@pytest.mark.parametrize("omega_32, omega_21, side", [
+    (1e-2, 1.6, 284), (1e-3, 1.6, 284), (math.pi - 1e-3, 1.6, 284),
+    (3e-4, 1.6, 520), (1e-7, 1.6, 520), (0.9, 1e-5, 284),
+])
+def test_gamma_rank_pairs_lines_only_clear_of_the_fold(monkeypatch, omega_32, omega_21, side):
+    # the longest block pairs its lines when sin^2 omega / 2 clears the default
+    # cut, 1e3 * 2304 * eps, times sqrt(2) * 2 * 48: sin omega above 3.7e-4.
+    # Closer to the fold it keeps one row per line and S is 520 square.  Near
+    # the fold the routes read different values at the cut ((2, 1) at 1e-5:
+    # 661 here, 658 for G and 655 for the dense Gamma, as before the pairs), and
+    # the rank resolves at least what G does, never past the formula
+    model = rank_model(omega_32, omega_21)
+    shapes = spy_eigensolves(monkeypatch)
+    rank = gamma_rank(model)[0]
+    assert shapes == [((side, side), np.float64)]
+    assert g_route_rank(model) <= rank <= 708
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+def test_rank_eigensolves_only_the_schur_complement(tmp_path, monkeypatch, real_valued):
+    # one eigensolve per rank, of S: sum(rows) less the longest block's rows, its
+    # 236 lines complex (142 square, where G is 378) and both carriers' 472 rows
+    # real (284 square, where G is 756)
+    shapes = spy_eigensolves(monkeypatch)
     config = tmp_path / "rank.json"
     config.write_text(json.dumps({"rect": {"N": 48, "M": 48}, "components": [
         {"a": 3, "b": 2, "omega": 0.9, "process": {"kind": "ar1", "ar_coefficient": 0.5}},
@@ -658,33 +763,69 @@ def test_rank_eigensolves_only_the_schur_complement(tmp_path, monkeypatch, real_
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["rank", "--config", str(config)] + ["--real"] * real_valued) == 0
     assert json.loads(out.getvalue())["numerical_rank"] == (708 if real_valued else 369)
-    side = 520 if real_valued else 142
+    side = 284 if real_valued else 142
     assert shapes == [((side, side), np.float64 if real_valued else np.complex128)]
 
 
-def test_one_complex_component_needs_no_eigensolve(tmp_path, monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("a one-component cell took an eigensolve")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-    monkeypatch.setattr(np.linalg, "svd", refused)
+def one_component_grid_row(tmp_path, monkeypatch, *flags):
+    """The grid row of (3, 2) at 0.9 over 12 x 9, with every eigensolve refused."""
+    refuse_eigensolves(monkeypatch)
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"grid": {"cells": [
         {"rect": {"N": 12, "M": 9}, "components": [{"a": 3, "b": 2, "omega": 0.9}]}]}}))
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert main(["grid", "--config", str(config)]) == 0
+        assert main(["grid", "--config", str(config), *flags]) == 0
+    return out.getvalue().splitlines()[1].split(",")
+
+
+def test_one_complex_component_needs_no_eigensolve(tmp_path, monkeypatch):
     # 12*3 + 9*2 - 6 = 48 reached lines: the rank, with nothing past it
-    assert out.getvalue().splitlines()[1].split(",")[4:8] == ["48", "48", "1", "inf"]
+    assert one_component_grid_row(tmp_path, monkeypatch)[4:8] == ["48", "48", "1", "inf"]
+
+
+def test_one_real_component_needs_no_eigensolve(tmp_path, monkeypatch):
+    # 36 lines with two points or more, as 2x2 pivots, and 12 with one point:
+    # 84 = 12*6 + 9*4 - 24, the rank, with nothing past it
+    row = one_component_grid_row(tmp_path, monkeypatch, "--real")
+    assert row[4:8] == ["84", "84", "1", "inf"]
+
+
+def test_ranked_grams_are_exactly_hermitian(monkeypatch):
+    # gamma_rank's S and estimate_rank's T G T^H go to eigvalsh without
+    # numerical_rank's symmetry test, which their construction makes true: on the
+    # stock grid and at the stap_mc shape, 32 x 32 with 512 trials
+    import evarank.rank
+
+    grams = []
+
+    def kept(matrix):
+        grams.append(matrix)
+        return eigenvalues(matrix)
+
+    eigenvalues = evarank.rank._hermitian_eigenvalues
+    monkeypatch.setattr(evarank.rank, "_hermitian_eigenvalues", kept)
+    for real_valued in (False, True):
+        for rect, comps in default_grid_cells():
+            gamma_rank(assemble_gamma(comps, rect, real_valued=real_valued))
+        model = assemble_gamma([comp(3, 2, 0.9, AR1(1.0, 0.5)), comp(2, 1, 1.6)],
+                               LatticeRect(32, 32), real_valued=real_valued)
+        estimate_rank(model, draw_lines(model, 512, seed=1))
+        assert grams[-1].shape == (min(512, line_count(model)),) * 2
+    assert len(grams) == 2 * (len(default_grid_cells()) + 1)
+    for gram in grams:
+        assert np.array_equal(gram, gram.conj().T)
 
 
 def test_gamma_rank_holds_one_schur_sized_array_beside_g():
-    # the benchmark's rank slopes at 48 x 48 --real: G (756 square), S (520
-    # square) and B, the 234 pivot rows' entries in the rest, which the Gram of
-    # conj(B) / sqrt(d) reads whole, plus one of that Gram's row tiles, with 10 %
-    # slack; a second S-sized array breaks it
-    model = assemble_gamma([comp(3, 2, 0.9, AR1(1.0, 0.5)), comp(2, 1, 1.6)],
-                           LatticeRect(48, 48), real_valued=True)
-    rest, pivots = 756 - 236, 234
+    # the benchmark's rank slopes at 48 x 48 --real: G (756 square), S (284
+    # square) and X, the 456 pivot rows' entries in the rest (222 lines with two
+    # points or more give two rows, 12 with one point one), which the Gram of X
+    # reads whole, plus one of that Gram's row tiles for the steps' copies and
+    # numpy's buffers; a second S-sized array breaks it
+    model = rank_model()
+    points = np.bincount(model.blocks[0].rows, minlength=model.blocks[0].length)
+    rest, pivots = 756 - 2 * 236, 2 * np.count_nonzero(points > 1) + np.count_nonzero(points == 1)
+    assert pivots == 456
     tracemalloc.start()
     try:
         assert gamma_rank(model)[0] == 708
@@ -694,7 +835,7 @@ def test_gamma_rank_holds_one_schur_sized_array_beside_g():
     item = model._line_gram.itemsize
     assert model._line_gram.shape == (756, 756) and item == 8
     held = 756 * 756 + rest * rest + pivots * rest + _TILE_ROWS * rest
-    assert peak <= 1.1 * held * item
+    assert peak <= held * item
 
 
 # --- dependent / independent point sets ---------------------------------------
