@@ -318,17 +318,15 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     _refuse_overflow(comps, rect, run.trials)
     model = assemble_gamma(comps, rect, real_valued=run.real_valued)
     prediction = predict_rank(comps, rect, real_valued=run.real_valued)
-    # the line draws stay for the sample rank, read on the estimate's short side
+    # every reported number is read in line space, from the draws and the line Gram
     lines = draw_lines(model, run.trials, seed)
-    snapshots = scatter_lines(model, lines)
-    estimate = sample_covariance(snapshots)
     exact_rank, _ = gamma_rank(model, rel_tol=args.tolerance)
     sample_rank, _ = estimate_rank(model, lines, rel_tol=args.tolerance)
-    rel_error = model.gap_to(estimate)
-    # an --out path ending in .csv or .bin receives the matrix instead of the report
+    rel_error = model.sample_gap(lines)
+    # an --out path ending in .csv or .bin receives the estimate, formed only then, not the report
     save = {".csv": save_matrix_csv, ".bin": save_matrix_binary}.get((args.out or "")[-4:])
     if save:
-        _save(save, estimate, args.out)
+        _save(save, sample_covariance(scatter_lines(model, lines)), args.out)
     report = {
         "mode": "simulate",
         "N": rect.N,

@@ -21,9 +21,9 @@ and eigensolves only their Schur complement.  The residual also
 reads each block's L: with E = blockdiag(R_k - L_k L_k^T), the closed
 form's roundoff against the formula, and the whitened factor F =
 blockdiag(L^T) C, Gamma - F^H F = C^H E C, so its squared norm is
-tr(E G E G), read from G's carrier blocks.  The gap to a sample
-covariance gathers Gamma in row tiles of its upper triangle and never
-holds it whole.  The sample covariance and `stap`'s trials-by-trials
+tr(E G E G), read from G's carrier blocks.  So is the gap to the sample
+covariance C^H R^ C of line-space draws, with E = R^ - blockdiag(R).  The
+sample covariance, formed only for export, and `stap`'s trials-by-trials
 snapshot Gram come from the row tiles of their own upper triangle,
 exactly Hermitian by construction.
 """
@@ -31,6 +31,8 @@ exactly Hermitian by construction.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,36 +67,17 @@ class CovarianceModel:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Gamma by elementwise gather, then made exactly Hermitian."""
-        gamma = self._gamma_rows()(0, self.rect.size)
+        """Gamma by elementwise gather, made exactly Hermitian: per carrier w,
+        Gamma[i, j] += conj(w[i]) * Y[rows[i], j] for Y = cov[:, rows] * w, never a product."""
+        gamma = np.zeros((self.rect.size,) * 2, self.dtype)
+        for block in self.blocks:
+            for w in block.carriers:
+                term = (block.cov[:, block.rows] * w)[block.rows]
+                term *= np.conj(w)[:, None]
+                gamma += term
         gamma += gamma.conj().T
         gamma /= 2.0
         return gamma
-
-    def _gamma_rows(self, unit: float = 1.0):
-        """rows(lo, hi) -> Gamma[lo:hi, lo:] / unit, by elementwise gather.
-
-        Per carrier w, Y = (cov / unit)[:, rows] * w is taken once, so
-        Gamma[i, j] = sum over carriers of conj(w[i]) * Y[rows[i], j]: a row
-        tile is a row gather, never a product.  `unit` is a power of two, so
-        the division is exact.
-        """
-        size = self.rect.size
-        parts = [
-            ((block.cov / unit)[:, block.rows] * w, block.rows, np.conj(w))
-            for block in self.blocks
-            for w in block.carriers
-        ]
-
-        def rows(lo: int, hi: int) -> np.ndarray:
-            tile = None
-            for y, index, conj_w in parts:
-                term = y[index[lo:hi], lo:]
-                term *= conj_w[lo:hi, None]
-                tile = term if tile is None else np.add(tile, term, out=tile)
-            return np.zeros((hi - lo, size - lo), self.dtype) if tile is None else tile
-
-        return rows
 
     @cached_property
     def stacked(self) -> np.ndarray:
@@ -146,16 +129,39 @@ class CovarianceModel:
         sqrt(tr(E G E G) / tr(R G R G)) on the line Gram; 0.0 when Gamma is
         zero.  E = R - L L^T is formed block by block, so the value measures
         L's closed form against R's Toeplitz formula, and nothing cancels."""
-        unit = self._unit()
-        # R from its formula at unit's scale, and L / sqrt(unit): exact, with no over- or underflow
-        exact = [process_covariance(block.process, block.length, unit) for block in self.blocks]
-        exact_sq = self._trace_square(exact)
+        unit, exact, exact_sq = self._exact_at_unit()
         if exact_sq == 0.0:
             return 0.0
+        # L / sqrt(unit): exact, with no over- or underflow
         lowers = [block.lower / math.sqrt(unit) for block in self.blocks]
         gap = [cov - lower @ lower.T for cov, lower in zip(exact, lowers)]
         # tr(E G E G) >= 0; only roundoff in the trace can take it below
         return math.sqrt(max(self._trace_square(gap), 0.0)) / math.sqrt(exact_sq)
+
+    def sample_gap(self, lines: np.ndarray) -> float:
+        """||S - Gamma||_F / ||Gamma||_F for the sample covariance S = C^H R^ C
+        of line-space draws V (`fields.draw_lines`), R^ = V^T conj(V) / trials,
+        as sqrt(tr(E G E G) / tr(R G R G)) with E = R^ - blockdiag(R), a
+        difference of sum(rows)-square matrices: nothing cancels.  0.0 when Gamma is zero."""
+        unit, exact, exact_sq = self._exact_at_unit()
+        if exact_sq == 0.0:
+            return 0.0
+        # sqrt(unit) is a power of two: the draws' scaling is exact, and their products
+        # neither overflow nor underflow
+        gap = _hermitian_gram(lines * (1.0 / math.sqrt(unit)))
+        _divide(gap, lines.shape[0])
+        for k, *_, lo, hi in self._carriers():
+            gap[lo:hi, lo:hi] -= exact[k]
+        product = gap @ self._line_gram
+        # tr((E G)^2) >= 0, E and G Hermitian; only roundoff can take it below
+        return math.sqrt(max(np.sum(product * product.T).real, 0.0)) / math.sqrt(exact_sq)
+
+    def _exact_at_unit(self) -> tuple[float, list[np.ndarray], float]:
+        """(unit, R_k / unit per block from its formula, tr(R G R G) / unit^2):
+        at the scale unit = `_unit()` the trace neither overflows nor underflows."""
+        unit = self._unit()
+        exact = [process_covariance(block.process, block.length, unit) for block in self.blocks]
+        return unit, exact, self._trace_square(exact)
 
     def _trace_square(self, per_block: list[np.ndarray]) -> float:
         """tr((D G)^2), D = blockdiag(per_block[k] per carrier of block k), real
@@ -179,28 +185,6 @@ class CovarianceModel:
                 total += term if p == q else 2.0 * term
         return float(total)
 
-    def gap_to(self, matrix: np.ndarray) -> float:
-        """||matrix - Gamma||_F / ||Gamma||_F for a Hermitian N*M x N*M
-        matrix, without building Gamma; 0.0 when Gamma is zero.
-
-        Both matrices are Hermitian, so each row tile's leading square
-        counts once and the rest of its rows twice.
-        """
-        unit = self._unit()
-        size = self.rect.size
-        exact_rows = self._gamma_rows(unit)
-        exact_sq = gap_sq = 0.0
-        for lo in range(0, size, _TILE_ROWS):
-            hi = min(lo + _TILE_ROWS, size)
-            exact = exact_rows(lo, hi)
-            exact_sq += _upper_sum_sq(exact, hi - lo)
-            # unit is a power of four, so the product is exact and skips complex division
-            gap = matrix[lo:hi, lo:] * (1.0 / unit) - exact
-            gap_sq += _upper_sum_sq(gap, hi - lo)
-        if exact_sq == 0.0:
-            return 0.0
-        return math.sqrt(gap_sq) / math.sqrt(exact_sq)
-
     def _unit(self) -> float:
         """4**k within a factor of two of the total marginal variance, Gamma's
         diagonal up to roundoff (each component reaches every point through
@@ -212,13 +196,6 @@ class CovarianceModel:
 _TILE_ROWS = 256
 # the largest operand copy numpy makes in _average_adjoint's in-place sums
 _OVERLAP_BYTES = 1 << 16
-
-
-def _upper_sum_sq(tile: np.ndarray, width: int) -> float:
-    """Squared Frobenius norm of a Hermitian matrix's share that a row tile
-    covers: its leading width x width square once, its other columns twice."""
-    square = tile[:, :width]
-    return 2.0 * np.vdot(tile, tile).real - np.vdot(square, square).real
 
 
 def _hermitian_gram(a: np.ndarray) -> np.ndarray:
@@ -317,14 +294,27 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
 
 def save_matrix_binary(matrix: np.ndarray, path) -> None:
     """Writes a 16-byte header (magic, rows, cols) then row-major
-    little-endian float64 (re, im) pairs."""
+    little-endian float64 (re, im) pairs.  A regular file is written over in
+    place and cut to length, its magic zeroed first and written last, so a
+    write cut short leaves a file that `load_matrix_binary` refuses; any
+    other target (a device, a pipe) gets the bytes in order."""
     # one little-endian, row-major copy at most; its own buffer is written
     matrix = np.ascontiguousarray(matrix, dtype="<c16")
     rows, cols = matrix.shape
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
+    with open(path, "wb", opener=_open_untruncated) as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        fh.write(bytes(len(BINARY_MAGIC)) if regular else BINARY_MAGIC)
         fh.write(struct.pack("<II", rows, cols))
         fh.write(matrix.data)
+        if regular:
+            fh.truncate()
+            fh.seek(0)
+            fh.write(BINARY_MAGIC)
+
+
+def _open_untruncated(name, flags: int) -> int:
+    # without O_TRUNC: ext4 forces the write-back of a file truncated to zero when it is closed
+    return os.open(name, flags & ~os.O_TRUNC, 0o666)
 
 
 def load_matrix_binary(path) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -219,13 +220,13 @@ def test_rank_north_star_gap_at_48(tmp_path, capsys, draw, real):
     ids=["complex", "real"],
 )
 def test_rank_residual_gathers_no_gamma_rows(tmp_path, capsys, monkeypatch, extra, payload):
-    # the residual is read in line space, from the Gram C C^H, never from Gamma's rows
+    # the residual is read in line space, from the Gram C C^H; only `gamma` gathers Gamma's rows
     from evarank.covariance import CovarianceModel
 
-    def ungathered(model, unit=1.0):
-        raise AssertionError("CovarianceModel._gamma_rows was called")
+    def ungathered(model):
+        raise AssertionError("CovarianceModel.gamma was read")
 
-    monkeypatch.setattr(CovarianceModel, "_gamma_rows", ungathered)
+    monkeypatch.setattr(CovarianceModel, "gamma", property(ungathered))
     code, out, err = run(capsys, "rank", "--config", write_config(tmp_path, payload), *extra)
     assert code == 0
     assert err == ""
@@ -469,6 +470,53 @@ def test_simulate_binary_export_round_trips(tmp_path, capsys):
     comps = parse_components(payload)
     want = sample_covariance(synthesize_batch(assemble_gamma(comps, rect), 32, 4))
     assert np.array_equal(load_matrix_binary(str(dest)), want)
+
+
+@pytest.mark.parametrize("out", [None, "report.json"], ids=["stdout", "json"])
+def test_simulate_forms_no_estimate_unless_it_is_exported(tmp_path, capsys, monkeypatch, out):
+    import evarank.cli
+
+    def unformed(*args):
+        raise AssertionError("the N*M-square estimate was formed")
+
+    monkeypatch.setattr(evarank.cli, "scatter_lines", unformed)
+    monkeypatch.setattr(evarank.cli, "sample_covariance", unformed)
+    argv = ["--config", write_config(tmp_path, dict(INTERIOR, seed=4, trials=32))]
+    if out:
+        argv += ["--out", str(tmp_path / out)]
+    code, stdout, err = run(capsys, "simulate", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["frobenius_rel_error"] > 0.0
+    if out:
+        assert (tmp_path / out).read_text() == stdout
+
+
+def test_simulate_holds_no_full_size_array(tmp_path, capsys):
+    # 2,048 lattice points: one N*M-square complex array is 64 MiB; the line-space route
+    # peaks near 10 MiB, and forming the estimate took over 100
+    import tracemalloc
+
+    payload = dict(INTERIOR, rect={"N": 32, "M": 64}, seed=4, trials=64)
+    cfg = write_config(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "simulate", "--config", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sample_rank"] == 64
+    assert peak < 2048 ** 2 * 16 / 4
+
+
+def test_simulate_exports_to_a_device(tmp_path, capsys):
+    # a link to /dev/null is no regular file: it is neither truncated nor sought in
+    link = tmp_path / "link.bin"
+    link.symlink_to(os.devnull)
+    cfg = write_config(tmp_path, dict(INTERIOR, seed=4, trials=8))
+    code, out, err = run(capsys, "simulate", "--config", cfg, "--out", str(link))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["matrix_path"] == str(link)
 
 
 def test_simulate_csv_export(tmp_path, capsys):
@@ -1044,7 +1092,7 @@ def test_simulate_ranks_the_short_side(tmp_path, capsys, monkeypatch, payload, q
     eigenvalues = evarank.rank._hermitian_eigenvalues
     monkeypatch.setattr(evarank.rank, "_hermitian_eigenvalues", ranked_gram)
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
-    # sample_covariance's Gram is the only one: no trials x trials Gram of the snapshots
+    # the sample gap's line-space Gram is the only one: no trials x trials Gram of the draws
     monkeypatch.setattr(evarank.covariance, "_hermitian_gram",
                         counted("hermitian", evarank.covariance._hermitian_gram))
     code, out, err = run(capsys, "simulate", "--config", write_config(tmp_path, payload))
@@ -1069,7 +1117,7 @@ def test_simulate_ranks_the_short_side(tmp_path, capsys, monkeypatch, payload, q
     ids=["rank", "rank-real", "grid", "grid-real-tall", "simulate", "simulate-real"],
 )
 def test_verbs_never_read_gamma(tmp_path, capsys, monkeypatch, argv, payload):
-    # the residual and the sample error gather Gamma by row tiles, never whole
+    # the residual and the sample error are read in line space, from the line Gram
     from evarank.covariance import CovarianceModel
 
     def unread(model):

@@ -1,3 +1,4 @@
+import errno
 import math
 import struct
 import tracemalloc
@@ -5,6 +6,8 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evarank import covariance
 from evarank.covariance import (
@@ -23,9 +26,11 @@ from evarank.fields import (
     FactorBlock,
     ModulatingProcessSpec,
     ProcessKind,
+    draw_lines,
     lattice_map,
     modulating_indices,
     process_covariance,
+    scatter_lines,
     synthesize_batch,
 )
 from evarank.lattice import LatticeRect, SlopePair, make_slope_pair
@@ -369,11 +374,11 @@ def test_unit_from_the_specs_keeps_every_ratio_bit_for_bit(monkeypatch, comps, s
     comps = [EvanescentComponent(c.slope, c.omega, ModulatingProcessSpec(
         c.process.kind, c.process.variance * scale, c.process.ar_coefficient)) for c in comps]
     model = assemble_gamma(comps, LatticeRect(9, 7), real_valued=real)
-    estimate = sample_covariance(synthesize_batch(model, 16, 4))
-    got = (model.factorization_residual(), model.gap_to(estimate))
+    lines = draw_lines(model, 16, 4)
+    got = (model.factorization_residual(), model.sample_gap(lines))
     for factor in (1.0, 4.0, 0.25):
         monkeypatch.setattr(CovarianceModel, "_unit", lambda m: factor * diagonal_unit(m))
-        want = (model.factorization_residual(), model.gap_to(estimate))
+        want = (model.factorization_residual(), model.sample_gap(lines))
         assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
 
 
@@ -451,18 +456,40 @@ def test_line_gram_is_exactly_hermitian(side, real):
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("rect", TILE_EDGE_RECTS, ids=lambda r: f"nm{r.size}")
 def test_tiled_gap_to_estimate_matches_dense_reference(rect, real):
+    # the estimate is scattered and formed from its row tiles; the line-space gap reads neither
     model = assemble_gamma(TILED_COMPS, rect, real_valued=real)
-    snapshots = synthesize_batch(model, 16, seed=3)
-    estimate = sample_covariance(snapshots)
-    dense = relative_gap(estimate, model.gamma)
+    lines = draw_lines(model, 16, seed=3)
+    dense = relative_gap(sample_covariance(scatter_lines(model, lines)), model.gamma)
     assert dense > 1e-3
-    assert model.gap_to(estimate) == pytest.approx(dense, rel=1e-9)
+    assert model.sample_gap(lines) == pytest.approx(dense, rel=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m=st.integers(1, 12),
+    picks=st.lists(st.tuples(st.sampled_from(LINE_SPACE_SLOPES), st.floats(0.5, 2.0),
+                             st.floats(-0.8, 0.8)), max_size=3),
+    real=st.booleans(),
+    excess=st.integers(-40, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_sample_gap_matches_the_scattered_sample_covariance(n, m, picks, real, excess, seed):
+    # the scatter is independent of the line-space gap: a wrong carrier or row in
+    # scatter_lines shows here; trials fall on both sides of sum(rows)
+    comps = [comp(a, b, 0.5 + 1.1 * i, AR1(variance, ar))
+             for i, ((a, b), variance, ar) in enumerate(picks)]
+    model = assemble_gamma(comps, LatticeRect(n, m), real_valued=real)
+    width = sum(block.length * len(block.carriers) for block in model.blocks)
+    lines = draw_lines(model, max(1, width + excess), seed)
+    dense = relative_gap(sample_covariance(scatter_lines(model, lines)), model.gamma)
+    assert model.sample_gap(lines) == pytest.approx(dense, rel=1e-9)
 
 
 def test_empty_component_set_gap_is_exactly_zero():
     rect = LatticeRect(20, 20)  # two tiles
     model = assemble_gamma([], rect)
-    assert model.gap_to(np.eye(rect.size, dtype=complex)) == 0.0
+    assert model.sample_gap(draw_lines(model, 4, seed=1)) == 0.0
     assert model.factorization_residual() == 0.0
     assert "gamma" not in vars(model)
 
@@ -671,6 +698,43 @@ def test_binary_rejects_bad_magic(tmp_path, raw):
     path = tmp_path / "junk.bin"
     path.write_bytes(raw)
     with pytest.raises(ValueError):
+        load_matrix_binary(path)
+
+
+# the complex input's file is 208 bytes; the junk it overwrites is longer, shorter or empty
+@pytest.mark.parametrize("extra", [500, -100, -208], ids=["longer", "shorter", "empty"])
+def test_binary_overwrite_is_the_fresh_write(tmp_path, extra):
+    # an existing file is written in place and cut to length: the same bytes as a new file
+    matrix = BINARY_INPUTS["complex"]
+    want = reference_encoding(matrix)
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"\xff" * (len(want) + extra))
+    save_matrix_binary(matrix, target)
+    assert target.read_bytes() == want
+
+
+def test_binary_write_cut_short_leaves_a_file_that_does_not_load(tmp_path, monkeypatch):
+    path = tmp_path / "m.bin"
+    save_matrix_binary(BINARY_INPUTS["real"], path)  # a valid file, overwritten in place
+
+    def cut_short(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def payload_fails(data):
+            view = memoryview(data).cast("B")
+            if view.nbytes > 8:  # not the magic or the dimensions: the payload
+                write(view[: view.nbytes // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(data)
+
+        fh.write = payload_fails
+        return fh
+
+    monkeypatch.setattr(covariance, "open", cut_short, raising=False)
+    with pytest.raises(OSError):
+        save_matrix_binary(BINARY_INPUTS["complex"], path)
+    with pytest.raises(ValueError, match="magic"):
         load_matrix_binary(path)
 
 
