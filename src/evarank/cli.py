@@ -227,20 +227,23 @@ def parse_scenario(cfg: dict) -> tuple[StapScenario, int | None]:
 # verbs
 
 
-def _rank_core(comps, rect: LatticeRect, real_valued: bool, rel_tol: float | None):
-    model = assemble_gamma(comps, rect, real_valued=real_valued)
-    prediction = predict_rank(comps, rect, real_valued=real_valued)
-    rank, spectrum = gamma_rank(model, rel_tol=rel_tol)
-    return model, prediction, rank, spectrum
+def _rank_core(comps, rect: LatticeRect, run: RunSettings, args):
+    """(model, prediction, rank, spectrum, verdict) in the run's mode, under --tolerance.
+    The verdict is the check's exit code: EXIT_REGIME, EXIT_PASS or EXIT_DISAGREE."""
+    model = assemble_gamma(comps, rect, real_valued=run.real_valued)
+    prediction = predict_rank(comps, rect, real_valued=run.real_valued)
+    rank, spectrum = gamma_rank(model, rel_tol=args.tolerance)
+    if not prediction.trustworthy:
+        verdict = EXIT_REGIME
+    else:
+        verdict = EXIT_PASS if rank == prediction.formula_value else EXIT_DISAGREE
+    return model, prediction, rank, spectrum, verdict
 
 
 def cmd_rank(cfg: dict, run: RunSettings, args) -> int:
     rect = parse_rect(cfg)
     comps = parse_components(cfg)
-    model, prediction, rank, spectrum = _rank_core(
-        comps, rect, run.real_valued, args.tolerance
-    )
-    agree = rank == prediction.formula_value
+    model, prediction, rank, spectrum, verdict = _rank_core(comps, rect, run, args)
     gap = spectral_gap_ratio(spectrum, rank)
     report = {
         "mode": "rank",
@@ -251,15 +254,13 @@ def cmd_rank(cfg: dict, run: RunSettings, args) -> int:
         "per_component_counts": list(prediction.per_component_counts),
         "regime_flag": prediction.regime_flag.value,
         "numerical_rank": rank,
-        "agree": agree,
+        "agree": rank == prediction.formula_value,
         "spectrum": [float(s) for s in spectrum],
         "gap_ratio": gap if gap is not None and math.isfinite(gap) else None,
         "factorization_residual": model.factorization_residual(),
     }
     _emit(report, args.out)
-    if not prediction.trustworthy:
-        return EXIT_REGIME
-    return EXIT_PASS if agree else EXIT_DISAGREE
+    return verdict
 
 
 def cmd_verify(cfg: dict, run: RunSettings, args) -> int:
@@ -316,11 +317,9 @@ def cmd_simulate(cfg: dict, run: RunSettings, args) -> int:
     rect = parse_rect(cfg)
     comps = parse_components(cfg)
     _refuse_overflow(comps, rect, run.trials)
-    model = assemble_gamma(comps, rect, real_valued=run.real_valued)
-    prediction = predict_rank(comps, rect, real_valued=run.real_valued)
+    model, prediction, exact_rank, _, _ = _rank_core(comps, rect, run, args)
     # every reported number is read in line space, from the draws and the line Gram
     lines = draw_lines(model, run.trials, seed)
-    exact_rank, _ = gamma_rank(model, rel_tol=args.tolerance)
     sample_rank, _ = estimate_rank(model, lines, rel_tol=args.tolerance)
     rel_error = model.sample_gap(lines)
     # an --out path ending in .csv or .bin receives the estimate, formed only then, not the report
@@ -416,25 +415,20 @@ def _component_label(comps) -> str:
 def cmd_grid(cfg: dict, run: RunSettings, args) -> int:
     cells = _grid_cells_from_config(cfg)
     lines = ["N,M,components,real,predicted,numerical,agree,gap_ratio,regime"]
-    passed = flagged = disagreements = 0
+    verdicts = []
     for rect, comps in cells:
-        prediction, rank, spectrum = _rank_core(comps, rect, run.real_valued, args.tolerance)[1:]
+        _, prediction, rank, spectrum, verdict = _rank_core(comps, rect, run, args)
+        verdicts.append(verdict)
         gap = spectral_gap_ratio(spectrum, rank)
-        agree = rank == prediction.formula_value
-        if not prediction.trustworthy:
-            flagged += 1
-        elif agree:
-            passed += 1
-        else:
-            disagreements += 1
         lines.append(
             f"{rect.N},{rect.M},{_component_label(comps)},{int(run.real_valued)},"
-            f"{prediction.formula_value},{rank},{int(agree and prediction.trustworthy)},"
+            f"{prediction.formula_value},{rank},{int(verdict == EXIT_PASS)},"
             f"{'' if gap is None else f'{gap:.6g}'},{prediction.regime_flag.value}"
         )
+    passed, flagged = verdicts.count(EXIT_PASS), verdicts.count(EXIT_REGIME)
     lines.append(f"SUMMARY,pass={passed},cells={len(cells)},flagged={flagged}")
     _publish("\n".join(lines) + "\n", args.out)
-    if disagreements:
+    if EXIT_DISAGREE in verdicts:
         return EXIT_DISAGREE
     if flagged and not passed:
         return EXIT_REGIME

@@ -67,21 +67,23 @@ class CovarianceModel:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Gamma by elementwise gather, made exactly Hermitian: per carrier w,
-        Gamma[i, j] += conj(w[i]) * Y[rows[i], j] for Y = cov[:, rows] * w, never a product."""
+        """Gamma by elementwise gather into one reused term buffer, made exactly
+        Hermitian in place: per carrier w, Gamma[i, j] += conj(w[i]) * Y[rows[i], j]
+        for Y = cov[:, rows] * w, never a product."""
         gamma = np.zeros((self.rect.size,) * 2, self.dtype)
+        term = np.empty_like(gamma)
         for block in self.blocks:
             for w in block.carriers:
-                term = (block.cov[:, block.rows] * w)[block.rows]
+                # rows index within the block's length; "clip" writes straight into term
+                np.take(block.cov[:, block.rows] * w, block.rows, axis=0, out=term, mode="clip")
                 term *= np.conj(w)[:, None]
                 gamma += term
-        gamma += gamma.conj().T
-        gamma /= 2.0
+        _average_adjoint(gamma)
         return gamma
 
     @cached_property
     def stacked(self) -> np.ndarray:
-        parts = [np.eye(length)[:, rows] * w for _, rows, length, w, _, _ in self._carriers()]
+        parts = [np.eye(length)[:, rows] * w for _, rows, length, w, _, _ in self._carriers]
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
     def whitened_factor(self) -> np.ndarray:
@@ -94,6 +96,7 @@ class CovarianceModel:
         parts = [block.lower.T[:, block.rows] * w for block in self.blocks for w in block.carriers]
         return np.vstack(parts) if parts else np.zeros((0, self.rect.size), dtype=self.dtype)
 
+    @cached_property
     def _carriers(self) -> list[tuple[int, np.ndarray, int, np.ndarray, int, int]]:
         """(k, rows, length, w, lo, hi) per carrier w of block k: its lines are G's rows lo:hi."""
         lines = [(k, b.rows, b.length, w) for k, b in enumerate(self.blocks) for w in b.carriers]
@@ -108,7 +111,7 @@ class CovarianceModel:
         sample r of p and sample s of q, one bincount per pair.  G is exactly
         Hermitian: a pair below the diagonal is the conjugate transpose of
         its mirror, and a diagonal pair is diagonal and real."""
-        carriers = self._carriers()
+        carriers = self._carriers
         size = carriers[-1][-1] if carriers else 0
         gram = np.zeros((size, size), self.dtype)
         for p, (_, rows_p, len_p, w_p, lo_p, hi_p) in enumerate(carriers):
@@ -150,7 +153,7 @@ class CovarianceModel:
         # neither overflow nor underflow
         gap = _hermitian_gram(lines * (1.0 / math.sqrt(unit)))
         _divide(gap, lines.shape[0])
-        for k, *_, lo, hi in self._carriers():
+        for k, *_, lo, hi in self._carriers:
             gap[lo:hi, lo:hi] -= exact[k]
         product = gap @ self._line_gram
         # tr((E G)^2) >= 0, E and G Hermitian; only roundoff can take it below
@@ -170,7 +173,7 @@ class CovarianceModel:
         block's carriers share rows): x^T (D o D) x.  Any other pair is taken
         once, Re sum (D_p G_pq) o (D_q G_qp)^T, and counted twice by cyclicity;
         its products read G's float64 (re, im) pairs, real ones, not complex."""
-        gram, carriers = self._line_gram, self._carriers()
+        gram, carriers = self._line_gram, self._carriers
         wide, c = gram.view(np.float64), gram.itemsize // 8
         total = 0.0
         for p, (k_p, *_, lo_p, hi_p) in enumerate(carriers):
@@ -228,7 +231,7 @@ def _average_adjoint(square: np.ndarray) -> None:
     _OVERLAP_BYTES.  Rows [i, j) from column i on take their sums first, then
     the block below them takes its own from a copy of those rows' originals."""
     width = square.shape[0]
-    step = max(1, _OVERLAP_BYTES // (width * square.itemsize))
+    step = max(1, _OVERLAP_BYTES // max(width * square.itemsize, 1))  # 0 x 0: no rows
     for i in range(0, width, step):
         j = min(i + step, width)
         if j < width:

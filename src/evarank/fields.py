@@ -235,10 +235,10 @@ def draw_lines(model, trials: int, seed: int) -> np.ndarray:
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    width = sum(block.length * len(block.carriers) for block in model.blocks)
-    lines = np.empty((trials, width), dtype=model.dtype)
+    carriers = model._carriers
+    lines = np.empty((trials, carriers[-1][-1] if carriers else 0), dtype=model.dtype)
     rngs = [np.random.default_rng([seed, 1, q]) for q in range(len(model.blocks))]
-    for q, _, length, _, lo, hi in model._carriers():
+    for q, _, length, _, lo, hi in carriers:
         shape = (trials, length)
         unit = rngs[q].standard_normal(shape)
         if not model.real_valued:
@@ -257,7 +257,7 @@ def scatter_lines(model, lines: np.ndarray) -> np.ndarray:
     buffer is allocated."""
     out = np.zeros((lines.shape[0], model.rect.size), dtype=model.dtype)
     term = np.empty_like(out)
-    for _, rows, _, carrier, lo, hi in model._carriers():
+    for _, rows, _, carrier, lo, hi in model._carriers:
         # rows index within the block's length; "clip" writes straight into term
         np.take(lines[:, lo:hi], rows, axis=1, out=term, mode="clip")
         term *= np.conj(carrier)

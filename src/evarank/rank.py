@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .covariance import _TILE_ROWS, CovarianceModel, _divide, _hermitian_gram
+from .covariance import _TILE_ROWS, CovarianceModel, _average_adjoint, _divide, _hermitian_gram
 from .fields import TWO_PI, conjugate_pairs
 from .lattice import LatticeRect
 
@@ -193,7 +193,7 @@ def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[in
     longest = max(range(len(model.blocks)), key=lambda k: model.blocks[k].length)  # first on ties
     block = model.blocks[longest]
     lines = np.arange(block.length)
-    starts = np.array([lo for k, *_, lo, _ in model._carriers() if k == longest])
+    starts = np.array([lo for k, *_, lo, _ in model._carriers if k == longest])
     diagonal = np.array([gram.diagonal()[lo:lo + lines.size].real for lo in starts])
     pick = diagonal.argmax(0)  # carriers x lines; the first carrier on ties
     taken, d = starts[pick] + lines, diagonal[pick, lines]
@@ -268,8 +268,7 @@ def estimate_rank(model: CovarianceModel, lines: np.ndarray,
     _divide(w, math.sqrt(lines.shape[0]))
     t = np.linalg.qr(w, mode="r")
     gram = t @ model._line_gram @ t.conj().T
-    gram += np.conjugate(gram.T)
-    gram *= 0.5
+    _average_adjoint(gram)
     return _padded_rank(_hermitian_eigenvalues(gram), model.rect.size, rel_tol)
 
 

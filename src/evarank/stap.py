@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,13 +46,15 @@ class JammerSpec:
 
 @dataclass(frozen=True)
 class ClutterRidgeSpec:
-    """Clutter ridge with slope (1, beta) and its modulating process."""
+    """Clutter ridge with slope (1, beta) and its modulating process, built with
+    the spec, so that a bad AR coefficient is refused where the clutter is read."""
 
     slope: int
     power: float
     kind: ProcessKind = ProcessKind.WHITE
     ar_coefficient: float = 0.0
     ridge_freq: float = 0.0
+    _process: ModulatingProcessSpec = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ProcessKind(self.kind))
@@ -60,6 +62,8 @@ class ClutterRidgeSpec:
             raise ValueError("clutter slope must be a positive integer")
         if not 0 < self.power < math.inf:
             raise ValueError("clutter power must be positive and finite")
+        process = ModulatingProcessSpec(self.kind, self.power, self.ar_coefficient)
+        object.__setattr__(self, "_process", process)
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,7 @@ def scenario_to_components(scenario: StapScenario) -> list[EvanescentComponent]:
         comps.append(EvanescentComponent(vertical, jam.angle_freq, process))
     if scenario.clutter is not None:
         cl = scenario.clutter
-        process = ModulatingProcessSpec(cl.kind, variance=cl.power, ar_coefficient=cl.ar_coefficient)
-        comps.append(
-            EvanescentComponent(make_slope_pair(1, cl.slope), cl.ridge_freq, process)
-        )
+        comps.append(EvanescentComponent(make_slope_pair(1, cl.slope), cl.ridge_freq, cl._process))
     return comps
 
 

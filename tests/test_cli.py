@@ -219,8 +219,8 @@ def test_rank_north_star_gap_at_48(tmp_path, capsys, draw, real):
      (("--real",), {"rect": {"N": 8, "M": 8}, "components": [{"a": 1, "b": 1, "omega": 0.9}]})],
     ids=["complex", "real"],
 )
-def test_rank_residual_gathers_no_gamma_rows(tmp_path, capsys, monkeypatch, extra, payload):
-    # the residual is read in line space, from the Gram C C^H; only `gamma` gathers Gamma's rows
+def test_rank_reads_its_residual_without_gamma(tmp_path, capsys, monkeypatch, extra, payload):
+    # the residual is read in line space, from the Gram C C^H; Gamma itself is never gathered
     from evarank.covariance import CovarianceModel
 
     def ungathered(model):
@@ -777,6 +777,23 @@ def test_bad_configs_exit_two(tmp_path, capsys, verb, payload):
 
 
 @pytest.mark.parametrize(
+    "clutter, message",
+    [({"slope": 1, "power": 10.0, "ar_coefficient": 1.5},
+      "AR(1) coefficient must satisfy |ar| < 1"),
+     ({"slope": 1, "power": 10.0, "kind": "white", "ar_coefficient": 0.3},
+      "white process takes no AR coefficient")],
+    ids=["ar-1.5", "white-with-ar"],
+)
+def test_bad_clutter_process_is_refused_where_the_config_is_read(tmp_path, capsys, clutter,
+                                                                 message):
+    # the clutter's process is built with its spec, so the diagnostic names the clutter
+    code, out, err = run(capsys, "stap", "--config",
+                         write_config(tmp_path, with_scenario(clutter=clutter)))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "config", "message": f"clutter: {message}"}
+
+
+@pytest.mark.parametrize(
     "verb, flag",
     [("rank", "--trials"), ("verify", "--trials"), ("grid", "--trials"), ("stap", "--tolerance"),
      ("rank", "--seed"), ("verify", "--seed"), ("grid", "--seed")],
@@ -1127,6 +1144,32 @@ def test_verbs_never_read_gamma(tmp_path, capsys, monkeypatch, argv, payload):
     code, _, err = run(capsys, argv[0], "--config", write_config(tmp_path, payload), *argv[1:])
     assert code == 0
     assert err == ""
+
+
+
+@pytest.mark.parametrize("argv, models", [(("rank",), 1), (("simulate", "--out", "x.bin"), 1),
+                                          (("grid",), 2)], ids=["rank", "simulate-bin", "grid"])
+def test_each_model_builds_its_carrier_table_once(tmp_path, capsys, monkeypatch, argv, models):
+    # the rank, the residual, the draws, the sample gap and the scatter share one table
+    import functools
+
+    from evarank.covariance import CovarianceModel
+
+    built = []  # holds every model, so no two share an id
+    build = CovarianceModel._carriers.func
+
+    def counted(model):
+        built.append(model)
+        return build(model)
+
+    table = functools.cached_property(counted)
+    table.__set_name__(CovarianceModel, "_carriers")
+    monkeypatch.setattr(CovarianceModel, "_carriers", table)
+    monkeypatch.chdir(tmp_path)
+    payload = dict(INTERIOR, seed=4, trials=32, grid={"cells": [INTERIOR, INTERIOR]})
+    code, _, err = run(capsys, argv[0], "--config", write_config(tmp_path, payload), *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(built) == len({id(model) for model in built}) == models
 
 
 # --- overflow refusals -----------------------------------------------------------

@@ -279,6 +279,20 @@ def test_real_gamma_is_real_symmetric_psd():
     assert np.linalg.eigvalsh(model.gamma).min() > -1e-12
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_gamma_gathers_into_one_reused_term(real):
+    # Gamma and one carrier's term buffer, not a term per carrier alive at once
+    # and no full-size copy for the Hermitian average: about 3x Gamma before
+    model = assemble_gamma(TILED_COMPS + [comp(2, 1, 2.3)], LatticeRect(24, 24), real_valued=real)
+    tracemalloc.start()
+    try:
+        gamma = model.gamma
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * gamma.nbytes
+
+
 def test_eigenvalues_invariant_under_companion_choice():
     # swapping (c, d) for (c + k*a, d + k*b) is a diagonal unitary congruence
     rect = LatticeRect(7, 7)
@@ -455,8 +469,9 @@ def test_line_gram_is_exactly_hermitian(side, real):
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("rect", TILE_EDGE_RECTS, ids=lambda r: f"nm{r.size}")
-def test_tiled_gap_to_estimate_matches_dense_reference(rect, real):
-    # the estimate is scattered and formed from its row tiles; the line-space gap reads neither
+def test_sample_gap_matches_the_dense_gap_at_tile_edges(rect, real):
+    # the dense reference scatters the draws and forms the estimate from its row
+    # tiles; the line-space gap reads neither
     model = assemble_gamma(TILED_COMPS, rect, real_valued=real)
     lines = draw_lines(model, 16, seed=3)
     dense = relative_gap(sample_covariance(scatter_lines(model, lines)), model.gamma)
