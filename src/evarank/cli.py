@@ -351,7 +351,7 @@ def cmd_stap(cfg: dict, run: RunSettings, args) -> int:
     scenario, rank_used = parse_scenario(cfg)
     report = suppression_experiment(scenario, trials=run.trials, seed=seed, rank_used=rank_used)
     payload = {"mode": "stap", "antennas": scenario.rect.N, "pulses": scenario.rect.M}
-    payload.update(report.to_dict())
+    payload.update(report)
     _emit(payload, args.out)
     return EXIT_PASS
 

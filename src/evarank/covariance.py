@@ -189,11 +189,13 @@ class CovarianceModel:
         return float(total)
 
     def _unit(self) -> float:
-        """4**k within a factor of two of the total marginal variance, Gamma's
-        diagonal up to roundoff (each component reaches every point through
-        unit-modulus carriers); |k| <= 510 so that it is normal: division is exact."""
-        total = sum(block.process.marginal_variance for block in self.blocks)
-        return math.ldexp(1.0, 2 * min(max(math.frexp(total)[1] // 2, -510), 510))
+        """4**k within a factor of two of the largest marginal variance.  Their
+        sum, Gamma's diagonal up to roundoff (each component reaches every point
+        through unit-modulus carriers), is at most the block count times it, and
+        may overflow where it cannot.  |k| <= 510 so that it is normal: division
+        is exact."""
+        largest = max((block.process.marginal_variance for block in self.blocks), default=1.0)
+        return math.ldexp(1.0, 2 * min(max(math.frexp(largest)[1] // 2, -510), 510))
 
 
 _TILE_ROWS = 256

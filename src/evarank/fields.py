@@ -60,6 +60,8 @@ class ModulatingProcessSpec:
             raise ValueError("AR(1) coefficient must satisfy |ar| < 1")
         if self.kind is ProcessKind.WHITE and self.ar_coefficient != 0.0:
             raise ValueError("white process takes no AR coefficient")
+        if not math.isfinite(self.marginal_variance):
+            raise ValueError("process marginal variance overflows float64")
 
     @property
     def marginal_variance(self) -> float:

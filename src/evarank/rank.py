@@ -102,9 +102,9 @@ def predict_rank(components, rect: LatticeRect, real_valued: bool = False) -> Ra
 def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[int, np.ndarray]:
     """Counts singular values above threshold; returns (rank, spectrum).
 
-    The threshold is rel_tol * sigma_max, with rel_tol defaulting to
-    1e3 * max(shape) * eps.  A square matrix equal to its conjugate
-    transpose exactly goes through the symmetric eigendecomposition
+    The cut is `_padded_rank`'s, rel_tol * sigma_max, with rel_tol
+    defaulting to 1e3 * max(shape) * eps.  A square matrix equal to its
+    conjugate transpose exactly goes through the symmetric eigendecomposition
     (singular values are the eigenvalue magnitudes); anything else, a
     Hermitian matrix with roundoff asymmetry included, through the SVD.
 
@@ -117,14 +117,13 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float | None = None) -> tuple[in
     _require_finite(matrix)
     if matrix.size == 0:
         return 0, np.zeros(0)
-    square = matrix.shape[0] == matrix.shape[1]
-    if square and np.array_equal(matrix, matrix.conj().T):
-        spectrum = np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1]
+    if matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.conj().T):
+        values = np.linalg.eigvalsh(matrix)
     else:
-        spectrum = np.linalg.svd(matrix, compute_uv=False)
+        values = np.linalg.svd(matrix, compute_uv=False)
     if rel_tol is None:
         rel_tol = _default_rel_tol(max(matrix.shape))
-    return int(np.count_nonzero(spectrum > rel_tol * float(spectrum[0]))), spectrum
+    return _padded_rank(values, min(matrix.shape), rel_tol)
 
 
 def _require_finite(matrix: np.ndarray) -> None:

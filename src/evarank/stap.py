@@ -27,7 +27,7 @@ from .fields import (
     synthesize_batch,
 )
 from .lattice import LatticeRect, make_slope_pair
-from .rank import RankPrediction, predict_rank
+from .rank import predict_rank
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,13 @@ class StapScenario:
         freqs = [j.angle_freq % TWO_PI for j in self.jammers]
         if len(set(freqs)) != len(freqs):
             raise ValueError("jammer angle frequencies must be distinct")
+        # the retention divides by N*M * amplitude**2, kept below the maximum with headroom
+        limit = sys.float_info.max / (_POWER_HEADROOM * self.rect.size)
+        if self.target is not None and self.target.amplitude * self.target.amplitude > limit:
+            raise ValueError(
+                f"target power overflows float64: N*M * {self.target.amplitude:g}**2 "
+                f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
+            )
 
 
 def scenario_to_components(scenario: StapScenario) -> list[EvanescentComponent]:
@@ -141,46 +148,9 @@ def dominant_projection(covariance: np.ndarray, r: int) -> np.ndarray:
     return np.eye(dim, dtype=top.dtype) - top @ top.conj().T
 
 
-def _refuse_target_overflow(target: TargetSpec | None, rect: LatticeRect) -> None:
-    """Raises ValueError when the retention's N*M * amplitude**2 would overflow."""
-    limit = sys.float_info.max / (_POWER_HEADROOM * rect.size)
-    if target is not None and target.amplitude * target.amplitude > limit:
-        raise ValueError(
-            f"target power overflows float64: N*M * {target.amplitude:g}**2 "
-            f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
-        )
-
-
 def _power(x: np.ndarray) -> float:
     """Squared Frobenius norm."""
     return float(np.vdot(x, x).real)
-
-
-@dataclass
-class SubspaceReport:
-    """Outcome of one projection experiment, JSON-friendly via to_dict."""
-
-    prediction: RankPrediction
-    rank_used: int
-    trials: int
-    seed: int
-    eigenvalues: np.ndarray
-    residual_power_ratio: float
-    suppression_db: float
-    target_retention: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "predicted_rank": self.prediction.formula_value,
-            "regime_flag": self.prediction.regime_flag.value,
-            "rank_used": self.rank_used,
-            "trials": self.trials,
-            "seed": self.seed,
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "residual_power_ratio": self.residual_power_ratio,
-            "suppression_db": None if math.isinf(self.suppression_db) else self.suppression_db,
-            "target_retention": self.target_retention,
-        }
 
 
 def suppression_experiment(
@@ -188,7 +158,7 @@ def suppression_experiment(
     trials: int = 64,
     seed: int = 0,
     rank_used: int | None = None,
-) -> SubspaceReport:
+) -> dict:
     """Measures interference suppression of the dominant-subspace projector.
 
     Draws `trials` interference-plus-noise snapshots and projects out the
@@ -196,7 +166,10 @@ def suppression_experiment(
     defaults to the closed-form rank prediction.  Suppression is the dB
     ratio of exact interference power before and after projection, so it
     reflects the true covariance, not the estimate.  Deterministic for a
-    fixed seed.
+    fixed seed.  Returns the report `stap` prints: the prediction, the
+    subspace dimension used, the sample eigenvalues (a list), the residual
+    power ratio, its suppression in dB (None when the ratio is 0, nothing
+    left), and the target's retained power fraction (None with no target).
 
     The sample covariance is Y^H Y for Y = snapshots.conj() / sqrt(trials),
     and it is never formed.  With fewer trials than N*M, one eigh of the
@@ -211,8 +184,8 @@ def suppression_experiment(
         ValueError: when r is outside [0, N*M], or exceeds the trial count:
             the snapshots span at most `trials` directions, and any further
             ones would come from an arbitrary basis of their null space.
-            Also when the squared norms of the draws or of the target
-            steering vector would overflow float64, or a power is subnormal.
+            Also when the draws' squared norms would overflow float64, or a
+            power is subnormal; the target's power is the scenario's to refuse.
     """
     comps = scenario_to_components(scenario)
     rect = scenario.rect
@@ -223,7 +196,6 @@ def suppression_experiment(
     if 1 <= trials < r:  # a trial count below one is synthesize_batch's to refuse
         raise ValueError(f"subspace dimension {r} exceeds the trial count {trials}")
     _refuse_overflow(comps, rect, trials, scenario.noise_power)
-    _refuse_target_overflow(scenario.target, rect)
     model = assemble_gamma(comps, rect)
     snapshots = synthesize_batch(model, trials, seed, noise_power=scenario.noise_power)
     eigenvalues = np.zeros(rect.size)
@@ -244,19 +216,19 @@ def suppression_experiment(
     before = _power(factor)
     after = _power(factor - (factor @ top) @ top.conj().T)
     ratio = 0.0 if before == 0.0 else after / before  # 0.0: nothing to suppress
-    suppression_db = math.inf if ratio == 0.0 else -10.0 * math.log10(ratio)
 
     retention = None
     if scenario.target is not None:
         steering = scenario.target.steering(rect)
         retention = _power(steering - top @ (top.conj().T @ steering)) / _power(steering)
-    return SubspaceReport(
-        prediction=prediction,
-        rank_used=r,
-        trials=trials,
-        seed=seed,
-        eigenvalues=eigenvalues,
-        residual_power_ratio=ratio,
-        suppression_db=suppression_db,
-        target_retention=retention,
-    )
+    return {
+        "predicted_rank": prediction.formula_value,
+        "regime_flag": prediction.regime_flag.value,
+        "rank_used": r,
+        "trials": trials,
+        "seed": seed,
+        "eigenvalues": eigenvalues.tolist(),
+        "residual_power_ratio": ratio,
+        "suppression_db": None if ratio == 0.0 else -10.0 * math.log10(ratio),
+        "target_retention": retention,
+    }

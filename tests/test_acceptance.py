@@ -234,15 +234,16 @@ def test_criterion_8_stap_suppression(capsys):
     full = suppression_experiment(scenario, trials=128, seed=5)
     short = suppression_experiment(scenario, trials=128, seed=5, rank_used=15)
     again = suppression_experiment(scenario, trials=128, seed=5)
+    full_db, short_db = full["suppression_db"], short["suppression_db"]
     ok = (
-        full.rank_used == 16
-        and full.suppression_db >= 40.0
-        and full.suppression_db - short.suppression_db >= 20.0
-        and full.suppression_db == again.suppression_db
+        full["rank_used"] == 16
+        and full_db >= 40.0
+        and full_db - short_db >= 20.0
+        and full_db == again["suppression_db"]
     )
-    _emit(capsys, 8, ok, f"two-jammer 60 dB scenario: r=16 gives {full.suppression_db:.1f} dB, "
-          f"r=15 gives {short.suppression_db:.1f} dB, deterministic per seed")
-    assert ok, (full.suppression_db, short.suppression_db)
+    _emit(capsys, 8, ok, f"two-jammer 60 dB scenario: r=16 gives {full_db:.1f} dB, "
+          f"r=15 gives {short_db:.1f} dB, deterministic per seed")
+    assert ok, (full_db, short_db)
 
 
 def test_criterion_9_outside_regime_flagging(capsys):

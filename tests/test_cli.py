@@ -781,8 +781,10 @@ def test_bad_configs_exit_two(tmp_path, capsys, verb, payload):
     [({"slope": 1, "power": 10.0, "ar_coefficient": 1.5},
       "AR(1) coefficient must satisfy |ar| < 1"),
      ({"slope": 1, "power": 10.0, "kind": "white", "ar_coefficient": 0.3},
-      "white process takes no AR coefficient")],
-    ids=["ar-1.5", "white-with-ar"],
+      "white process takes no AR coefficient"),
+     ({"slope": 1, "power": 1e300, "kind": "ar1", "ar_coefficient": 1 - 1e-12},
+      "process marginal variance overflows float64")],
+    ids=["ar-1.5", "white-with-ar", "ar1-marginal-overflow"],
 )
 def test_bad_clutter_process_is_refused_where_the_config_is_read(tmp_path, capsys, clutter,
                                                                  message):
@@ -973,6 +975,54 @@ def test_rank_at_largest_variance_is_clean(tmp_path, capsys, verb, payload):
         assert report["numerical_rank"] == report["prediction"] == 15
     else:
         assert out.splitlines()[-1] == "SUMMARY,pass=1,cells=1,flagged=0"
+
+
+# two marginal variances of 1e308 each: their sum overflows, the largest does not
+NEAR_MAXIMAL_PAIRS = {
+    "ar1": {"rect": {"N": 8, "M": 8}, "components": [
+        {"a": 3, "b": 2, "omega": 0.9,
+         "process": {"kind": "ar1", "ar_coefficient": 0.5, "variance": 7.5e307}},
+        {"a": 2, "b": -1, "omega": 1.6,
+         "process": {"kind": "ar1", "ar_coefficient": 0.5, "variance": 7.5e307}}]},
+    "white": {"rect": {"N": 8, "M": 8}, "components": [
+        {"a": 1, "b": 1, "omega": 0.9, "process": {"variance": 1e308}},
+        {"a": 1, "b": 2, "omega": 1.6, "process": {"variance": 1e308}}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MAXIMAL_PAIRS))
+def test_rank_at_two_near_maximal_variances_is_clean(tmp_path, capsys, name):
+    # the residual's scale unit comes from the largest marginal variance, not
+    # from their sum: no RuntimeWarning (an error under this suite) and no inf
+    cfg = write_config(tmp_path, NEAR_MAXIMAL_PAIRS[name])
+    code, out, err = run(capsys, "rank", "--config", cfg)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["numerical_rank"] == report["prediction"]
+    assert report["factorization_residual"] <= 1e-10
+
+
+# the marginal variance 1e300 / (1 - (1 - 1e-12)**2), about 5e311, is past the float64 maximum
+MARGINAL_OVERFLOW = {"rect": {"N": 8, "M": 8}, "seed": 1, "trials": 64, "components": [
+    {"a": 3, "b": 2, "omega": 0.9,
+     "process": {"kind": "ar1", "variance": 1e300, "ar_coefficient": 1 - 1e-12}},
+    {"a": 1, "b": -3, "omega": 1.6, "process": {"variance": 1e-300}}]}
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("rank", MARGINAL_OVERFLOW),
+    ("verify", MARGINAL_OVERFLOW),
+    ("simulate", MARGINAL_OVERFLOW),
+    ("grid", {"grid": {"cells": [MARGINAL_OVERFLOW]}}),
+], ids=["rank", "verify", "simulate", "grid"])
+def test_marginal_variance_overflow_is_refused_where_the_process_is_read(tmp_path, capsys,
+                                                                         verb, payload):
+    code, out, err = run(capsys, verb, "--config", write_config(tmp_path, payload))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [json.dumps({
+        "error": "config",
+        "message": "components[0].process: process marginal variance overflows float64",
+    }, sort_keys=True)]
 
 
 SCALED_COMPONENTS = [

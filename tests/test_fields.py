@@ -41,6 +41,9 @@ def test_process_spec_validation():
         ModulatingProcessSpec(ProcessKind.AR1, 1.0, 1.0)
     with pytest.raises(ValueError):
         ModulatingProcessSpec(ProcessKind.WHITE, 1.0, 0.5)
+    # a finite innovation variance whose AR(1) marginal one, about 5e311, is not
+    with pytest.raises(ValueError, match="process marginal variance overflows float64"):
+        ModulatingProcessSpec(ProcessKind.AR1, 1e300, 1 - 1e-12)
     for variance in (math.inf, math.nan):
         with pytest.raises(ValueError):
             ModulatingProcessSpec(ProcessKind.WHITE, variance)

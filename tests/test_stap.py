@@ -158,17 +158,17 @@ def test_suppression_deterministic_and_effective():
     sc = jammer_scenario()
     rep1 = suppression_experiment(sc, trials=128, seed=3)
     rep2 = suppression_experiment(sc, trials=128, seed=3)
-    assert rep1.suppression_db == rep2.suppression_db
-    assert np.array_equal(rep1.eigenvalues, rep2.eigenvalues)
-    assert rep1.rank_used == 16
-    assert rep1.suppression_db >= 40.0
+    assert rep1["suppression_db"] == rep2["suppression_db"]
+    assert np.array_equal(rep1["eigenvalues"], rep2["eigenvalues"])
+    assert rep1["rank_used"] == 16
+    assert rep1["suppression_db"] >= 40.0
 
 
 def test_suppression_degrades_when_rank_undershoots():
     sc = jammer_scenario()
     full = suppression_experiment(sc, trials=128, seed=3)
     short = suppression_experiment(sc, trials=128, seed=3, rank_used=15)
-    assert full.suppression_db - short.suppression_db >= 20.0
+    assert full["suppression_db"] - short["suppression_db"] >= 20.0
 
 
 def test_zero_rank_projector_preserves_target():
@@ -178,15 +178,15 @@ def test_zero_rank_projector_preserves_target():
         target=TargetSpec(0.4, 1.0, 2.0),
     )
     rep = suppression_experiment(sc, trials=16, seed=1)
-    assert rep.rank_used == 0
-    assert rep.target_retention == pytest.approx(1.0, abs=1e-12)
+    assert rep["rank_used"] == 0
+    assert rep["target_retention"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_report_round_trips_to_json_types():
     import json
 
     rep = suppression_experiment(jammer_scenario(), trials=32, seed=9)
-    payload = json.dumps(rep.to_dict())
+    payload = json.dumps(rep)
     back = json.loads(payload)
     assert back["predicted_rank"] == 16
     assert isinstance(back["eigenvalues"], list)
@@ -195,7 +195,7 @@ def test_report_round_trips_to_json_types():
 def test_suppression_monotone_around_true_rank():
     sc = jammer_scenario()
     values = [
-        suppression_experiment(sc, trials=128, seed=7, rank_used=r).suppression_db
+        suppression_experiment(sc, trials=128, seed=7, rank_used=r)["suppression_db"]
         for r in (14, 15, 16)
     ]
     assert values[0] <= values[1] + 1e-9 <= values[2] + 2e-9
@@ -220,10 +220,10 @@ def test_suppression_matches_dense_reference(trials):
         ratio = np.trace(projector @ gamma @ projector).real / np.trace(gamma).real
         steering = sc.target.steering(sc.rect)
         retention = np.linalg.norm(projector @ steering) ** 2 / np.linalg.norm(steering) ** 2
-        assert rep.residual_power_ratio == pytest.approx(ratio, rel=1e-6)
-        assert rep.target_retention == pytest.approx(retention, rel=1e-9)
+        assert rep["residual_power_ratio"] == pytest.approx(ratio, rel=1e-6)
+        assert rep["target_retention"] == pytest.approx(retention, rel=1e-9)
         want = np.sort(np.linalg.eigvalsh(estimate))[::-1]
-        np.testing.assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-9 * want[0])
+        np.testing.assert_allclose(rep["eigenvalues"], want, rtol=0, atol=1e-9 * want[0])
 
 
 @pytest.mark.parametrize("power, r", [(1e10, 30), (1e14, 16)])
@@ -238,7 +238,7 @@ def test_gram_route_matches_svd_far_below_the_jammer(power, r):
     factor = model.whitened_factor()
     after = np.linalg.norm(factor - (factor @ top) @ top.conj().T) ** 2
     svd_db = -10.0 * math.log10(after / np.linalg.norm(factor) ** 2)
-    assert abs(rep.suppression_db - svd_db) <= 1.0
+    assert abs(rep["suppression_db"] - svd_db) <= 1.0
 
 
 def test_suppression_with_fewer_trials_than_rank_used(tmp_path, capsys, monkeypatch):
@@ -252,12 +252,13 @@ def test_suppression_with_fewer_trials_than_rank_used(tmp_path, capsys, monkeypa
     )
     trials = 8
     rep = suppression_experiment(sc, trials=trials, seed=2, rank_used=trials)
-    assert rep.eigenvalues.shape == (64,)
-    assert np.all(rep.eigenvalues[:trials] > 0) and np.all(rep.eigenvalues[trials:] == 0.0)
+    eigenvalues = np.asarray(rep["eigenvalues"])
+    assert eigenvalues.shape == (64,)
+    assert np.all(eigenvalues[:trials] > 0) and np.all(eigenvalues[trials:] == 0.0)
     again = suppression_experiment(sc, trials=trials, seed=2, rank_used=trials)
-    assert again.suppression_db == rep.suppression_db
-    assert again.target_retention == rep.target_retention
-    assert np.array_equal(again.eigenvalues, rep.eigenvalues)
+    assert again["suppression_db"] == rep["suppression_db"]
+    assert again["target_retention"] == rep["target_retention"]
+    assert np.array_equal(again["eigenvalues"], rep["eigenvalues"])
 
     def no_draws(*args, **kwargs):
         raise AssertionError("drew snapshots for a refused subspace dimension")
@@ -342,8 +343,11 @@ def test_stap_at_extreme_target_amplitude(tmp_path, capfd, amplitude):
         assert code == 2
         assert captured.out == ""
         diagnostic = json.loads(captured.err)
-        assert diagnostic["error"] == "value"
-        assert "target power overflows" in diagnostic["message"]
+        assert diagnostic["error"] == "config"
+        assert diagnostic["message"].startswith("scenario: target power overflows float64: ")
+        # refused where the scenario is built, before any draw
+        with pytest.raises(ValueError, match="target power overflows float64"):
+            StapScenario(LatticeRect(8, 8), noise_power=1.0, target=TargetSpec(0.4, 1.0, amplitude))
 
 
 def test_overflow_refusal_comes_before_any_draw(monkeypatch):
