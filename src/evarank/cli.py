@@ -50,12 +50,12 @@ from .rank import (
     estimate_rank,
     find_certificate,
     gamma_rank,
-    make_certificate,  # noqa: F401  uncalled; perfbench's tracer finds it here (ROADMAP item 1)
+    make_certificate,  # noqa: F401  uncalled; perfbench's self-test wraps it here (ROADMAP item 1)
     predict_rank,
     spectral_gap_ratio,
     verify_certificate,
 )
-from .stap import ClutterRidgeSpec, JammerSpec, StapScenario, TargetSpec, suppression_experiment
+from .stap import StapScenario, TargetSpec, clutter_ridge, jammer, suppression_experiment
 
 EXIT_PASS = 0
 EXIT_DISAGREE = 1
@@ -206,17 +206,18 @@ def parse_components(cfg: dict) -> list[EvanescentComponent]:
 
 def parse_scenario(cfg: dict) -> tuple[StapScenario, int | None]:
     obj = _field(cfg, "scenario", dict, "config")
-    jammers = tuple(
-        _build(JammerSpec, jam, f"jammers[{i}]", _JAMMER)
+    interference = [
+        _build(jammer, jam, f"jammers[{i}]", _JAMMER)
         for i, jam in enumerate(_field(obj, "jammers", list[dict], "scenario", []))
-    )
-    clutter = _build(
-        ClutterRidgeSpec, _field(obj, "clutter", dict, "scenario", None), "clutter", _CLUTTER
-    )
+    ]
+    clutter = _build(clutter_ridge, _field(obj, "clutter", dict, "scenario", None), "clutter",
+                     _CLUTTER)
+    if clutter is not None:
+        interference.append(clutter)
     target = _build(TargetSpec, _field(obj, "target", dict, "scenario", None), "target", _TARGET)
     scenario = _build(
         lambda antennas, pulses, noise_power: StapScenario(
-            LatticeRect(antennas, pulses), jammers, clutter, noise_power, target
+            LatticeRect(antennas, pulses), interference, noise_power, target
         ),
         obj, "scenario", _SCENARIO,
     )

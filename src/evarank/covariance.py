@@ -30,6 +30,7 @@ exactly Hermitian by construction.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import stat
@@ -294,27 +295,37 @@ def sample_covariance(snapshots) -> np.ndarray:
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     """Writes a complex matrix as CSV with interleaved real/imag cells."""
     pairs = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
-    np.savetxt(path, pairs, fmt="%.17g", delimiter=",")
+    with _written_over(path) as fh:
+        np.savetxt(fh, pairs, fmt="%.17g", delimiter=",")
 
 
 def save_matrix_binary(matrix: np.ndarray, path) -> None:
     """Writes a 16-byte header (magic, rows, cols) then row-major
-    little-endian float64 (re, im) pairs.  A regular file is written over in
-    place and cut to length, its magic zeroed first and written last, so a
-    write cut short leaves a file that `load_matrix_binary` refuses; any
-    other target (a device, a pipe) gets the bytes in order."""
+    little-endian float64 (re, im) pairs.  The magic is the head of
+    `_written_over`: a write cut short leaves a regular file that
+    `load_matrix_binary` refuses."""
     # one little-endian, row-major copy at most; its own buffer is written
     matrix = np.ascontiguousarray(matrix, dtype="<c16")
     rows, cols = matrix.shape
-    with open(path, "wb", opener=_open_untruncated) as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        fh.write(bytes(len(BINARY_MAGIC)) if regular else BINARY_MAGIC)
+    with _written_over(path, head=BINARY_MAGIC) as fh:
         fh.write(struct.pack("<II", rows, cols))
         fh.write(matrix.data)
+
+
+@contextlib.contextmanager
+def _written_over(path, head: bytes = b""):
+    """A binary handle on `path`, placed after `head`.  A regular file is
+    written over in place, `head` zeroed first, and when the block completes
+    it is cut to length and `head` written last; any other target (a device,
+    a pipe) gets the bytes in order."""
+    with open(path, "wb", opener=_open_untruncated) as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        fh.write(bytes(len(head)) if regular else head)
+        yield fh
         if regular:
             fh.truncate()
             fh.seek(0)
-            fh.write(BINARY_MAGIC)
+            fh.write(head)
 
 
 def _open_untruncated(name, flags: int) -> int:

@@ -3,67 +3,50 @@
 An airborne radar's interference covariance over N antennas and M pulses is
 a rank-deficient sum: each barrage jammer is a vertical-slope component
 (random per pulse, steered across antennas), and range-ambiguous clutter is
-a unit-slope ridge whose rank follows the Brennan rule N + M*beta - beta.
-Mapping both onto components lets the closed-form rank drive how many
-dominant eigenvectors to project away.
+a (1, beta) ridge whose rank follows the Brennan rule N + M*beta - beta.
+`jammer` and `clutter_ridge` build them as those components, so the
+closed-form rank drives how many dominant eigenvectors to project away.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import _divide, _hermitian_gram, assemble_gamma
 from .fields import (
     _POWER_HEADROOM,
-    TWO_PI,
     EvanescentComponent,
     ModulatingProcessSpec,
     ProcessKind,
     _refuse_overflow,
+    check_distinct_triples,
     synthesize_batch,
 )
 from .lattice import LatticeRect, make_slope_pair
 from .rank import predict_rank
 
 
-@dataclass(frozen=True)
-class JammerSpec:
-    """Barrage jammer: arrival angle frequency and per-sample power."""
-
-    angle_freq: float
-    power: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.angle_freq):
-            raise ValueError("jammer angle frequency must be finite")
-        if not 0 < self.power < math.inf:
-            raise ValueError("jammer power must be positive and finite")
+def jammer(angle_freq: float, power: float) -> EvanescentComponent:
+    """Barrage jammer: a (0, 1) component at its arrival angle frequency,
+    white pulse to pulse with the given per-sample power."""
+    process = ModulatingProcessSpec(ProcessKind.WHITE, power)
+    return EvanescentComponent(make_slope_pair(0, 1), angle_freq, process)
 
 
-@dataclass(frozen=True)
-class ClutterRidgeSpec:
-    """Clutter ridge with slope (1, beta) and its modulating process, built with
-    the spec, so that a bad AR coefficient is refused where the clutter is read."""
-
-    slope: int
-    power: float
-    kind: ProcessKind = ProcessKind.WHITE
-    ar_coefficient: float = 0.0
-    ridge_freq: float = 0.0
-    _process: ModulatingProcessSpec = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", ProcessKind(self.kind))
-        if not isinstance(self.slope, int) or self.slope < 1:
-            raise ValueError("clutter slope must be a positive integer")
-        if not 0 < self.power < math.inf:
-            raise ValueError("clutter power must be positive and finite")
-        process = ModulatingProcessSpec(self.kind, self.power, self.ar_coefficient)
-        object.__setattr__(self, "_process", process)
+def clutter_ridge(slope: int, power: float, kind: ProcessKind = ProcessKind.WHITE,
+                  ar_coefficient: float = 0.0, ridge_freq: float = 0.0) -> EvanescentComponent:
+    """Clutter ridge: a (1, slope) component at the ridge frequency, driven by
+    the given modulating process.  A bad kind is refused first, then a slope
+    below one, then the rest of the process."""
+    kind = ProcessKind(kind)
+    if not isinstance(slope, int) or slope < 1:
+        raise ValueError("clutter slope must be a positive integer")
+    process = ModulatingProcessSpec(kind, power, ar_coefficient)
+    return EvanescentComponent(make_slope_pair(1, slope), ridge_freq, process)
 
 
 @dataclass(frozen=True)
@@ -87,21 +70,19 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class StapScenario:
-    """N antennas by M pulses with jammers, optional clutter, and noise."""
+    """N antennas by M pulses: the interference components (from `jammer`
+    and `clutter_ridge`), white noise, and an optional target."""
 
     rect: LatticeRect
-    jammers: tuple[JammerSpec, ...] = ()
-    clutter: ClutterRidgeSpec | None = None
+    interference: tuple[EvanescentComponent, ...] = ()
     noise_power: float = 1.0
     target: TargetSpec | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "jammers", tuple(self.jammers))
+        object.__setattr__(self, "interference", tuple(self.interference))
         if not 0 < self.noise_power < math.inf:
             raise ValueError("noise power must be positive and finite")
-        freqs = [j.angle_freq % TWO_PI for j in self.jammers]
-        if len(set(freqs)) != len(freqs):
-            raise ValueError("jammer angle frequencies must be distinct")
+        check_distinct_triples(self.interference)
         # the retention divides by N*M * amplitude**2, kept below the maximum with headroom
         limit = sys.float_info.max / (_POWER_HEADROOM * self.rect.size)
         if self.target is not None and self.target.amplitude * self.target.amplitude > limit:
@@ -109,24 +90,6 @@ class StapScenario:
                 f"target power overflows float64: N*M * {self.target.amplitude:g}**2 "
                 f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
             )
-
-
-def scenario_to_components(scenario: StapScenario) -> list[EvanescentComponent]:
-    """Expands a scenario into its interference component list.
-
-    Jammers become (0, 1) components with white pulse-to-pulse modulation;
-    the clutter ridge becomes a (1, beta) component.  Noise and target stay
-    outside: they are not part of the low-rank interference structure.
-    """
-    comps: list[EvanescentComponent] = []
-    vertical = make_slope_pair(0, 1)
-    for jam in scenario.jammers:
-        process = ModulatingProcessSpec(ProcessKind.WHITE, variance=jam.power)
-        comps.append(EvanescentComponent(vertical, jam.angle_freq, process))
-    if scenario.clutter is not None:
-        cl = scenario.clutter
-        comps.append(EvanescentComponent(make_slope_pair(1, cl.slope), cl.ridge_freq, cl._process))
-    return comps
 
 
 def dominant_projection(covariance: np.ndarray, r: int) -> np.ndarray:
@@ -187,8 +150,7 @@ def suppression_experiment(
             Also when the draws' squared norms would overflow float64, or a
             power is subnormal; the target's power is the scenario's to refuse.
     """
-    comps = scenario_to_components(scenario)
-    rect = scenario.rect
+    comps, rect = scenario.interference, scenario.rect
     prediction = predict_rank(comps, rect)
     r = prediction.formula_value if rank_used is None else rank_used
     if not 0 <= r <= rect.size:

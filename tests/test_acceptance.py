@@ -28,7 +28,7 @@ from evarank.rank import (
     spectral_gap_ratio,
     verify_certificate,
 )
-from evarank.stap import JammerSpec, StapScenario, scenario_to_components, suppression_experiment
+from evarank.stap import StapScenario, jammer, suppression_experiment
 
 GRID_DIMS = (4, 8, 15, 16)
 GRID_SLOPES = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (3, 2), (3, -2), (2, -1))
@@ -111,9 +111,9 @@ def test_criterion_3_special_case_ranks(capsys):
     rect = LatticeRect(8, 8)
     for j in (1, 2, 3):
         scenario = StapScenario(
-            rect, jammers=tuple(JammerSpec(0.5 + 0.9 * i, 4.0) for i in range(j)), noise_power=1.0
+            rect, interference=tuple(jammer(0.5 + 0.9 * i, 4.0) for i in range(j)), noise_power=1.0
         )
-        comps = scenario_to_components(scenario)
+        comps = scenario.interference
         rank, _ = numerical_rank(assemble_gamma(comps, rect).gamma)
         if rank != 8 * j or predict_rank(comps, rect).formula_value != 8 * j:
             failures.append(("jammers", j, rank))
@@ -228,7 +228,7 @@ def test_criterion_7_factorization_and_monte_carlo(capsys):
 def test_criterion_8_stap_suppression(capsys):
     scenario = StapScenario(
         LatticeRect(8, 8),
-        jammers=(JammerSpec(0.7, 1e6), JammerSpec(1.8, 1e6)),
+        interference=(jammer(0.7, 1e6), jammer(1.8, 1e6)),
         noise_power=1.0,
     )
     full = suppression_experiment(scenario, trials=128, seed=5)

@@ -795,6 +795,50 @@ def test_bad_clutter_process_is_refused_where_the_config_is_read(tmp_path, capsy
     assert json.loads(err) == {"error": "config", "message": f"clutter: {message}"}
 
 
+def _jammers(*jammers):
+    return with_scenario(jammers=list(jammers))
+
+
+@pytest.mark.parametrize("verb, payload, message", [
+    ("verify", {"rect": {"N": 4, "M": 4}, "components": []}, "verify needs at least one component"),
+    ("grid", {"grid": {"slopes": [[1, 2, 3]]}}, "grid slopes must be [a, b] pairs"),
+    ("rank", dict(with_process(), components=[{"a": 1, "b": 1, "omega": float("inf")}]),
+     "components[0]: omega must be finite"),
+    ("rank", dict(with_process(), components=[{"a": 1, "b": 1, "omega": float("nan")}]),
+     "components[0]: omega must be finite"),
+    # a jammer and the clutter ridge are components: their process and omega are checked there
+    ("stap", _jammers({"angle_freq": 0.7, "power": 0}),
+     "jammers[0]: process variance must be positive and finite"),
+    ("stap", _jammers({"angle_freq": float("inf"), "power": 1.0}),
+     "jammers[0]: omega must be finite"),
+    ("stap", _jammers({"angle_freq": 0.7, "power": 1.0}, {"angle_freq": 0.7, "power": 2.0}),
+     "scenario: duplicate component triple (a, b, omega) = (0, 1, 0.7)"),
+    ("stap", with_scenario(clutter={"slope": 1, "power": 1.0, "ridge_freq": float("inf")}),
+     "clutter: omega must be finite"),
+    ("stap", with_scenario(clutter={"slope": 1, "power": 0.0}),
+     "clutter: process variance must be positive and finite"),
+    # a bad kind is named before a bad slope, and a bad slope before the rest of the process
+    ("stap", with_scenario(clutter={"slope": 0, "power": 1.0, "kind": "pink"}),
+     "clutter: 'pink' is not a valid ProcessKind"),
+    ("stap", with_scenario(clutter={"slope": 0, "power": 1.0, "kind": "ar1", "ar_coefficient": 2}),
+     "clutter: clutter slope must be a positive integer"),
+], ids=["verify-no-components", "grid-slope-triple", "omega-inf", "omega-nan", "jammer-power-0",
+        "jammer-angle-inf", "jammer-duplicate", "clutter-ridge-inf", "clutter-power-0",
+        "clutter-kind-before-slope", "clutter-slope-before-ar"])
+def test_refusal_is_one_exact_config_diagnostic(tmp_path, capsys, verb, payload, message):
+    code, out, err = run(capsys, verb, "--config", write_config(tmp_path, payload))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "config", "message": message}
+
+
+def test_grid_of_flagged_cells_only_exits_three(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"grid": {"cells": [OUTSIDE]}})
+    code, out, err = run(capsys, "grid", "--config", cfg)
+    assert (code, err) == (3, "")
+    assert out.strip().split("\n")[-1] == "SUMMARY,pass=0,cells=1,flagged=1"
+
+
 @pytest.mark.parametrize(
     "verb, flag",
     [("rank", "--trials"), ("verify", "--trials"), ("grid", "--trials"), ("stap", "--tolerance"),

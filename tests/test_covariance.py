@@ -1,5 +1,6 @@
 import errno
 import math
+import os
 import struct
 import tracemalloc
 from functools import cached_property
@@ -716,6 +717,13 @@ def test_binary_rejects_bad_magic(tmp_path, raw):
         load_matrix_binary(path)
 
 
+def test_binary_rejects_a_payload_shorter_than_its_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"EVCM0001" + struct.pack("<II", 2, 2) + bytes(3 * 16))
+    with pytest.raises(ValueError, match="payload does not match header dimensions"):
+        load_matrix_binary(path)
+
+
 # the complex input's file is 208 bytes; the junk it overwrites is longer, shorter or empty
 @pytest.mark.parametrize("extra", [500, -100, -208], ids=["longer", "shorter", "empty"])
 def test_binary_overwrite_is_the_fresh_write(tmp_path, extra):
@@ -785,6 +793,21 @@ def test_csv_is_the_per_cell_loop_byte_for_byte(tmp_path, name):
     save_matrix_csv(matrix, tmp_path / "got.csv")
     loop_csv(matrix, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_csv_overwrite_is_the_fresh_write(tmp_path):
+    # an existing, longer file is written in place and cut to length
+    matrix = _csv_inputs()["complex"]
+    save_matrix_csv(matrix, tmp_path / "fresh.csv")
+    want = (tmp_path / "fresh.csv").read_bytes()
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"\xff" * (3 * len(want)))
+    save_matrix_csv(matrix, target)
+    assert target.read_bytes() == want
+
+
+def test_csv_to_a_device_is_not_truncated():
+    save_matrix_csv(_csv_inputs()["complex"], os.devnull)
 
 
 def test_csv_interleaves_real_imag(tmp_path):

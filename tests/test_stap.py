@@ -12,26 +12,25 @@ from evarank.fields import ProcessKind
 from evarank.lattice import LatticeRect
 from evarank.rank import numerical_rank, predict_rank
 from evarank.stap import (
-    ClutterRidgeSpec,
-    JammerSpec,
     StapScenario,
     TargetSpec,
+    clutter_ridge,
     dominant_projection,
-    scenario_to_components,
+    jammer,
     suppression_experiment,
 )
 
 
 def interference_covariance(scenario):
     """Exact interference-plus-noise covariance Gamma + noise_power * I."""
-    gamma = assemble_gamma(scenario_to_components(scenario), scenario.rect).gamma
+    gamma = assemble_gamma(scenario.interference, scenario.rect).gamma
     return gamma + scenario.noise_power * np.eye(scenario.rect.size)
 
 
 def jammer_scenario(n=8, m=8, jnr_db=60.0, j=2, noise=1.0):
     power = noise * 10 ** (jnr_db / 10.0)
-    jams = tuple(JammerSpec(0.7 + 1.1 * i, power) for i in range(j))
-    return StapScenario(LatticeRect(n, m), jammers=jams, noise_power=noise)
+    jams = tuple(jammer(0.7 + 1.1 * i, power) for i in range(j))
+    return StapScenario(LatticeRect(n, m), interference=jams, noise_power=noise)
 
 
 # --- scenario mapping --------------------------------------------------------
@@ -39,11 +38,14 @@ def jammer_scenario(n=8, m=8, jnr_db=60.0, j=2, noise=1.0):
 def test_scenario_components_structure():
     sc = StapScenario(
         LatticeRect(8, 10),
-        jammers=(JammerSpec(0.5, 100.0), JammerSpec(1.5, 50.0)),
-        clutter=ClutterRidgeSpec(2, 25.0, kind=ProcessKind.AR1, ar_coefficient=0.6),
+        interference=(
+            jammer(0.5, 100.0),
+            jammer(1.5, 50.0),
+            clutter_ridge(2, 25.0, kind=ProcessKind.AR1, ar_coefficient=0.6),
+        ),
         noise_power=1.0,
     )
-    comps = scenario_to_components(sc)
+    comps = sc.interference
     assert [(c.slope.a, c.slope.b) for c in comps] == [(0, 1), (0, 1), (1, 2)]
     assert [c.process.variance for c in comps] == [100.0, 50.0, 25.0]
     assert comps[2].process.kind is ProcessKind.AR1
@@ -54,7 +56,7 @@ def test_scenario_components_structure():
 def test_jammer_rank_is_pulses_times_count():
     for j in (1, 2, 3):
         sc = jammer_scenario(j=j)
-        comps = scenario_to_components(sc)
+        comps = sc.interference
         pred = predict_rank(comps, sc.rect)
         assert pred.formula_value == sc.rect.M * j
         gamma = assemble_gamma(comps, sc.rect).gamma
@@ -65,10 +67,10 @@ def test_clutter_rank_follows_brennan_rule():
     for beta in (1, 2, 3):
         sc = StapScenario(
             LatticeRect(8, 8),
-            clutter=ClutterRidgeSpec(beta, 10.0),
+            interference=(clutter_ridge(beta, 10.0),),
             noise_power=1.0,
         )
-        comps = scenario_to_components(sc)
+        comps = sc.interference
         want = 8 + 8 * beta - beta
         assert predict_rank(comps, sc.rect).formula_value == want
         gamma = assemble_gamma(comps, sc.rect).gamma
@@ -76,34 +78,39 @@ def test_clutter_rank_follows_brennan_rule():
 
 
 def test_duplicate_jammer_frequencies_rejected():
-    with pytest.raises(ValueError):
-        StapScenario(
-            LatticeRect(4, 4),
-            jammers=(JammerSpec(0.5, 1.0), JammerSpec(0.5, 2.0)),
-            noise_power=1.0,
-        )
+    for second in (0.5, 0.5 + 2 * math.pi):  # the same angle mod 2*pi
+        with pytest.raises(ValueError, match=r"duplicate component triple .* = \(0, 1, 0\.5\)"):
+            StapScenario(
+                LatticeRect(4, 4),
+                interference=(jammer(0.5, 1.0), jammer(second, 2.0)),
+                noise_power=1.0,
+            )
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        JammerSpec(0.5, 0.0)
-    with pytest.raises(ValueError):
-        ClutterRidgeSpec(0, 1.0)
+        jammer(0.5, 0.0)
+    with pytest.raises(ValueError, match="clutter slope must be a positive integer"):
+        clutter_ridge(0, 1.0)
     with pytest.raises(ValueError):
         StapScenario(LatticeRect(4, 4), noise_power=0.0)
     with pytest.raises(ValueError):
         TargetSpec(0.4, 1.0, 0.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
-            JammerSpec(0.5, bad)
+            jammer(0.5, bad)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            jammer(bad, 1.0)
         with pytest.raises(ValueError):
-            ClutterRidgeSpec(1, bad)
+            clutter_ridge(1, bad)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            clutter_ridge(1, 1.0, ridge_freq=bad)
         with pytest.raises(ValueError):
             StapScenario(LatticeRect(4, 4), noise_power=bad)
         for args in ((bad, 1.0, 2.0), (0.4, bad, 2.0), (0.4, 1.0, bad)):
             with pytest.raises(ValueError):
                 TargetSpec(*args)
-    assert ClutterRidgeSpec(1, 1.0, kind="AR1", ar_coefficient=0.5).kind is ProcessKind.AR1
+    assert clutter_ridge(1, 1.0, kind="AR1", ar_coefficient=0.5).process.kind is ProcessKind.AR1
 
 
 # --- interference covariance ---------------------------------------------------
@@ -145,8 +152,7 @@ def test_projection_extremes():
 
 def test_exact_projector_annihilates_interference():
     sc = jammer_scenario()
-    comps = scenario_to_components(sc)
-    gamma = assemble_gamma(comps, sc.rect).gamma
+    gamma = assemble_gamma(sc.interference, sc.rect).gamma
     p = dominant_projection(interference_covariance(sc), 16)
     residual = np.linalg.norm(p @ gamma @ p) / np.linalg.norm(gamma)
     assert residual < 1e-12
@@ -206,12 +212,15 @@ def test_suppression_matches_dense_reference(trials):
     # the dense route: eigh of the sample covariance, projector applied to Gamma
     sc = StapScenario(
         LatticeRect(8, 8),
-        jammers=(JammerSpec(0.7, 1e6), JammerSpec(1.8, 1e4)),
-        clutter=ClutterRidgeSpec(1, 100.0, kind=ProcessKind.AR1, ar_coefficient=0.5),
+        interference=(
+            jammer(0.7, 1e6),
+            jammer(1.8, 1e4),
+            clutter_ridge(1, 100.0, kind=ProcessKind.AR1, ar_coefficient=0.5),
+        ),
         noise_power=1.0,
         target=TargetSpec(0.4, 1.0, 2.0),
     )
-    model = assemble_gamma(scenario_to_components(sc), sc.rect)
+    model = assemble_gamma(sc.interference, sc.rect)
     for r in (10, 23, 31):
         rep = suppression_experiment(sc, trials=trials, seed=4, rank_used=r)
         estimate = sample_covariance(synthesize_batch(model, trials, 4, noise_power=1.0))
@@ -230,9 +239,9 @@ def test_suppression_matches_dense_reference(trials):
 def test_gram_route_matches_svd_far_below_the_jammer(power, r):
     # r reaches eigenvalues some 1e-16 of the largest: the Gram route's basis
     # must stay orthonormal there, as the SVD's does
-    sc = StapScenario(LatticeRect(8, 8), jammers=(JammerSpec(0.7, power),), noise_power=1e-6)
+    sc = StapScenario(LatticeRect(8, 8), interference=(jammer(0.7, power),), noise_power=1e-6)
     rep = suppression_experiment(sc, trials=32, seed=1, rank_used=r)  # 32 < N*M: Gram route
-    model = assemble_gamma(scenario_to_components(sc), sc.rect)
+    model = assemble_gamma(sc.interference, sc.rect)
     snapshots = synthesize_batch(model, 32, 1, noise_power=1e-6)
     top = np.linalg.svd(snapshots, full_matrices=False)[2][:r].T
     factor = model.whitened_factor()
@@ -246,7 +255,7 @@ def test_suppression_with_fewer_trials_than_rank_used(tmp_path, capsys, monkeypa
     # would take them from whatever null-space basis LAPACK returns
     sc = StapScenario(
         LatticeRect(8, 8),
-        jammers=(JammerSpec(0.7, 1e6), JammerSpec(1.8, 1e6)),
+        interference=(jammer(0.7, 1e6), jammer(1.8, 1e6)),
         noise_power=1.0,
         target=TargetSpec(0.4, 1.0, 2.0),
     )
@@ -264,7 +273,7 @@ def test_suppression_with_fewer_trials_than_rank_used(tmp_path, capsys, monkeypa
         raise AssertionError("drew snapshots for a refused subspace dimension")
 
     monkeypatch.setattr(evarank.stap, "synthesize_batch", no_draws)
-    assert predict_rank(scenario_to_components(sc), sc.rect).formula_value == 16 > trials
+    assert predict_rank(sc.interference, sc.rect).formula_value == 16 > trials
     for r in (None, trials + 1, 16, 64):
         with pytest.raises(ValueError, match="exceeds the trial count"):
             suppression_experiment(sc, trials=trials, seed=2, rank_used=r)
@@ -355,13 +364,13 @@ def test_overflow_refusal_comes_before_any_draw(monkeypatch):
         raise AssertionError("drew snapshots for a refused power")
 
     monkeypatch.setattr(evarank.stap, "synthesize_batch", no_draws)
-    sc = StapScenario(LatticeRect(8, 8), jammers=(JammerSpec(0.7, 1e306),), noise_power=1.0)
+    sc = StapScenario(LatticeRect(8, 8), interference=(jammer(0.7, 1e306),), noise_power=1.0)
     for trials in (32, 128, 10**400):  # a trial count too large for a float still compares
         with pytest.raises(ValueError, match="snapshot power overflows"):
             suppression_experiment(sc, trials=trials, seed=1)
     # the innovation power 4e301 alone leaves room; its AR(1) marginal
     # 4e301 / (1 - 0.9999**2), about 2e305, does not
-    clutter = ClutterRidgeSpec(1, 4e301, ProcessKind.AR1, ar_coefficient=0.9999)
-    sc = StapScenario(LatticeRect(8, 8), clutter=clutter, noise_power=1.0)
+    clutter = clutter_ridge(1, 4e301, ProcessKind.AR1, ar_coefficient=0.9999)
+    sc = StapScenario(LatticeRect(8, 8), interference=(clutter,), noise_power=1.0)
     with pytest.raises(ValueError, match="snapshot power overflows"):
         suppression_experiment(sc, trials=64, seed=1)

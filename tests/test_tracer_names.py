@@ -79,5 +79,8 @@ def test_verify_calls_the_certificate_names_the_tracer_expects(tmp_path, capsys,
     assert evarank.cli.main(["verify", "--config", str(config)]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
     assert set(calls) == {"find_certificate", "verify_certificate", "shift_tuple_admissible"}
-    # the tracer counts make_certificate where cli looks it up
-    assert evarank.cli.make_certificate is evarank.rank.make_certificate
+    # the tracer counts make_certificate in evarank.rank, where find_certificate calls it
+    with _TRACER.Tracer() as tracer:
+        assert evarank.cli.main(["verify", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert tracer.counters["rank.certificates_made"] >= 1
