@@ -38,7 +38,6 @@ from .fields import (
     TWO_PI,
     EvanescentComponent,
     ModulatingProcessSpec,
-    ProcessKind,
     _refuse_overflow,
     conjugate_pairs,
     draw_lines,
@@ -162,8 +161,7 @@ _COMPONENT = (("a", int, REQUIRED), ("b", int, REQUIRED), ("omega", float, REQUI
 _JAMMER = (("angle_freq", float, REQUIRED), ("power", float, REQUIRED))
 _CLUTTER = (("slope", int, REQUIRED), ("power", float, REQUIRED), ("kind", str, "white"),
             ("ar_coefficient", float, 0.0), ("ridge_freq", float, 0.0))
-_TARGET = (("angle_freq", float, REQUIRED), ("doppler_freq", float, REQUIRED),
-           ("amplitude", float, REQUIRED))
+_TARGET = (("angle_freq", float, REQUIRED), ("doppler_freq", float, REQUIRED))
 _SCENARIO = (("antennas", int, REQUIRED), ("pulses", int, REQUIRED),
              ("noise_power", float, REQUIRED))
 _SETTINGS = (("seed", int, None), ("trials", int, 64), ("real_valued", bool, False))
@@ -358,51 +356,40 @@ def cmd_stap(cfg: dict, run: RunSettings, args) -> int:
 
 
 _GRID_DIMS = (4, 8, 15, 16)
-_GRID_SLOPES = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (3, 2), (3, -2), (2, -1))
-_GRID_MULTI = (
-    ((3, 2), (2, 1)),
-    ((3, 2), (2, -1)),
-    ((3, 2), (2, 1), (1, 3)),
-)
+_GRID_PROCESS = {"kind": "ar1", "ar_coefficient": 0.55}
+# every dimension pair with each single slope, then the multi-component sets at 15x15
+_STOCK_GRID = {
+    "slopes": [[0, 1], [1, 0], [1, 1], [1, 2], [2, 1], [3, 2], [3, -2], [2, -1]],
+    "cells": [
+        {"rect": {"N": 15, "M": 15},
+         "components": [{"a": a, "b": b, "omega": (0.9 + 0.7 * i) % TWO_PI,
+                         "process": _GRID_PROCESS} for i, (a, b) in enumerate(slopes)]}
+        for slopes in (((3, 2), (2, 1)), ((3, 2), (2, -1)), ((3, 2), (2, 1), (1, 3)))
+    ],
+}
 
 
-def _grid_component(slope_ab: tuple[int, int], index: int) -> EvanescentComponent:
-    omega = (0.9 + 0.7 * index) % TWO_PI
-    process = ModulatingProcessSpec(ProcessKind.AR1, variance=1.0, ar_coefficient=0.55)
-    return EvanescentComponent(make_slope_pair(*slope_ab), omega, process)
+def _grid_component(slope: list[int]) -> EvanescentComponent:
+    return parse_component({"a": slope[0], "b": slope[1], "omega": 0.9,
+                            "process": _GRID_PROCESS}, "grid")
 
 
-def default_grid_cells() -> list[tuple[LatticeRect, list[EvanescentComponent]]]:
-    """The stock sweep: every dimension pair with each single slope, plus
-    the multi-component sets on the 15x15 lattice."""
-    cells = []
-    for n in _GRID_DIMS:
-        for m in _GRID_DIMS:
-            rect = LatticeRect(n, m)
-            for slope in _GRID_SLOPES:
-                cells.append((rect, [_grid_component(slope, 0)]))
-    rect = LatticeRect(15, 15)
-    for slopes in _GRID_MULTI:
-        comps = [_grid_component(s, i) for i, s in enumerate(slopes)]
-        cells.append((rect, comps))
-    return cells
-
-
-def _grid_cells_from_config(cfg: dict):
-    grid = _field(cfg, "grid", dict, "config", None)
-    if grid is None:
-        return default_grid_cells()
+def _grid_cells(cfg: dict) -> list[tuple[LatticeRect, list[EvanescentComponent]]]:
+    """The sweep's cells, the stock sweep when the config has no grid: each
+    (N, M, slope) of the shorthand in that order, with one component per
+    slope, then the explicit cells."""
+    grid = _field(cfg, "grid", dict, "config", _STOCK_GRID)
     dims_n = _field(grid, "N", list[int], "grid", _GRID_DIMS)
     dims_m = _field(grid, "M", list[int], "grid", _GRID_DIMS)
     slopes = _field(grid, "slopes", list[list[int]], "grid", [])
     if any(len(slope) != 2 for slope in slopes):
         raise ConfigError("grid slopes must be [a, b] pairs")
-    cells = [
-        (LatticeRect(n, m), [_grid_component(slope, 0)])
-        for slope in slopes
-        for n in dims_n
-        for m in dims_m
-    ]
+    comps = [_grid_component(slope) for slope in slopes]
+    try:
+        rects = [LatticeRect(n, m) for n in dims_n for m in dims_m]
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+    cells = [(rect, [comp]) for rect in rects for comp in comps]
     for cell in _field(grid, "cells", list[dict], "grid", []):
         cells.append((parse_rect(cell), parse_components(cell)))
     # an empty sweep is legal: header plus summary, nothing between
@@ -414,7 +401,7 @@ def _component_label(comps) -> str:
 
 
 def cmd_grid(cfg: dict, run: RunSettings, args) -> int:
-    cells = _grid_cells_from_config(cfg)
+    cells = _grid_cells(cfg)
     lines = ["N,M,components,real,predicted,numerical,agree,gap_ratio,regime"]
     verdicts = []
     for rect, comps in cells:

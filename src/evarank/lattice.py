@@ -69,30 +69,22 @@ def make_slope_pair(a: int, b: int) -> SlopePair:
 
     The companion is the unique solution of a*d - b*c = 1 with 0 <= c < a
     when a > 1, and (0, 1) when a == 1.  The two axis directions keep their
-    fixed companions: (0, 1) -> (1, 0) and (1, 0) -> (0, 1).
+    fixed companions: (0, 1) -> (1, 0) and (1, 0) -> (0, 1).  Only the
+    companion is computed here; `SlopePair` checks the pair.
 
     Raises:
+        TypeError: if a or b is not an int.
         ValueError: if a < 0, gcd(|a|, |b|) != 1, or (a, b) == (0, b) with
             b != 1.
     """
     if not isinstance(a, int) or not isinstance(b, int):
         raise TypeError("slope components must be ints")
-    if a < 0:
-        raise ValueError("slope component a must be non-negative")
-    if (a, b) == (0, 0):
-        raise ValueError("slope pair (0, 0) is not a direction")
     if a == 0:
-        if b != 1:
-            raise ValueError("vertical slope must be normalized to (0, 1)")
-        return SlopePair(0, 1, 1, 0)
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"slope pair ({a}, {b}) is not coprime")
-    if a == 1:
-        return SlopePair(1, b, 0, 1)
+        return SlopePair(0, b, 1, 0)
     # a*d = 1 + b*c demands c = -b^{-1} mod a; coprimality makes b invertible.
-    c = (-pow(b % a, -1, a)) % a
-    d = (1 + b * c) // a
-    return SlopePair(a, b, c, d)
+    # Any other pair gets c = 0, for SlopePair to refuse.
+    c = (-pow(b % a, -1, a)) % a if a > 1 and math.gcd(a, b) == 1 else 0
+    return SlopePair(a, b, c, (1 + b * c) // a)
 
 
 @dataclass(frozen=True)

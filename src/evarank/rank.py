@@ -335,12 +335,6 @@ def shift_tuple_admissible(target, components, rect: LatticeRect) -> bool:
     return all(rect.contains(*corner) for corner in (np.add(target, lo), np.add(target, hi)))
 
 
-def _inside(points: np.ndarray, rect: LatticeRect) -> np.ndarray:
-    """rect.contains for an array of (n, m) pairs on its last axis."""
-    n, m = points[..., 0], points[..., 1]
-    return (0 <= n) & (n < rect.N) & (0 <= m) & (m < rect.M)
-
-
 def make_certificate(
     target: tuple[int, int], components, rect: LatticeRect
 ) -> DependencyCertificate:
@@ -440,9 +434,11 @@ def verify_certificate(
     # the target goes last, as a term of coefficient -1: exact, -1 * w == -w
     offsets = np.array([p for p, _ in cert.terms] + [cert.target], dtype=np.int64) - cert.target
     coeffs = np.array([c for _, c in cert.terms] + [-1.0], dtype=complex)
-    # every translate stays inside when the corners of the targets' bounding box do
+    # every translate stays inside when the two corners of their bounding box do,
+    # the box rule of shift_tuple_admissible
     if len(targets) and not all(
-        _inside(corner + offsets, rect).all() for corner in (targets.min(0), targets.max(0))
+        rect.contains(*corner) for corner in (targets.min(0) + offsets.min(0),
+                                              targets.max(0) + offsets.max(0))
     ):
         raise ValueError(f"a certificate term leaves the {rect.N}x{rect.M} lattice")
     base = targets[:, 0] * rect.M + targets[:, 1]

@@ -11,14 +11,13 @@ closed-form rank drives how many dominant eigenvectors to project away.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import _divide, _hermitian_gram, assemble_gamma
 from .fields import (
-    _POWER_HEADROOM,
+    TWO_PI,
     EvanescentComponent,
     ModulatingProcessSpec,
     ProcessKind,
@@ -51,21 +50,24 @@ def clutter_ridge(slope: int, power: float, kind: ProcessKind = ProcessKind.WHIT
 
 @dataclass(frozen=True)
 class TargetSpec:
+    """A target's angle and Doppler frequencies, each taken mod 2*pi.  Its
+    amplitude is left out: the retention `stap` reports is a power ratio."""
+
     angle_freq: float
     doppler_freq: float
-    amplitude: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.angle_freq) and math.isfinite(self.doppler_freq)):
-            raise ValueError("target frequencies must be finite")
-        if not 0 < self.amplitude < math.inf:
-            raise ValueError("target amplitude must be positive and finite")
+        for name in ("angle_freq", "doppler_freq"):
+            freq = getattr(self, name)
+            if not math.isfinite(freq):
+                raise ValueError("target frequencies must be finite")
+            object.__setattr__(self, name, float(freq) % TWO_PI)
 
     def steering(self, rect: LatticeRect) -> np.ndarray:
+        """The unit-modulus steering vector over the rectangle, vectorized row-major."""
         n = np.arange(rect.N)[:, None]
         m = np.arange(rect.M)[None, :]
-        phase = self.angle_freq * n + self.doppler_freq * m
-        return (self.amplitude * np.exp(1j * phase)).reshape(rect.size)
+        return np.exp(1j * (self.angle_freq * n + self.doppler_freq * m)).reshape(rect.size)
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,6 @@ class StapScenario:
         if not 0 < self.noise_power < math.inf:
             raise ValueError("noise power must be positive and finite")
         check_distinct_triples(self.interference)
-        # the retention divides by N*M * amplitude**2, kept below the maximum with headroom
-        limit = sys.float_info.max / (_POWER_HEADROOM * self.rect.size)
-        if self.target is not None and self.target.amplitude * self.target.amplitude > limit:
-            raise ValueError(
-                f"target power overflows float64: N*M * {self.target.amplitude:g}**2 "
-                f"exceeds {sys.float_info.max:g} / {_POWER_HEADROOM:g}"
-            )
 
 
 def dominant_projection(covariance: np.ndarray, r: int) -> np.ndarray:
@@ -148,7 +143,7 @@ def suppression_experiment(
             the snapshots span at most `trials` directions, and any further
             ones would come from an arbitrary basis of their null space.
             Also when the draws' squared norms would overflow float64, or a
-            power is subnormal; the target's power is the scenario's to refuse.
+            power is subnormal.
     """
     comps, rect = scenario.interference, scenario.rect
     prediction = predict_rank(comps, rect)

@@ -713,6 +713,26 @@ def test_grid_default_sweep_runs(tmp_path, capsys):
     assert len(lines) == 2 + 16 * 8 + 3
 
 
+STOCK_SLOPES = [[0, 1], [1, 0], [1, 1], [1, 2], [2, 1], [3, 2], [3, -2], [2, -1]]
+
+
+def test_grid_stock_sweep_cells_are_pinned(tmp_path, capsys):
+    # N, M and components of all 131 stock rows: each (N, M, slope) in that
+    # order at omega 0.9, then the three multi-component cells at 15 x 15
+    dims = (4, 8, 15, 16)
+    want = [f"{n},{m},{a}:{b}:0.9" for n in dims for m in dims for a, b in STOCK_SLOPES]
+    want += ["15,15,3:2:0.9|2:1:1.6", "15,15,3:2:0.9|2:-1:1.6", "15,15,3:2:0.9|2:1:1.6|1:3:2.3"]
+    code, out, _ = run(capsys, "grid", "--config", write_config(tmp_path, {}))
+    rows = out.splitlines()[1:-1]
+    assert code == 0
+    assert [",".join(row.split(",")[:3]) for row in rows] == want
+    # a config grid's shorthand lists its rows in the same (N, M, slope) order
+    code, shorthand, _ = run(capsys, "grid", "--config",
+                             write_config(tmp_path, {"grid": {"slopes": STOCK_SLOPES}}))
+    assert code == 0
+    assert shorthand.splitlines()[1:-1] == rows[:128]
+
+
 # --- config errors --------------------------------------------------------------
 
 def with_process(**process):
@@ -759,7 +779,7 @@ BAD_CONFIGS = [
     ),
     pytest.param(
         "stap",
-        with_scenario(target={"angle_freq": 0.4, "doppler_freq": 1.0, "amplitude": float("inf")}),
+        with_scenario(target={"angle_freq": float("inf"), "doppler_freq": 1.0}),
         id="target-inf",
     ),
 ]
@@ -822,9 +842,14 @@ def _jammers(*jammers):
      "clutter: 'pink' is not a valid ProcessKind"),
     ("stap", with_scenario(clutter={"slope": 0, "power": 1.0, "kind": "ar1", "ar_coefficient": 2}),
      "clutter: clutter slope must be a positive integer"),
+    # the grid shorthand's dimensions and slopes are refused as the grid's
+    ("grid", {"grid": {"N": [0], "slopes": [[1, 1]]}}, "grid: lattice dimensions must be positive"),
+    ("grid", {"grid": {"slopes": [[2, 2]]}}, "grid: slope pair (2, 2) is not coprime"),
+    ("grid", {"grid": {"slopes": [[0, 2]]}}, "grid: vertical slope must be (0, 1)"),
 ], ids=["verify-no-components", "grid-slope-triple", "omega-inf", "omega-nan", "jammer-power-0",
         "jammer-angle-inf", "jammer-duplicate", "clutter-ridge-inf", "clutter-power-0",
-        "clutter-kind-before-slope", "clutter-slope-before-ar"])
+        "clutter-kind-before-slope", "clutter-slope-before-ar", "grid-N-0", "grid-slope-2-2",
+        "grid-slope-0-2"])
 def test_refusal_is_one_exact_config_diagnostic(tmp_path, capsys, verb, payload, message):
     code, out, err = run(capsys, verb, "--config", write_config(tmp_path, payload))
     assert (code, out) == (2, "")

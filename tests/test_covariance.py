@@ -159,6 +159,11 @@ def test_ar1_zero_coefficient_reduces_to_white():
     )
 
 
+def test_process_covariance_needs_a_positive_size():
+    with pytest.raises(ValueError, match="process covariance needs a positive size"):
+        process_covariance(WHITE(1.0), 0)
+
+
 def gathered_covariance(spec, size):
     """R through an int64 lag matrix and a gather: the reference for the
     strided route."""

@@ -10,6 +10,7 @@ from evarank.fields import (
     EvanescentComponent,
     ModulatingProcessSpec,
     ProcessKind,
+    _refuse_overflow,
     draw_lines,
     lattice_map,
     modulating_indices,
@@ -386,3 +387,17 @@ def test_synthesis_refusals_come_before_any_draw(monkeypatch, trials, noise_powe
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match=message):
         synthesize_batch(model, trials, 1, noise_power)
+
+
+@pytest.mark.parametrize("processes, noise_power, tiny", [
+    ((WHITE(4e-320),), 0.0, 4e-320),
+    ((WHITE(1.0), AR1(1e-310, 0.9999999)), 0.0, 1e-310),
+    ((WHITE(1.0),), 3e-310, 3e-310),
+], ids=["variance", "ar1-innovation", "noise"])
+def test_subnormal_power_is_refused(processes, noise_power, tiny):
+    # a subnormal variance, innovation or noise power would draw subnormal snapshots
+    comps = [comp(1, k, 0.5, process) for k, process in enumerate(processes)]
+    with pytest.raises(ValueError, match=f"snapshot power underflows float64: {tiny:g} is below "):
+        _refuse_overflow(comps, LatticeRect(4, 4), 8, noise_power)
+    normal = [comp(1, k, 0.5, WHITE(2.3e-308)) for k in range(len(processes))]
+    _refuse_overflow(normal, LatticeRect(4, 4), 8, noise_power and 2.3e-308)

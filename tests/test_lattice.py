@@ -45,12 +45,32 @@ def test_companion_identity_exact(a, b):
 
 
 @pytest.mark.parametrize(
-    "a,b",
-    [(-1, 2), (0, 2), (0, -1), (0, 0), (2, 4), (3, 6), (2, 0)],
+    "a,b,message",
+    [pytest.param(a, b, message, id=f"{a}-{b}") for a, b, message in [
+        (-1, 2, "slope component a must be non-negative"),
+        (0, 2, r"vertical slope must be \(0, 1\)"),
+        (0, -1, r"vertical slope must be \(0, 1\)"),
+        (0, 0, r"vertical slope must be \(0, 1\)"),
+        (2, 4, r"slope pair \(2, 4\) is not coprime"),
+        (3, 6, r"slope pair \(3, 6\) is not coprime"),
+        (2, 0, r"slope pair \(2, 0\) is not coprime"),
+    ]],
 )
-def test_invalid_slopes_rejected(a, b):
-    with pytest.raises((ValueError, TypeError)):
+def test_invalid_slopes_rejected(a, b, message):
+    # make_slope_pair computes the companion only; SlopePair names the fault
+    with pytest.raises(ValueError, match=message):
         make_slope_pair(a, b)
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ((1, 2, 0.0, 1), TypeError, "slope pair field c must be an int"),
+    ((1, 1 << 21, 0, 1), ValueError, "coordinate magnitude 2097152 exceeds supported limit 1048576"),
+    ((3, 2, 1, 2), ValueError, r"companion determinant a\*d - b\*c = 4, expected 1 for slope \(3, 2\)"),
+    ((0, 1, 0, 1), ValueError, r"companion determinant a\*d - b\*c = 0, expected -1 for slope \(0, 1\)"),
+], ids=["non-int-field", "beyond-limit", "wrong-determinant", "vertical-wrong-determinant"])
+def test_slope_pair_checks_its_own_fields(fields, error, message):
+    with pytest.raises(error, match=message):
+        SlopePair(*fields)
 
 
 def test_non_integer_slope_rejected():

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from evarank.cli import default_grid_cells, main
+from evarank import cli
+from evarank.cli import main
 from evarank.covariance import _TILE_ROWS, _hermitian_gram, assemble_gamma, sample_covariance
 from evarank.fields import (
     EvanescentComponent,
@@ -218,6 +219,22 @@ def test_numerical_rank_rejects_non_finite():
         numerical_rank(bad)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: numerical_rank(np.zeros((2, 2, 2))), "numerical rank needs a 2-D matrix"),
+    (lambda: verify_certificate(DependencyCertificate((1, 1), ()),
+                                assemble_gamma([], LatticeRect(4, 4))),
+     "target column is zero; no components present"),
+    (lambda: make_certificate((1, 1), [], LatticeRect(4, 4)),
+     "certificates need at least one component"),
+    (lambda: make_certificate((4, 0), comps_for([(1, 1)]), LatticeRect(4, 4)),
+     r"target \(4, 0\) outside 4x4 lattice"),
+], ids=["numerical-rank-3d", "verify-no-components", "certificate-no-components",
+        "certificate-target-outside"])
+def test_rank_guards_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_numerical_rank_handles_rectangular_input():
     mat = np.vstack([np.eye(3), np.eye(3)])
     rank, _ = numerical_rank(mat)
@@ -253,7 +270,7 @@ def factor_rank(factor, rel_tol=None):
 
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
 def test_factor_rank_matches_dense_oracle_on_stock_grid(real_valued):
-    for rect, comps in default_grid_cells():
+    for rect, comps in cli._grid_cells({}):
         model = assemble_gamma(comps, rect, real_valued=real_valued)
         dense_rank, dense = numerical_rank(model.gamma)
         rank, spectrum = factor_rank(model.whitened_factor())
@@ -501,7 +518,7 @@ def assert_schur_spectrum(model, rank, spectrum):
 @pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
 def test_gamma_rank_matches_dense_oracle_on_stock_grid(real_valued):
     sides = {"wide": 0, "tall": 0}
-    for rect, comps in default_grid_cells():
+    for rect, comps in cli._grid_cells({}):
         model = assemble_gamma(comps, rect, real_valued=real_valued)
         rank, spectrum = gamma_rank(model)
         assert rank == numerical_rank(model.gamma)[0], (rect, [c.triple() for c in comps])
@@ -805,13 +822,13 @@ def test_ranked_grams_are_exactly_hermitian(monkeypatch):
     eigenvalues = evarank.rank._hermitian_eigenvalues
     monkeypatch.setattr(evarank.rank, "_hermitian_eigenvalues", kept)
     for real_valued in (False, True):
-        for rect, comps in default_grid_cells():
+        for rect, comps in cli._grid_cells({}):
             gamma_rank(assemble_gamma(comps, rect, real_valued=real_valued))
         model = assemble_gamma([comp(3, 2, 0.9, AR1(1.0, 0.5)), comp(2, 1, 1.6)],
                                LatticeRect(32, 32), real_valued=real_valued)
         estimate_rank(model, draw_lines(model, 512, seed=1))
         assert grams[-1].shape == (min(512, line_count(model)),) * 2
-    assert len(grams) == 2 * (len(default_grid_cells()) + 1)
+    assert len(grams) == 2 * (len(cli._grid_cells({})) + 1)
     for gram in grams:
         assert np.array_equal(gram, gram.conj().T)
 
@@ -1283,6 +1300,22 @@ def test_translated_certificate_must_stay_in_the_lattice():
     cert = find_certificate((3, 7), comps, rect)
     with pytest.raises(ValueError, match="leaves"):
         verify_certificate(cert, model, at=[(3, 7), (0, 0)])
+
+
+def test_translate_check_refuses_exactly_the_points_a_term_leaves_from():
+    # the box rule, one point at a time, against every term of every translate
+    rect = LatticeRect(8, 8)
+    comps = comps_for([(3, 2), (2, -1)])
+    model = assemble_gamma(comps, rect)
+    cert = find_certificate((3, 7), comps, rect)
+    offsets = [(p[0] - 3, p[1] - 7) for p, _ in cert.terms] + [(0, 0)]
+    for point in np.ndindex(rect.N, rect.M):
+        inside = all(rect.contains(point[0] + dn, point[1] + dm) for dn, dm in offsets)
+        if inside:
+            assert verify_certificate(cert, model, at=[point])[0] <= 1e-12
+        else:
+            with pytest.raises(ValueError, match="a certificate term leaves the 8x8 lattice"):
+                verify_certificate(cert, model, at=[point])
 
 
 def per_term_residuals(cert, model, at=None):

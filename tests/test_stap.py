@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import evarank.stap
 from evarank.cli import main
 from evarank.covariance import assemble_gamma, sample_covariance
 from evarank.fields import synthesize_batch
-from evarank.fields import ProcessKind
+from evarank.fields import TWO_PI, ProcessKind
 from evarank.lattice import LatticeRect
 from evarank.rank import numerical_rank, predict_rank
 from evarank.stap import (
@@ -94,8 +96,6 @@ def test_spec_validation():
         clutter_ridge(0, 1.0)
     with pytest.raises(ValueError):
         StapScenario(LatticeRect(4, 4), noise_power=0.0)
-    with pytest.raises(ValueError):
-        TargetSpec(0.4, 1.0, 0.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             jammer(0.5, bad)
@@ -107,8 +107,8 @@ def test_spec_validation():
             clutter_ridge(1, 1.0, ridge_freq=bad)
         with pytest.raises(ValueError):
             StapScenario(LatticeRect(4, 4), noise_power=bad)
-        for args in ((bad, 1.0, 2.0), (0.4, bad, 2.0), (0.4, 1.0, bad)):
-            with pytest.raises(ValueError):
+        for args in ((bad, 1.0), (0.4, bad)):
+            with pytest.raises(ValueError, match="target frequencies must be finite"):
                 TargetSpec(*args)
     assert clutter_ridge(1, 1.0, kind="AR1", ar_coefficient=0.5).process.kind is ProcessKind.AR1
 
@@ -148,6 +148,8 @@ def test_projection_extremes():
         dominant_projection(cov, 4)
     with pytest.raises(ValueError):
         dominant_projection(cov, -1)
+    with pytest.raises(ValueError, match="covariance must be square"):
+        dominant_projection(np.zeros((3, 4)), 1)
 
 
 def test_exact_projector_annihilates_interference():
@@ -181,7 +183,7 @@ def test_zero_rank_projector_preserves_target():
     sc = StapScenario(
         LatticeRect(4, 4),
         noise_power=1.0,
-        target=TargetSpec(0.4, 1.0, 2.0),
+        target=TargetSpec(0.4, 1.0),
     )
     rep = suppression_experiment(sc, trials=16, seed=1)
     assert rep["rank_used"] == 0
@@ -218,7 +220,7 @@ def test_suppression_matches_dense_reference(trials):
             clutter_ridge(1, 100.0, kind=ProcessKind.AR1, ar_coefficient=0.5),
         ),
         noise_power=1.0,
-        target=TargetSpec(0.4, 1.0, 2.0),
+        target=TargetSpec(0.4, 1.0),
     )
     model = assemble_gamma(sc.interference, sc.rect)
     for r in (10, 23, 31):
@@ -257,7 +259,7 @@ def test_suppression_with_fewer_trials_than_rank_used(tmp_path, capsys, monkeypa
         LatticeRect(8, 8),
         interference=(jammer(0.7, 1e6), jammer(1.8, 1e6)),
         noise_power=1.0,
-        target=TargetSpec(0.4, 1.0, 2.0),
+        target=TargetSpec(0.4, 1.0),
     )
     trials = 8
     rep = suppression_experiment(sc, trials=trials, seed=2, rank_used=trials)
@@ -338,25 +340,38 @@ def test_stap_at_extreme_power(tmp_path, capfd, trials, power):
         assert "overflows" in diagnostic["message"]
 
 
-@pytest.mark.parametrize("amplitude", [1e150, 1e160])
+@pytest.mark.parametrize("amplitude", [1e-170, 1e150, 1e160])
 def test_stap_at_extreme_target_amplitude(tmp_path, capfd, amplitude):
-    # the retention divides by N*M * amplitude**2, which overflows at 1e160
+    # the retention is a power ratio, in which an amplitude cancels: a config's
+    # amplitude is not read, and any value gives the report of none
     target = {"angle_freq": 0.4, "doppler_freq": 1.0, "amplitude": amplitude}
     code = main(["stap", "--config", _stap_config(tmp_path, 32, target=target)])
     captured = capfd.readouterr()
-    if amplitude == 1e150:
-        assert code == 0
-        assert captured.err == ""
-        assert 0.0 <= json.loads(captured.out)["target_retention"] <= 1.0
-    else:
-        assert code == 2
-        assert captured.out == ""
-        diagnostic = json.loads(captured.err)
-        assert diagnostic["error"] == "config"
-        assert diagnostic["message"].startswith("scenario: target power overflows float64: ")
-        # refused where the scenario is built, before any draw
-        with pytest.raises(ValueError, match="target power overflows float64"):
-            StapScenario(LatticeRect(8, 8), noise_power=1.0, target=TargetSpec(0.4, 1.0, amplitude))
+    assert (code, captured.err) == (0, "")
+    del target["amplitude"]
+    main(["stap", "--config", _stap_config(tmp_path, 32, target=target)])
+    assert captured.out == capfd.readouterr().out
+    assert 0.0 <= json.loads(captured.out)["target_retention"] <= 1.0
+
+
+def test_stap_target_frequencies_are_taken_mod_two_pi(tmp_path, capfd):
+    # a frequency far outside [0, 2*pi) is reduced before any phase is formed,
+    # so no numpy warning escapes even under -W error (the amplitude is ignored)
+    target = {"angle_freq": 1e308, "doppler_freq": 1.0, "amplitude": 1.0}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "evarank", "stap",
+         "--config", _stap_config(tmp_path, 32, target=target)],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert 0.0 <= json.loads(proc.stdout)["target_retention"] <= 1.0
+    spec = TargetSpec(1e308, -0.4)
+    assert (spec.angle_freq, spec.doppler_freq) == (1e308 % TWO_PI, -0.4 % TWO_PI)
+    assert 0.0 <= spec.angle_freq < TWO_PI and 0.0 <= spec.doppler_freq < TWO_PI
+    steering = TargetSpec(0.4, 1.0).steering(LatticeRect(3, 4))
+    assert np.array_equal(steering, np.exp(1j * (0.4 * np.arange(3)[:, None]
+                                                 + 1.0 * np.arange(4)[None, :])).reshape(12))
+    np.testing.assert_allclose(np.abs(steering), 1.0, rtol=1e-15)
 
 
 def test_overflow_refusal_comes_before_any_draw(monkeypatch):
