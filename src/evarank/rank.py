@@ -14,16 +14,21 @@ line-space draws by `estimate_rank`), and backs the count with explicit
 linear-dependence certificates.  There is one, the canonical certificate:
 an inclusion-exclusion combination over joint shifts, one step along each
 component's slope line, that reconstructs a factor column exactly from
-columns earlier in the (m, -n) order.  Its subset offsets fill one bounding
-box, so a target admits it when the box's two corners, translated to it,
-are inside the lattice; the dependent block is the set of points that
-admit it, and no search is made.  Its coefficients do not depend on the
-target, so one certificate, translated, is checked at every point in a
-single pass.
+columns earlier in the (m, -n) order.  It is the expansion of the product
+-prod_i (1 - t_i X^(b_i, -a_i)), t_i = exp(-1j sigma_i omega_i), built in q
+passes, one per component, with at most one entry per point of the shift
+box; its coefficients equal the subset sums (-1)^(|S|-1) exp(-1j sum_S
+sigma_i omega_i) up to roundoff, and no subset is enumerated.  Its subset
+offsets fill one bounding box, so a target admits it when the box's two
+corners, translated to it, are inside the lattice; the dependent block is
+the set of points that admit it, and no search is made.  Its coefficients
+do not depend on the target, so one certificate, translated, is checked at
+every point in a single pass.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -343,7 +348,12 @@ def make_certificate(
     Subset S of components contributes the column at the point shifted by
     one step along each of its lines, sum_S (b_i, -a_i), with coefficient
     (-1)^(|S|-1) * exp(-1j * sum_S sigma_i * omega_i); terms landing on the
-    same point merge.
+    same point merge.  The merged coefficients are those of the product
+    -prod_i (1 - t_i X^(b_i, -a_i)), t_i = exp(-1j * sigma_i * omega_i),
+    less its constant -1, the target's own.  It is expanded one factor per
+    pass, q passes, holding at most one entry per point of `_shift_box`, so
+    the coefficients equal the subset sums up to roundoff without a loop
+    over the 2^q subsets.  Terms are sorted by point, exact zeros dropped.
 
     Raises:
         ValueError: when `target` is not `shift_tuple_admissible`, in which
@@ -356,17 +366,17 @@ def make_certificate(
         raise ValueError("certificates need at least one component")
     if not shift_tuple_admissible(target, components, rect):
         raise ValueError(f"the all-ones shift leaves the lattice from {target}")
-    q = len(components)
-    merged: dict[tuple[int, int], complex] = {}
-    for size in range(1, q + 1):
-        sign = (-1.0) ** (size - 1)
-        for subset in itertools.combinations(range(q), size):
-            point = (target[0] + sum(components[i].slope.b for i in subset),
-                     target[1] - sum(components[i].slope.a for i in subset))
-            angle = -sum(components[i].slope.sigma * components[i].omega for i in subset)
-            coeff = sign * complex(math.cos(angle), math.sin(angle))
-            merged[point] = merged.get(point, 0.0 + 0.0j) + coeff
-    terms = tuple((point, coeff) for point, coeff in sorted(merged.items()) if coeff != 0.0)
+    # each pass reads a snapshot of the previous factors' entries, so a point written in
+    # this pass is not shifted again in it
+    poly = {(0, 0): -1.0 + 0.0j}
+    for c in components:
+        t = cmath.exp(-1j * c.slope.sigma * c.omega)
+        for (n, m), z in list(poly.items()):
+            shifted = (n + c.slope.b, m - c.slope.a)
+            poly[shifted] = poly.get(shifted, 0j) - t * z
+    del poly[0, 0]  # the target's own -1: no nonempty subset's shift returns to it
+    terms = tuple(((target[0] + n, target[1] + m), z)
+                  for (n, m), z in sorted(poly.items()) if z != 0.0)
     return DependencyCertificate(target, terms)
 
 

@@ -235,15 +235,27 @@ def test_rank_reads_its_residual_without_gamma(tmp_path, capsys, monkeypatch, ex
 
 # --- verify -------------------------------------------------------------------
 
-def test_verify_passes_on_interior_config(tmp_path, capsys):
-    cfg = write_config(tmp_path, INTERIOR)
+def white_rows(count, step):
+    """`count` white (1, 0) components at 32 x 32, omega = 0.1 + step * i: one
+    slope crowded with frequencies, so the certificate's terms merge heavily."""
+    return {"rect": {"N": 32, "M": 32},
+            "components": [{"a": 1, "b": 0, "omega": 0.1 + step * i} for i in range(count)]}
+
+
+# (N - sum|b|) * (M - sum|a|): (8 - 3) * (8 - 5), 32 * (32 - 16) and 32 * (32 - 18)
+@pytest.mark.parametrize("payload, points", [
+    (INTERIOR, 15),
+    (white_rows(16, 0.2), 512),
+    (white_rows(18, 0.3), 448),
+], ids=["interior", "white-16", "white-18"])
+def test_verify_passes_on_interior_config(tmp_path, capsys, payload, points):
+    cfg = write_config(tmp_path, payload)
     code, out, _ = run(capsys, "verify", "--config", cfg)
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True
     assert report["failures"] == []
-    # (N - sum|b|) * (M - sum|a|) = (8 - 3) * (8 - 5)
-    assert report["points_audited"] == 15
+    assert report["points_audited"] == points
     assert report["max_residual"] <= 1e-10
 
 

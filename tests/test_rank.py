@@ -1135,8 +1135,16 @@ def dict_certificate_terms(target, comps):
     return tuple((point, coeff) for point, coeff in sorted(merged.items()) if coeff != 0.0)
 
 
-def term_bits(terms):
-    return [(point, coeff.real.hex(), coeff.imag.hex()) for point, coeff in terms]
+def assert_terms_match(got, want):
+    """`got` sorted by point, and within 1e-12 * max(1, |want|) of `want` at
+    every point of either, a missing point reading 0: a coefficient that sums
+    to exactly 0 one way may read about 1e-16 the other."""
+    points = [point for point, _ in got]
+    assert points == sorted(set(points))
+    got, want = dict(got), dict(want)
+    for point in got.keys() | want.keys():
+        expected = want.get(point, 0j)
+        assert abs(got.get(point, 0j) - expected) <= 1e-12 * max(1.0, abs(expected)), point
 
 
 @settings(deadline=None, max_examples=100)
@@ -1150,7 +1158,7 @@ def term_bits(terms):
 @example(n=5, m=5, picks=[((1, 1), 0.9), ((1, -1), 1.6)])
 def test_exhaustive_tuples_agree_with_admissibility(n, m, picks):
     # the box test against every subset, at every lattice point, and each
-    # certificate against the dict-merged reference, bit for bit
+    # certificate against the dict-merged reference, to roundoff
     rect = LatticeRect(n, m)
     comps = [comp(a, b, omega, AR1(1.0, 0.5)) for (a, b), omega in picks]
     assume(len({c.triple() for c in comps}) == len(comps))
@@ -1164,8 +1172,33 @@ def test_exhaustive_tuples_agree_with_admissibility(n, m, picks):
                 make_certificate(point, comps, rect)
             continue
         cert = make_certificate(point, comps, rect)
-        assert term_bits(cert.terms) == term_bits(dict_certificate_terms(point, comps))
+        assert_terms_match(cert.terms, dict_certificate_terms(point, comps))
         assert verify_certificate(cert, model) <= 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    one_slope=st.booleans(),
+    picks=st.lists(
+        st.tuples(st.sampled_from(CERT_SLOPES), st.floats(0.0, 6.28)), min_size=6, max_size=10
+    ),
+)
+def test_product_certificate_matches_subset_sums_under_heavy_merging(one_slope, picks):
+    # 6 to 10 components, all on the first pick's slope or on mixed slopes: up to
+    # 2^10 subsets merge onto few points, and the factor-by-factor expansion of
+    # -prod (1 - t_i X^(b_i, -a_i)) still reads the subset sums to roundoff
+    if one_slope:
+        picks = [(picks[0][0], omega) for _, omega in picks]
+    comps = [comp(a, b, omega) for (a, b), omega in picks]
+    assume(len({c.triple() for c in comps}) == len(comps))
+    # the smallest lattice whose corner target admits the certificate
+    lo_n = sum(min(0, c.slope.b) for c in comps)
+    hi_n = sum(max(0, c.slope.b) for c in comps)
+    sum_a = sum(c.slope.a for c in comps)
+    rect = LatticeRect(hi_n - lo_n + 1, sum_a + 1)
+    target = (-lo_n, sum_a)
+    cert = make_certificate(target, comps, rect)
+    assert_terms_match(cert.terms, dict_certificate_terms(target, comps))
 
 
 def run_verb(payload: dict, verb: str = "verify", *flags: str) -> tuple[int, str, str]:
