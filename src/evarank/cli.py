@@ -254,7 +254,7 @@ def cmd_rank(cfg: dict, run: RunSettings, args) -> int:
         "regime_flag": prediction.regime_flag.value,
         "numerical_rank": rank,
         "agree": rank == prediction.formula_value,
-        "spectrum": [float(s) for s in spectrum],
+        "spectrum": spectrum.tolist(),
         "gap_ratio": gap if gap is not None and math.isfinite(gap) else None,
         "factorization_residual": model.factorization_residual(),
     }

@@ -21,11 +21,15 @@ and eigensolves only their Schur complement.  The residual also
 reads each block's L: with E = blockdiag(R_k - L_k L_k^T), the closed
 form's roundoff against the formula, and the whitened factor F =
 blockdiag(L^T) C, Gamma - F^H F = C^H E C, so its squared norm is
-tr(E G E G), read from G's carrier blocks.  So is the gap to the sample
-covariance C^H R^ C of line-space draws, with E = R^ - blockdiag(R).  The
-sample covariance, formed only for export, and `stap`'s trials-by-trials
-snapshot Gram come from the row tiles of their own upper triangle,
-exactly Hermitian by construction.
+tr(E G E G), and Gamma's is tr(R G R G).  Both are read in one pass over
+block pairs, each in its structural form: a block whose R and L are
+diagonal (a white process's, as the arrays show) is carried as diagonals,
+and a pair of such a block with a dense one reads one W W^T, W the slice
+of G between them.  The gap to the sample covariance C^H R^ C of
+line-space draws is read in line space too, with a dense E = R^ -
+blockdiag(R).  The sample covariance, formed only for export, and
+`stap`'s trials-by-trials snapshot Gram come from the row tiles of their
+own upper triangle, exactly Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -109,47 +113,67 @@ class CovarianceModel:
         """G = C C^H, one line per process sample and carrier (sum(rows) by
         sum(rows)), built once per model: entry (r, s) of the carrier pair
         (p, q) sums w_p[j] * conj(w_q[j]) over the lattice points j that read
-        sample r of p and sample s of q, one bincount per pair.  G is exactly
-        Hermitian: a pair below the diagonal is the conjugate transpose of
-        its mirror, and a diagonal pair is diagonal and real."""
+        sample r of p and sample s of q, one bincount per pair.  The carriers
+        of one block share their rows, so such a pair is its diagonal alone,
+        one bincount of `len` bins.  G is exactly Hermitian: a pair below
+        the diagonal is the conjugate transpose of its mirror, and a diagonal
+        pair is diagonal and real."""
         carriers = self._carriers
         size = carriers[-1][-1] if carriers else 0
         gram = np.zeros((size, size), self.dtype)
-        for p, (_, rows_p, len_p, w_p, lo_p, hi_p) in enumerate(carriers):
-            for q, (_, rows_q, len_q, w_q, lo_q, hi_q) in enumerate(carriers[p:], p):
-                key = rows_p * len_q + rows_q
+        for p, (k_p, rows_p, len_p, w_p, lo_p, hi_p) in enumerate(carriers):
+            for q, (k_q, rows_q, len_q, w_q, lo_q, hi_q) in enumerate(carriers[p:], p):
+                same = k_p == k_q
+                key, bins = (rows_p, len_p) if same else (rows_p * len_q + rows_q, len_p * len_q)
                 # |w|^2 on the diagonal: w * conj(w) can leave roundoff in its imaginary part
                 weight = w_p.real ** 2 + w_p.imag ** 2 if p == q else w_p * np.conj(w_q)
-                pair = np.bincount(key, weight.real, len_p * len_q)
+                pair = np.bincount(key, weight.real, bins)
                 if np.iscomplexobj(weight):  # bincount takes no complex weights
-                    pair = pair + 1j * np.bincount(key, weight.imag, len_p * len_q)
-                pair = pair.reshape(len_p, len_q)
-                gram[lo_p:hi_p, lo_q:hi_q] = pair
-                gram[lo_q:hi_q, lo_p:hi_p] = pair.conj().T
+                    pair = pair + 1j * np.bincount(key, weight.imag, bins)
+                if same:
+                    np.fill_diagonal(gram[lo_p:hi_p, lo_q:hi_q], pair)
+                    np.fill_diagonal(gram[lo_q:hi_q, lo_p:hi_p], pair.conj())
+                else:
+                    pair = pair.reshape(len_p, len_q)
+                    gram[lo_p:hi_p, lo_q:hi_q] = pair
+                    gram[lo_q:hi_q, lo_p:hi_p] = pair.conj().T
         return gram
 
     def factorization_residual(self) -> float:
         """||Gamma - F^H F||_F / ||Gamma||_F for F = whitened_factor(), as
         sqrt(tr(E G E G) / tr(R G R G)) on the line Gram; 0.0 when Gamma is
         zero.  E = R - L L^T is formed block by block, so the value measures
-        L's closed form against R's Toeplitz formula, and nothing cancels."""
-        unit, exact, exact_sq = self._exact_at_unit()
-        if exact_sq == 0.0:
+        L's closed form against R's Toeplitz formula, and nothing cancels.
+        A block whose R and L are both diagonal, as the arrays show (a white
+        process's), gives R and E as their diagonals: no L L^T product."""
+        if not self.blocks:
             return 0.0
-        # L / sqrt(unit): exact, with no over- or underflow
-        lowers = [block.lower / math.sqrt(unit) for block in self.blocks]
-        gap = [cov - lower @ lower.T for cov, lower in zip(exact, lowers)]
+        unit = self._unit()
+        per_block = []
+        for block in self.blocks:
+            exact = process_covariance(block.process, block.length, unit)
+            # L / sqrt(unit): exact, with no over- or underflow
+            lower = block.lower / math.sqrt(unit)
+            if _is_diagonal(exact) and _is_diagonal(lower):
+                exact, lower = np.diagonal(exact).copy(), np.diagonal(lower)
+                per_block.append((exact, exact - lower * lower))
+            else:
+                per_block.append((exact, exact - lower @ lower.T))
+        exact_sq, gap_sq = self._trace_squares(per_block)
         # tr(E G E G) >= 0; only roundoff in the trace can take it below
-        return math.sqrt(max(self._trace_square(gap), 0.0)) / math.sqrt(exact_sq)
+        return math.sqrt(max(gap_sq, 0.0)) / math.sqrt(exact_sq)
 
     def sample_gap(self, lines: np.ndarray) -> float:
         """||S - Gamma||_F / ||Gamma||_F for the sample covariance S = C^H R^ C
         of line-space draws V (`fields.draw_lines`), R^ = V^T conj(V) / trials,
         as sqrt(tr(E G E G) / tr(R G R G)) with E = R^ - blockdiag(R), a
         difference of sum(rows)-square matrices: nothing cancels.  0.0 when Gamma is zero."""
-        unit, exact, exact_sq = self._exact_at_unit()
-        if exact_sq == 0.0:
+        if not self.blocks:
             return 0.0
+        unit = self._unit()
+        exact = [process_covariance(block.process, block.length, unit) for block in self.blocks]
+        (exact_sq,) = self._trace_squares(
+            [(np.diagonal(cov) if _is_diagonal(cov) else cov,) for cov in exact])
         # sqrt(unit) is a power of two: the draws' scaling is exact, and their products
         # neither overflow nor underflow
         gap = _hermitian_gram(lines * (1.0 / math.sqrt(unit)))
@@ -160,34 +184,41 @@ class CovarianceModel:
         # tr((E G)^2) >= 0, E and G Hermitian; only roundoff can take it below
         return math.sqrt(max(np.sum(product * product.T).real, 0.0)) / math.sqrt(exact_sq)
 
-    def _exact_at_unit(self) -> tuple[float, list[np.ndarray], float]:
-        """(unit, R_k / unit per block from its formula, tr(R G R G) / unit^2):
-        at the scale unit = `_unit()` the trace neither overflows nor underflows."""
-        unit = self._unit()
-        exact = [process_covariance(block.process, block.length, unit) for block in self.blocks]
-        return unit, exact, self._trace_square(exact)
-
-    def _trace_square(self, per_block: list[np.ndarray]) -> float:
-        """tr((D G)^2), D = blockdiag(per_block[k] per carrier of block k), real
-        symmetric: the sum of tr(D_p G_pq D_q G_qp) over carrier pairs.  In a
-        block G_pq is diagonal x (a point reads one sample per carrier, and a
-        block's carriers share rows): x^T (D o D) x.  Any other pair is taken
-        once, Re sum (D_p G_pq) o (D_q G_qp)^T, and counted twice by cyclicity;
-        its products read G's float64 (re, im) pairs, real ones, not complex."""
-        gram, carriers = self._line_gram, self._carriers
-        wide, c = gram.view(np.float64), gram.itemsize // 8
-        total = 0.0
-        for p, (k_p, *_, lo_p, hi_p) in enumerate(carriers):
-            for q, (k_q, *_, lo_q, hi_q) in enumerate(carriers[p:], p):
-                if k_q == k_p:  # x is real: the complex model's only such pair is p == q
-                    x = np.diagonal(gram[lo_p:hi_p, lo_q:hi_q]).real
-                    term = x @ (per_block[k_p] ** 2 @ x)
+    def _trace_squares(self, per_block: list[tuple[np.ndarray, ...]]) -> list[float]:
+        """[tr((D_i G)^2) for each i], D_i = blockdiag(per_block[k][i] per
+        carrier of block k), real symmetric: a 2-D entry is the block itself,
+        a 1-D one its diagonal, and all of a block's entries take one form.
+        Each trace sums tr(D_p G_pq D_q G_qp) over carrier pairs; they are
+        read a block pair at a time, each slice of G once for every i:
+        - in a block, G_pq is diagonal x (a point reads one sample per
+          carrier, and a block's carriers share rows): x^T (D o D) x;
+        - two diagonal blocks d, e: d^T |G_pq|^2 e, with no product;
+        - a dense block A and a diagonal one d: tr(A Re(G_pq diag(d) G_pq^H)),
+          where Re(G_pq diag(d) G_pq^H) = W diag(d) W^T for W the float64
+          (re, im) view of G_pq over all of d's carriers: one W W^T serves
+          every constant d, and any other d takes the weighted product;
+        - two dense blocks: Re sum (D_p G_pq) o (D_q G_qp)^T, the products
+          read G's float64 (re, im) pairs, real ones, not complex.
+        A pair of distinct blocks is taken once and counted twice, by
+        cyclicity of the trace."""
+        gram = self._line_gram
+        spans: list[list[tuple[int, int]]] = [[] for _ in self.blocks]
+        for k, *_, lo, hi in self._carriers:
+            spans[k].append((lo, hi))
+        total = np.zeros(len(per_block[0]))
+        for k, (span_k, forms_k) in enumerate(zip(spans, per_block)):
+            total += _within_block(gram, span_k, forms_k)
+            for span_l, forms_l in zip(spans[k + 1:], per_block[k + 1:]):
+                diagonal_k, diagonal_l = forms_k[0].ndim == 1, forms_l[0].ndim == 1
+                if diagonal_k and diagonal_l:
+                    total += 2.0 * _diagonal_pair(gram, span_k, forms_k, span_l, forms_l)
+                elif diagonal_k:
+                    total += 2.0 * _dense_diagonal_pair(gram, span_l, forms_l, span_k, forms_k)
+                elif diagonal_l:
+                    total += 2.0 * _dense_diagonal_pair(gram, span_k, forms_k, span_l, forms_l)
                 else:
-                    left = (per_block[k_p] @ wide[lo_p:hi_p, c * lo_q:c * hi_q]).view(gram.dtype)
-                    right = (per_block[k_q] @ wide[lo_q:hi_q, c * lo_p:c * hi_p]).view(gram.dtype)
-                    term = np.sum(left * right.T).real
-                total += term if p == q else 2.0 * term
-        return float(total)
+                    total += 2.0 * _dense_pair(gram, span_k, forms_k, span_l, forms_l)
+        return total.tolist()
 
     def _unit(self) -> float:
         """4**k within a factor of two of the largest marginal variance.  Their
@@ -197,6 +228,66 @@ class CovarianceModel:
         is exact."""
         largest = max((block.process.marginal_variance for block in self.blocks), default=1.0)
         return math.ldexp(1.0, 2 * min(max(math.frexp(largest)[1] // 2, -510), 510))
+
+
+def _is_diagonal(square: np.ndarray) -> bool:
+    """Whether every entry off the diagonal is zero, counted without a copy."""
+    return np.count_nonzero(square) == np.count_nonzero(np.diagonal(square))
+
+
+def _within_block(gram: np.ndarray, span, forms) -> np.ndarray:
+    """sum of x^T (D o D) x over the block's carrier pairs, G_pq = diag(x),
+    a pair off the diagonal twice, for each form D (`_trace_squares`)."""
+    xs = [(np.diagonal(gram[lo_p:hi_p, lo_q:hi_q]).real, 1.0 if p == q else 2.0)
+          for p, (lo_p, hi_p) in enumerate(span) for q, (lo_q, hi_q) in enumerate(span[p:], p)]
+    terms = []
+    for d in forms:
+        square = d * d
+        terms.append(sum(weight * (x @ (square * x if d.ndim == 1 else square @ x))
+                         for x, weight in xs))
+    return np.array(terms)
+
+
+def _diagonal_pair(gram: np.ndarray, span_k, forms_k, span_l, forms_l) -> np.ndarray:
+    """d^T |G_kl|^2 e over the carriers of two diagonal blocks, per form pair (d, e)."""
+    pair = gram[span_k[0][0]:span_k[-1][1], span_l[0][0]:span_l[-1][1]]
+    power = pair.real ** 2 + pair.imag ** 2
+    return np.array([np.tile(d, len(span_k)) @ power @ np.tile(e, len(span_l))
+                     for d, e in zip(forms_k, forms_l)])
+
+
+def _dense_diagonal_pair(gram: np.ndarray, span_a, forms_a, span_d, forms_d) -> np.ndarray:
+    """tr(A W diag(d) W^T) summed over the dense block's carriers, W the
+    float64 view of G's rows of the carrier and columns of the diagonal
+    block, per form pair (A, d): W W^T once for every constant d."""
+    wide, c = gram.view(np.float64), gram.itemsize // 8
+    columns = slice(c * span_d[0][0], c * span_d[-1][1])
+    terms = np.zeros(len(forms_a))
+    for lo, hi in span_a:
+        w = wide[lo:hi, columns]
+        square = None
+        for i, (a, d) in enumerate(zip(forms_a, forms_d)):
+            if d.min() == d.max():
+                if square is None:
+                    square = w @ w.T
+                terms[i] += d[0] * np.vdot(a, square)
+            else:
+                terms[i] += np.vdot(a, (w * np.repeat(np.tile(d, len(span_d)), c)) @ w.T)
+    return terms
+
+
+def _dense_pair(gram: np.ndarray, span_k, forms_k, span_l, forms_l) -> np.ndarray:
+    """Re sum (A G_pq) o (B G_qp)^T over the carrier pairs of two dense
+    blocks, per form pair (A, B)."""
+    wide, c = gram.view(np.float64), gram.itemsize // 8
+    terms = np.zeros(len(forms_k))
+    for lo_p, hi_p in span_k:
+        for lo_q, hi_q in span_l:
+            for i, (a, b) in enumerate(zip(forms_k, forms_l)):
+                left = (a @ wide[lo_p:hi_p, c * lo_q:c * hi_q]).view(gram.dtype)
+                right = (b @ wide[lo_q:hi_q, c * lo_p:c * hi_p]).view(gram.dtype)
+                terms[i] += np.sum(left * right.T).real
+    return terms
 
 
 _TILE_ROWS = 256

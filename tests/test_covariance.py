@@ -454,13 +454,102 @@ def test_carrier_block_traces_match_dense_references(monkeypatch, seed, real):
     rect, comps = random_line_space_config(seed)
     model = assemble_gamma(comps, rect, real_valued=real)
     # tr(R G R G) = ||C^H R C||_F^2 = ||Gamma||_F^2
-    exact = model._trace_square([block.cov for block in model.blocks])
+    (exact,) = model._trace_squares([(block.cov,) for block in model.blocks])
     assert exact == pytest.approx(np.linalg.norm(model.gamma) ** 2, rel=1e-12)
     perturb_one_cholesky_row(monkeypatch)
     gap = [block.cov - block.lower @ block.lower.T for block in model.blocks]
     want = dense_trace_square(model, gap)
     assert want > 0.0  # the injected mismatch shows
-    assert model._trace_square(gap) == pytest.approx(want, rel=1e-12)
+    assert model._trace_squares([(d,) for d in gap]) == [pytest.approx(want, rel=1e-12)]
+
+
+def trace_forms(model, seed):
+    """Two forms per block, neither roundoff: a dense block gets two random
+    symmetric matrices, a diagonal one a constant and a varying diagonal.
+    Which blocks are diagonal is drawn from the seed, not the process kind."""
+    rng = np.random.default_rng([seed, 1])
+    forms = []
+    for block in model.blocks:
+        n = block.length
+        if rng.random() < 0.5:
+            a, b = rng.standard_normal((2, n, n))
+            forms.append((a + a.T, b + b.T))
+        else:
+            forms.append((np.full(n, rng.uniform(0.5, 2.0)), rng.uniform(-1.0, 1.0, n)))
+    return forms
+
+
+def pair_kinds(forms):
+    """The (dense, dense), (dense, diagonal) and (diagonal, diagonal) block pairs."""
+    diagonal = [f[0].ndim == 1 for f in forms]
+    return {tuple(sorted((diagonal[k], diagonal[l])))
+            for k in range(len(forms)) for l in range(k + 1, len(forms))}
+
+
+def test_trace_forms_cover_every_block_pair_kind():
+    kinds = set()
+    for seed in range(12):
+        rect, comps = random_line_space_config(seed)
+        kinds |= pair_kinds(trace_forms(assemble_gamma(comps, rect), seed))
+    assert kinds == {(False, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("seed", range(12))
+def test_block_pair_traces_match_dense_references(seed, real):
+    rect, comps = random_line_space_config(seed)
+    model = assemble_gamma(comps, rect, real_valued=real)
+    forms = trace_forms(model, seed)
+    got = model._trace_squares(forms)
+    for i in range(2):
+        dense = [f[i] if f[i].ndim == 2 else np.diag(f[i]) for f in forms]
+        assert got[i] == pytest.approx(dense_trace_square(model, dense), rel=1e-12)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("seed", range(6))
+def test_residual_reads_a_white_block_whose_factor_is_not_diagonal(seed, real):
+    # the diagonal route is taken from the arrays: a white process whose L has an
+    # entry below the diagonal takes the dense route, and its mismatch shows
+    rect, comps = random_line_space_config(seed)
+    comps.append(comp(1, -3, 0.77, WHITE(1.1)))
+    model = assemble_gamma(comps, rect, real_valued=real)
+    for block in model.blocks:
+        lower = block.lower  # cached on the block: the residual reads this array
+        if not np.any(np.tril(lower, -1)):
+            lower[1, 0] = 1e-3 * lower[0, 0]
+    factor = model.whitened_factor()
+    dense = relative_gap(factor.conj().T @ factor, model.gamma)
+    residual = model.factorization_residual()
+    assert residual > 1e-8
+    assert residual == pytest.approx(dense, rel=1e-9)
+
+
+def dense_bincount_line_gram(model):
+    """G built one dense bincount of len_p * len_q bins per carrier pair, the
+    reference for `_line_gram`."""
+    carriers = model._carriers
+    size = carriers[-1][-1] if carriers else 0
+    gram = np.zeros((size, size), model.dtype)
+    for p, (_, rows_p, len_p, w_p, lo_p, hi_p) in enumerate(carriers):
+        for q, (_, rows_q, len_q, w_q, lo_q, hi_q) in enumerate(carriers[p:], p):
+            key = rows_p * len_q + rows_q
+            weight = w_p.real ** 2 + w_p.imag ** 2 if p == q else w_p * np.conj(w_q)
+            pair = np.bincount(key, weight.real, len_p * len_q)
+            if np.iscomplexobj(weight):
+                pair = pair + 1j * np.bincount(key, weight.imag, len_p * len_q)
+            pair = pair.reshape(len_p, len_q)
+            gram[lo_p:hi_p, lo_q:hi_q] = pair
+            gram[lo_q:hi_q, lo_p:hi_p] = pair.conj().T
+    return gram
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("seed", range(12))
+def test_line_gram_is_the_dense_bincount_bit_for_bit(seed, real):
+    rect, comps = random_line_space_config(seed)
+    model = assemble_gamma(comps, rect, real_valued=real)
+    assert model._line_gram.tobytes() == dense_bincount_line_gram(model).tobytes()
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
