@@ -12,29 +12,36 @@ factor L, R = L L^T in closed form, and synthesis colours its draws with L.
 
 Gamma's rank and its factorization residual are read in line space, from
 the line Gram G = C C^H, sum(rows) on a side and exactly Hermitian, built
-once per model.  R is positive definite, so rank Gamma = rank G: the rank
-reads G alone, with no variance and no factor L in it.  The rows of one
-block's distinct lines read disjoint points and are orthogonal, so the
-rank (`rank.gamma_rank`) eliminates the longest block's lines exactly, as
-1x1 pivots and, for the real model's cos and sin rows, 2x2 line pivots,
-and eigensolves only their Schur complement.  The residual also
-reads each block's L: with E = blockdiag(R_k - L_k L_k^T), the closed
-form's roundoff against the formula, and the whitened factor F =
-blockdiag(L^T) C, Gamma - F^H F = C^H E C, so its squared norm is
-tr(E G E G), and Gamma's is tr(R G R G).  Both are read in one pass over
-block pairs, each in its structural form: a block whose R and L are
-diagonal (a white process's, as the arrays show) is carried as diagonals,
-and a pair of such a block with a dense one reads one W W^T, W the slice
-of G between them.  The gap to the sample covariance C^H R^ C of
-line-space draws is read in line space too, with a dense E = R^ -
-blockdiag(R).  The sample covariance, formed only for export, and
-`stap`'s trials-by-trials snapshot Gram come from the row tiles of their
-own upper triangle, exactly Hermitian by construction.
+once per model and held as block pairs, each stored once, above the
+diagonal: no sum(rows)-square G is formed.  A point reads one sample per
+carrier and a block's carriers share their rows, so every pair of one
+block's carriers is diagonal and is held as that diagonal, real (a complex
+block's point counts; a real block's sums of cos^2, sin^2 and cos sin); a
+pair of two blocks is one dense array.  R is positive definite, so rank
+Gamma = rank G: the rank reads G alone, with no variance and no factor L
+in it.  The rank (`rank.gamma_rank`) eliminates the longest block's lines
+exactly, as 1x1 pivots and, for the real model's cos and sin rows, 2x2 line
+pivots read from that block's diagonals, and eigensolves only their Schur
+complement, gathered from the other pairs; one component leaves nothing to
+eigensolve.  The residual also reads each block's L: with E =
+blockdiag(R_k - L_k L_k^T), the closed form's roundoff against the formula,
+and the whitened factor F = blockdiag(L^T) C, Gamma - F^H F = C^H E C, so
+its squared norm is tr(E G E G), and Gamma's is tr(R G R G).  Both are read
+in one pass over the stored pairs, each in its structural form: a block
+whose R and L are diagonal (a white process's, as the arrays show) is
+carried as diagonals, and a pair of such a block with a dense one reads one
+W W^T, W the rows of G between them.  The gap to the sample covariance
+C^H R^ C of line-space draws is read in line space too, with a dense E =
+R^ - blockdiag(R) and E G summed over the pairs.  The sample covariance,
+formed only for export, and `stap`'s trials-by-trials snapshot Gram come
+from the row tiles of their own upper triangle, exactly Hermitian by
+construction.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import stat
@@ -105,39 +112,108 @@ class CovarianceModel:
     def _carriers(self) -> list[tuple[int, np.ndarray, int, np.ndarray, int, int]]:
         """(k, rows, length, w, lo, hi) per carrier w of block k: its lines are G's rows lo:hi."""
         lines = [(k, b.rows, b.length, w) for k, b in enumerate(self.blocks) for w in b.carriers]
-        ends = np.cumsum([line[2] for line in lines]).tolist()
+        ends = itertools.accumulate(line[2] for line in lines)
         return [(*line, end - line[2], end) for line, end in zip(lines, ends)]
 
     @cached_property
-    def _line_gram(self) -> np.ndarray:
-        """G = C C^H, one line per process sample and carrier (sum(rows) by
-        sum(rows)), built once per model: entry (r, s) of the carrier pair
-        (p, q) sums w_p[j] * conj(w_q[j]) over the lattice points j that read
-        sample r of p and sample s of q, one bincount per pair.  The carriers
-        of one block share their rows, so such a pair is its diagonal alone,
-        one bincount of `len` bins.  G is exactly Hermitian: a pair below
-        the diagonal is the conjugate transpose of its mirror, and a diagonal
-        pair is diagonal and real."""
-        carriers = self._carriers
-        size = carriers[-1][-1] if carriers else 0
-        gram = np.zeros((size, size), self.dtype)
-        for p, (k_p, rows_p, len_p, w_p, lo_p, hi_p) in enumerate(carriers):
-            for q, (k_q, rows_q, len_q, w_q, lo_q, hi_q) in enumerate(carriers[p:], p):
-                same = k_p == k_q
-                key, bins = (rows_p, len_p) if same else (rows_p * len_q + rows_q, len_p * len_q)
-                # |w|^2 on the diagonal: w * conj(w) can leave roundoff in its imaginary part
-                weight = w_p.real ** 2 + w_p.imag ** 2 if p == q else w_p * np.conj(w_q)
-                pair = np.bincount(key, weight.real, bins)
-                if np.iscomplexobj(weight):  # bincount takes no complex weights
-                    pair = pair + 1j * np.bincount(key, weight.imag, bins)
-                if same:
-                    np.fill_diagonal(gram[lo_p:hi_p, lo_q:hi_q], pair)
-                    np.fill_diagonal(gram[lo_q:hi_q, lo_p:hi_p], pair.conj())
-                else:
-                    pair = pair.reshape(len_p, len_q)
-                    gram[lo_p:hi_p, lo_q:hi_q] = pair
-                    gram[lo_q:hi_q, lo_p:hi_p] = pair.conj().T
+    def _block_spans(self) -> list[tuple[int, int]]:
+        """(lo, hi) per block: its carriers' lines, one carrier after another, are G's rows lo:hi."""
+        ends = itertools.accumulate(len(b.carriers) * b.length for b in self.blocks)
+        return [(end - len(b.carriers) * b.length, end) for b, end in zip(self.blocks, ends)]
+
+    @cached_property
+    def _line_gram(self) -> dict[tuple[int, int], np.ndarray]:
+        """G = C C^H by block pairs (k, l), k <= l, each stored once, above the
+        diagonal, and built once per model; no sum(rows)-square array is formed.
+        Entry (r, s) of the pair of carriers p and q sums w_p[j] * conj(w_q[j])
+        over the lattice points j that read sample r of p and sample s of q,
+        one bincount per carrier pair.
+        - (k, k) holds a block's own carrier pairs.  A point reads one sample
+          per carrier and a block's carriers share rows, so each is diagonal:
+          held as an array of carriers x carriers x length, real, [i, j] the
+          diagonal of carriers i and j (|w|^2 point counts for a complex block;
+          cos^2, sin^2 and cos sin sums for a real one).
+        - (k, l), k < l, is G's dense block on block k's lines by block l's.
+        G is exactly Hermitian by construction: its diagonal is real, and each
+        block below the diagonal is the conjugate transpose of one above."""
+        gram = {}
+        for k, block_k in enumerate(self.blocks):
+            carriers_k, len_k = block_k.carriers, block_k.length
+            pairs = np.empty((len(carriers_k),) * 2 + (len_k,))
+            for i, w_i in enumerate(carriers_k):
+                for j, w_j in enumerate(carriers_k[i:], i):
+                    # |w|^2 on the diagonal: w * conj(w) can leave roundoff in its imaginary part;
+                    # two carriers share a block only in the real model, with real weights
+                    weight = w_i.real ** 2 + w_i.imag ** 2 if i == j else w_i * np.conj(w_j)
+                    pairs[i, j] = pairs[j, i] = np.bincount(block_k.rows, weight, len_k)
+            gram[k, k] = pairs
+            for l, block_l in enumerate(self.blocks[k + 1:], k + 1):
+                len_l = block_l.length
+                pairs = np.empty((len(carriers_k) * len_k, len(block_l.carriers) * len_l), self.dtype)
+                key = block_k.rows * len_l + block_l.rows
+                for i, w_i in enumerate(carriers_k):
+                    for j, w_j in enumerate(block_l.carriers):
+                        weight = w_i * np.conj(w_j)
+                        pair = pairs[i * len_k:(i + 1) * len_k, j * len_l:(j + 1) * len_l]
+                        pair.real = np.bincount(key, weight.real, pair.size).reshape(pair.shape)
+                        if np.iscomplexobj(weight):  # bincount takes no complex weights
+                            pair.imag = np.bincount(key, weight.imag, pair.size).reshape(pair.shape)
+                gram[k, l] = pairs
         return gram
+
+    def _gram_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """G[np.ix_(rows, cols)] for line indices `rows` and `cols`, read from
+        the stored block pairs: a block's own pairs give the entries whose
+        carriers' lines agree, two blocks' pair its rows and columns,
+        conjugate-transposed below G's diagonal.  A contiguous run of indices
+        is read as a slice."""
+        gram, spans = self._line_gram, self._block_spans
+        out = np.zeros((rows.size, cols.size), self.dtype)
+        if not out.size:
+            return out
+        ends = [hi for _, hi in spans]
+        row_block, col_block = np.searchsorted(ends, rows, "right"), np.searchsorted(ends, cols, "right")
+        for k in sorted(set(row_block.tolist())):
+            at_r = np.flatnonzero(row_block == k)
+            lines_r = rows[at_r] - spans[k][0]
+            for l in sorted(set(col_block.tolist())):
+                at_c = np.flatnonzero(col_block == l)
+                lines_c = cols[at_c] - spans[l][0]
+                if k < l:
+                    out[_outer(at_r, at_c)] = gram[k, l][_outer(lines_r, lines_c)]
+                elif k > l:
+                    out[_outer(at_r, at_c)] = gram[l, k][_outer(lines_c, lines_r)].conj().T
+                else:
+                    diagonals = gram[k, k]
+                    length = diagonals.shape[2]
+                    carrier_r, line_r = np.divmod(lines_r, length)
+                    carrier_c, line_c = np.divmod(lines_c, length)
+                    for j in range(len(diagonals)):
+                        # the column of carrier j's copy of each line, -1 where cols lack it
+                        column = np.full(length, -1)
+                        column[line_c[carrier_c == j]] = at_c[carrier_c == j]
+                        hit = column[line_r]
+                        on = hit >= 0
+                        out[at_r[on], hit[on]] = diagonals[carrier_r[on], j, line_r[on]]
+        return out
+
+    def _times_gram(self, a: np.ndarray) -> np.ndarray:
+        """a @ G, summed over the stored block pairs: a block's own pairs scale
+        a's columns, two blocks' pair is one product each way."""
+        spans = self._block_spans
+        out = np.zeros((a.shape[0], spans[-1][1] if spans else 0), np.result_type(a, self.dtype))
+        for (k, l), pairs in self._line_gram.items():
+            (lo_k, hi_k), (lo_l, hi_l) = spans[k], spans[l]
+            if k < l:
+                out[:, lo_l:hi_l] += a[:, lo_k:hi_k] @ pairs
+                out[:, lo_k:hi_k] += a[:, lo_l:hi_l] @ _adjoint(pairs)
+                continue
+            length = pairs.shape[2]
+            for i in range(len(pairs)):
+                for j in range(len(pairs)):
+                    rows_i, rows_j = lo_k + i * length, lo_k + j * length
+                    out[:, rows_j:rows_j + length] += a[:, rows_i:rows_i + length] * pairs[i, j]
+        return out
 
     def factorization_residual(self) -> float:
         """||Gamma - F^H F||_F / ||Gamma||_F for F = whitened_factor(), as
@@ -149,17 +225,7 @@ class CovarianceModel:
         if not self.blocks:
             return 0.0
         unit = self._unit()
-        per_block = []
-        for block in self.blocks:
-            exact = process_covariance(block.process, block.length, unit)
-            # L / sqrt(unit): exact, with no over- or underflow
-            lower = block.lower / math.sqrt(unit)
-            if _is_diagonal(exact) and _is_diagonal(lower):
-                exact, lower = np.diagonal(exact).copy(), np.diagonal(lower)
-                per_block.append((exact, exact - lower * lower))
-            else:
-                per_block.append((exact, exact - lower @ lower.T))
-        exact_sq, gap_sq = self._trace_squares(per_block)
+        exact_sq, gap_sq = self._trace_squares([_exact_and_gap(block, unit) for block in self.blocks])
         # tr(E G E G) >= 0; only roundoff in the trace can take it below
         return math.sqrt(max(gap_sq, 0.0)) / math.sqrt(exact_sq)
 
@@ -180,7 +246,7 @@ class CovarianceModel:
         _divide(gap, lines.shape[0])
         for k, *_, lo, hi in self._carriers:
             gap[lo:hi, lo:hi] -= exact[k]
-        product = gap @ self._line_gram
+        product = self._times_gram(gap)
         # tr((E G)^2) >= 0, E and G Hermitian; only roundoff can take it below
         return math.sqrt(max(np.sum(product * product.T).real, 0.0)) / math.sqrt(exact_sq)
 
@@ -189,35 +255,32 @@ class CovarianceModel:
         carrier of block k), real symmetric: a 2-D entry is the block itself,
         a 1-D one its diagonal, and all of a block's entries take one form.
         Each trace sums tr(D_p G_pq D_q G_qp) over carrier pairs; they are
-        read a block pair at a time, each slice of G once for every i:
+        read a stored block pair at a time, each once for every i:
         - in a block, G_pq is diagonal x (a point reads one sample per
           carrier, and a block's carriers share rows): x^T (D o D) x;
-        - two diagonal blocks d, e: d^T |G_pq|^2 e, with no product;
+        - two diagonal blocks d, e: d^T |G_kl|^2 e, with no product;
         - a dense block A and a diagonal one d: tr(A Re(G_pq diag(d) G_pq^H)),
           where Re(G_pq diag(d) G_pq^H) = W diag(d) W^T for W the float64
-          (re, im) view of G_pq over all of d's carriers: one W W^T serves
-          every constant d, and any other d takes the weighted product;
+          (re, im) view of G's rows of p and all of d's carriers: one W W^T
+          serves every constant d, and any other d takes the weighted product;
         - two dense blocks: Re sum (D_p G_pq) o (D_q G_qp)^T, the products
           read G's float64 (re, im) pairs, real ones, not complex.
         A pair of distinct blocks is taken once and counted twice, by
         cyclicity of the trace."""
         gram = self._line_gram
-        spans: list[list[tuple[int, int]]] = [[] for _ in self.blocks]
-        for k, *_, lo, hi in self._carriers:
-            spans[k].append((lo, hi))
         total = np.zeros(len(per_block[0]))
-        for k, (span_k, forms_k) in enumerate(zip(spans, per_block)):
-            total += _within_block(gram, span_k, forms_k)
-            for span_l, forms_l in zip(spans[k + 1:], per_block[k + 1:]):
+        for k, forms_k in enumerate(per_block):
+            total += _within_block(gram[k, k], forms_k)
+            for l, forms_l in enumerate(per_block[k + 1:], k + 1):
                 diagonal_k, diagonal_l = forms_k[0].ndim == 1, forms_l[0].ndim == 1
                 if diagonal_k and diagonal_l:
-                    total += 2.0 * _diagonal_pair(gram, span_k, forms_k, span_l, forms_l)
+                    total += 2.0 * _diagonal_pair(gram[k, l], forms_k, forms_l)
                 elif diagonal_k:
-                    total += 2.0 * _dense_diagonal_pair(gram, span_l, forms_l, span_k, forms_k)
+                    total += 2.0 * _dense_diagonal_pair(_adjoint(gram[k, l]), forms_l, forms_k)
                 elif diagonal_l:
-                    total += 2.0 * _dense_diagonal_pair(gram, span_k, forms_k, span_l, forms_l)
+                    total += 2.0 * _dense_diagonal_pair(gram[k, l], forms_k, forms_l)
                 else:
-                    total += 2.0 * _dense_pair(gram, span_k, forms_k, span_l, forms_l)
+                    total += 2.0 * _dense_pair(gram[k, l], forms_k, forms_l)
         return total.tolist()
 
     def _unit(self) -> float:
@@ -230,16 +293,43 @@ class CovarianceModel:
         return math.ldexp(1.0, 2 * min(max(math.frexp(largest)[1] // 2, -510), 510))
 
 
+def _exact_and_gap(block: FactorBlock, unit: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R, E = R - L L^T) of one block at the scale `unit`, as their diagonals
+    when R and L are both diagonal; only the two are kept."""
+    exact = process_covariance(block.process, block.length, unit)
+    # L / sqrt(unit): exact, with no over- or underflow
+    lower = block.lower / math.sqrt(unit)
+    if _is_diagonal(exact) and _is_diagonal(lower):
+        exact, lower = np.diagonal(exact).copy(), np.diagonal(lower)
+        return exact, exact - lower * lower
+    gap = lower @ lower.T
+    return exact, np.subtract(exact, gap, out=gap)
+
+
 def _is_diagonal(square: np.ndarray) -> bool:
     """Whether every entry off the diagonal is zero, counted without a copy."""
     return np.count_nonzero(square) == np.count_nonzero(np.diagonal(square))
 
 
-def _within_block(gram: np.ndarray, span, forms) -> np.ndarray:
+def _adjoint(pairs: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a stored block pair, copied C-contiguous:
+    G's block below the diagonal."""
+    return np.conjugate(pairs.T, order="C")
+
+
+def _outer(rows: np.ndarray, cols: np.ndarray):
+    """The index of rows x cols, each a slice where it is an ascending contiguous run."""
+    rows, cols = (slice(ix[0], ix[-1] + 1) if ix.size and ix[-1] - ix[0] + 1 == ix.size
+                  and np.all(ix[1:] > ix[:-1]) else ix for ix in (rows, cols))
+    both = not isinstance(rows, slice) and not isinstance(cols, slice)
+    return np.ix_(rows, cols) if both else (rows, cols)
+
+
+def _within_block(diagonals: np.ndarray, forms) -> np.ndarray:
     """sum of x^T (D o D) x over the block's carrier pairs, G_pq = diag(x),
     a pair off the diagonal twice, for each form D (`_trace_squares`)."""
-    xs = [(np.diagonal(gram[lo_p:hi_p, lo_q:hi_q]).real, 1.0 if p == q else 2.0)
-          for p, (lo_p, hi_p) in enumerate(span) for q, (lo_q, hi_q) in enumerate(span[p:], p)]
+    count = len(diagonals)
+    xs = [(diagonals[i, j], 1.0 if i == j else 2.0) for i in range(count) for j in range(i, count)]
     terms = []
     for d in forms:
         square = d * d
@@ -248,23 +338,22 @@ def _within_block(gram: np.ndarray, span, forms) -> np.ndarray:
     return np.array(terms)
 
 
-def _diagonal_pair(gram: np.ndarray, span_k, forms_k, span_l, forms_l) -> np.ndarray:
+def _diagonal_pair(pairs: np.ndarray, forms_k, forms_l) -> np.ndarray:
     """d^T |G_kl|^2 e over the carriers of two diagonal blocks, per form pair (d, e)."""
-    pair = gram[span_k[0][0]:span_k[-1][1], span_l[0][0]:span_l[-1][1]]
-    power = pair.real ** 2 + pair.imag ** 2
-    return np.array([np.tile(d, len(span_k)) @ power @ np.tile(e, len(span_l))
+    power = pairs.real ** 2 + pairs.imag ** 2
+    return np.array([np.tile(d, len(pairs) // d.size) @ power @ np.tile(e, pairs.shape[1] // e.size)
                      for d, e in zip(forms_k, forms_l)])
 
 
-def _dense_diagonal_pair(gram: np.ndarray, span_a, forms_a, span_d, forms_d) -> np.ndarray:
+def _dense_diagonal_pair(pairs: np.ndarray, forms_a, forms_d) -> np.ndarray:
     """tr(A W diag(d) W^T) summed over the dense block's carriers, W the
     float64 view of G's rows of the carrier and columns of the diagonal
-    block, per form pair (A, d): W W^T once for every constant d."""
-    wide, c = gram.view(np.float64), gram.itemsize // 8
-    columns = slice(c * span_d[0][0], c * span_d[-1][1])
+    block, per form pair (A, d): W W^T once for every constant d.  `pairs`
+    is G's block on the dense block's lines by the diagonal one's."""
+    wide, c, length = pairs.view(np.float64), pairs.itemsize // 8, len(forms_a[0])
     terms = np.zeros(len(forms_a))
-    for lo, hi in span_a:
-        w = wide[lo:hi, columns]
+    for lo in range(0, len(pairs), length):
+        w = wide[lo:lo + length]
         square = None
         for i, (a, d) in enumerate(zip(forms_a, forms_d)):
             if d.min() == d.max():
@@ -272,20 +361,23 @@ def _dense_diagonal_pair(gram: np.ndarray, span_a, forms_a, span_d, forms_d) -> 
                     square = w @ w.T
                 terms[i] += d[0] * np.vdot(a, square)
             else:
-                terms[i] += np.vdot(a, (w * np.repeat(np.tile(d, len(span_d)), c)) @ w.T)
+                weights = np.repeat(np.tile(d, pairs.shape[1] // d.size), c)
+                terms[i] += np.vdot(a, (w * weights) @ w.T)
     return terms
 
 
-def _dense_pair(gram: np.ndarray, span_k, forms_k, span_l, forms_l) -> np.ndarray:
+def _dense_pair(pairs: np.ndarray, forms_k, forms_l) -> np.ndarray:
     """Re sum (A G_pq) o (B G_qp)^T over the carrier pairs of two dense
-    blocks, per form pair (A, B)."""
-    wide, c = gram.view(np.float64), gram.itemsize // 8
+    blocks, per form pair (A, B), from G_kl = `pairs` and its adjoint."""
+    back = _adjoint(pairs)
+    wide, wide_back, c = pairs.view(np.float64), back.view(np.float64), pairs.itemsize // 8
+    len_k, len_l = len(forms_k[0]), len(forms_l[0])
     terms = np.zeros(len(forms_k))
-    for lo_p, hi_p in span_k:
-        for lo_q, hi_q in span_l:
+    for lo_p in range(0, len(pairs), len_k):
+        for lo_q in range(0, len(back), len_l):
             for i, (a, b) in enumerate(zip(forms_k, forms_l)):
-                left = (a @ wide[lo_p:hi_p, c * lo_q:c * hi_q]).view(gram.dtype)
-                right = (b @ wide[lo_q:hi_q, c * lo_p:c * hi_p]).view(gram.dtype)
+                left = (a @ wide[lo_p:lo_p + len_k, c * lo_q:c * (lo_q + len_l)]).view(pairs.dtype)
+                right = (b @ wide_back[lo_q:lo_q + len_l, c * lo_p:c * (lo_p + len_k)]).view(pairs.dtype)
                 terms[i] += np.sum(left * right.T).real
     return terms
 

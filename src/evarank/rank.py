@@ -188,45 +188,54 @@ def gamma_rank(model: CovarianceModel, rel_tol: float | None = None) -> tuple[in
     G_rest - B^H P^-1 B, so by Sylvester's law of inertia rank G = rank P +
     rank S, and the spectrum is the magnitudes of P's eigenvalues (the 2x2
     ones in closed form, the small one as det / lambda_big, free of
-    cancellation) and of S's.  Only S is eigensolved, sum(rows) less the
-    block's rows: never when nothing is left."""
+    cancellation) and of S's.  P is read from the block's stored diagonals
+    and B from G's stored pairs (`CovarianceModel._gram_entries`), so no
+    sum(rows)-square G is formed.  Only S is eigensolved, sum(rows) less the
+    block's rows, and only when something is left: one component forms no S."""
     size = model.rect.size
     if not model.blocks:
         return _padded_rank(np.zeros(0), size, rel_tol)
-    gram = model._line_gram
     longest = max(range(len(model.blocks)), key=lambda k: model.blocks[k].length)  # first on ties
     block = model.blocks[longest]
     lines = np.arange(block.length)
-    starts = np.array([lo for k, *_, lo, _ in model._carriers if k == longest])
-    diagonal = np.array([gram.diagonal()[lo:lo + lines.size].real for lo in starts])
-    pick = diagonal.argmax(0)  # carriers x lines; the first carrier on ties
-    taken, d = starts[pick] + lines, diagonal[pick, lines]
-    paired = len(starts) == 2 and _lines_pair(model, model.components[longest].omega, rel_tol)
+    own = model._line_gram[longest, longest]  # carriers x carriers x lines
+    starts = model._block_spans[longest][0] + block.length * np.arange(len(own))
+    diagonal = np.diagonal(own).T  # carriers x lines; the first carrier on ties
+    taken, d = starts[diagonal.argmax(0)] + lines, diagonal.max(0)
+    paired = len(own) == 2 and _lines_pair(model, model.components[longest].omega, rel_tol)
+    everything = model._block_spans[-1][1]
     if paired:
         points = np.bincount(block.rows, minlength=lines.size)
         two, one = points > 1, points == 1
         cos_rows, sin_rows = starts[:, None] + lines[two]
         pivots, d = np.concatenate([cos_rows, sin_rows, taken[one]]), d[one]
         # every row of the block leaves the rest: its rows are starts[0]:starts[1] + length
-        rest = np.r_[:starts[0], starts[1] + lines.size:gram.shape[0]]
+        rest = np.r_[:starts[0], starts[1] + lines.size:everything]
     else:
-        pivots, d = taken[d > 0], d[d > 0]
-        rest = np.delete(np.arange(gram.shape[0]), taken)
+        reached = d > 0
+        pivots, d = taken[reached], d[reached]
+        left = np.ones(everything, bool)
+        left[taken] = False
+        rest = np.flatnonzero(left)
+    if not rest.size and not paired:  # one complex component: its pivots are all there is
+        return _padded_rank(d, size, rel_tol)
     # X = conj(B) scaled row by row, whose exactly Hermitian Gram X^T conj(X) is B^H P^-1 B
-    scaled = gram[np.ix_(pivots, rest)]
+    scaled = model._gram_entries(pivots, rest)
     if paired:
-        values = _pair_pivots(scaled, diagonal[:, two], gram[cos_rows, sin_rows], d)
+        values = _pair_pivots(scaled, diagonal[:, two], own[0, 1, two], d)
     else:
         np.conjugate(scaled, out=scaled)
         scaled /= np.sqrt(d)[:, None]
         values = d
+    if not rest.size:  # one real component, its lines paired: nothing is left
+        return _padded_rank(values, size, rel_tol)
     schur = _hermitian_gram(scaled)
     del scaled
     # S = G_rest - B^H P^-1 B in place, a row tile of G_rest at a time: the
     # difference of two exactly Hermitian matrices is exactly Hermitian
     for lo in range(0, rest.size, _TILE_ROWS):
         tile = schur[lo:lo + _TILE_ROWS]
-        np.subtract(gram[np.ix_(rest[lo:lo + _TILE_ROWS], rest)], tile, out=tile)
+        np.subtract(model._gram_entries(rest[lo:lo + _TILE_ROWS], rest), tile, out=tile)
     return _padded_rank(np.concatenate([values, _hermitian_eigenvalues(schur)]), size, rel_tol)
 
 
@@ -271,7 +280,7 @@ def estimate_rank(model: CovarianceModel, lines: np.ndarray,
     w = np.conjugate(lines)
     _divide(w, math.sqrt(lines.shape[0]))
     t = np.linalg.qr(w, mode="r")
-    gram = t @ model._line_gram @ t.conj().T
+    gram = model._times_gram(t) @ t.conj().T
     _average_adjoint(gram)
     return _padded_rank(_hermitian_eigenvalues(gram), model.rect.size, rel_tol)
 

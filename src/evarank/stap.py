@@ -131,8 +131,10 @@ def suppression_experiment(
 
     The sample covariance is Y^H Y for Y = snapshots.conj() / sqrt(trials),
     and it is never formed.  With fewer trials than N*M, one eigh of the
-    trials-by-trials Gram Y Y^H gives its nonzero eigenvalues, and a reduced
-    QR of Y^H u an orthonormal basis of its top-r eigenvectors.  Otherwise
+    trials-by-trials Gram Y Y^H = conj(X X^H) / trials, read from the
+    snapshots X without a conjugated copy of them, gives its nonzero
+    eigenvalues, and a reduced QR of Y^H u an orthonormal basis of its top-r
+    eigenvectors.  Otherwise
     one thin SVD of the snapshots does: eigenvalues s**2 / trials,
     eigenvectors the rows of Vh transposed (not conjugated).  With
     Gamma = F^H F for the interference factor F, the power before is
@@ -157,9 +159,9 @@ def suppression_experiment(
     snapshots = synthesize_batch(model, trials, seed, noise_power=scenario.noise_power)
     eigenvalues = np.zeros(rect.size)
     if trials < rect.size:
-        y = snapshots.conj()  # a complex batch: a new array
-        _divide(y, math.sqrt(trials))
-        values, vectors = np.linalg.eigh(_hermitian_gram(y.T))  # Y Y^H
+        gram = _hermitian_gram(snapshots.T)
+        _divide(gram, trials)
+        values, vectors = np.linalg.eigh(np.conjugate(gram, out=gram))
         eigenvalues[:trials] = np.clip(values[::-1], 0.0, None)
         # Y^H u spans the subspace; QR, not column norms, keeps U orthonormal
         # where u has lost accuracy on eigenvalues far below the largest

@@ -330,6 +330,22 @@ def test_verify_refuses_outside_regime(tmp_path, capsys):
     assert diagnostic["error"] == "regime"
 
 
+@pytest.mark.xfail(strict=True, reason="the canonical certificate loses accuracy when "
+                   "same-slope frequencies crowd (ROADMAP items 8 and 16)")
+def test_verify_passes_with_crowded_same_slope_frequencies(tmp_path, capsys):
+    # 24 white (1, 0) components at 32 x 32, omega = 0.1, 0.3, ..., 4.7: the rank
+    # agrees with the formula, but the certificate, a product of 24 factors, reads
+    # a residual of about 1.25e-10 at all 256 points, so verify exits 1; the
+    # 1e-10 gate stays as it is
+    cfg = write_config(tmp_path, {"rect": {"N": 32, "M": 32}, "components": [
+        {"a": 1, "b": 0, "omega": 0.1 + 0.2 * i} for i in range(24)]})
+    code, out, _ = run(capsys, "verify", "--config", cfg)
+    report = json.loads(out)
+    assert report["points_audited"] == 256
+    assert code == 0
+    assert report["max_residual"] <= 1e-10
+
+
 def test_verify_single_column_lattice_audits_nothing(tmp_path, capsys):
     # one column cannot depend on anything, whatever the slope
     cfg = write_config(tmp_path, {
@@ -1278,10 +1294,11 @@ def test_verbs_never_read_gamma(tmp_path, capsys, monkeypatch, argv, payload):
 
 
 
-@pytest.mark.parametrize("argv, models", [(("rank",), 1), (("simulate", "--out", "x.bin"), 1),
-                                          (("grid",), 2)], ids=["rank", "simulate-bin", "grid"])
+@pytest.mark.parametrize("argv, models", [(("rank",), 0), (("simulate", "--out", "x.bin"), 1),
+                                          (("grid",), 0)], ids=["rank", "simulate-bin", "grid"])
 def test_each_model_builds_its_carrier_table_once(tmp_path, capsys, monkeypatch, argv, models):
-    # the rank, the residual, the draws, the sample gap and the scatter share one table
+    # the draws, the sample gap and the scatter share one table; the rank and the
+    # residual read the line Gram's block pairs and never build it
     import functools
 
     from evarank.covariance import CovarianceModel

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import math
 import os
 import struct
@@ -35,6 +36,8 @@ from evarank.fields import (
     synthesize_batch,
 )
 from evarank.lattice import LatticeRect, SlopePair, make_slope_pair
+
+from dense_line_gram import dense_bincount_line_gram, dense_line_gram
 
 AR1 = lambda var, ar: ModulatingProcessSpec(ProcessKind.AR1, var, ar)
 WHITE = lambda var: ModulatingProcessSpec(ProcessKind.WHITE, var, 0.0)
@@ -407,11 +410,13 @@ def test_unit_from_the_specs_keeps_every_ratio_bit_for_bit(monkeypatch, comps, s
 LINE_SPACE_SLOPES = [(3, 2), (2, -1), (1, 1), (1, -3), (0, 1), (1, 0)]
 
 
-def random_line_space_config(seed):
+def random_line_space_config(seed, count=None):
+    """A rectangle and 1-4 components drawn from the seed, or `count` of them."""
     rng = np.random.default_rng(seed)
     rect = LatticeRect(*(int(side) for side in rng.integers(4, 13, size=2)))
     comps = []
-    for pick in rng.integers(len(LINE_SPACE_SLOPES), size=int(rng.integers(1, 5))):
+    count = int(rng.integers(1, 5)) if count is None else count
+    for pick in rng.integers(len(LINE_SPACE_SLOPES), size=count):
         variance = float(rng.uniform(0.5, 2.0))
         ar = float(rng.uniform(-0.8, 0.8))
         process = AR1(variance, ar) if rng.random() < 0.5 else WHITE(variance)
@@ -425,7 +430,7 @@ def test_line_space_residual_matches_dense_reference(monkeypatch, seed, real):
     rect, comps = random_line_space_config(seed)
     model = assemble_gamma(comps, rect, real_valued=real)
     stacked = model.stacked
-    assert relative_gap(model._line_gram, stacked @ stacked.conj().T) <= 1e-13
+    assert relative_gap(dense_line_gram(model), stacked @ stacked.conj().T) <= 1e-13
     perturb_one_cholesky_row(monkeypatch)
     factor = model.whitened_factor()
     dense = relative_gap(factor.conj().T @ factor, model.gamma)
@@ -444,7 +449,7 @@ def dense_trace_square(model, per_block):
     for d in parts:
         dense[lo:lo + d.shape[0], lo:lo + d.shape[0]] = d
         lo += d.shape[0]
-    product = dense @ model._line_gram
+    product = dense @ dense_line_gram(model)
     return float(np.trace(product @ product).real)
 
 
@@ -525,42 +530,74 @@ def test_residual_reads_a_white_block_whose_factor_is_not_diagonal(seed, real):
     assert residual == pytest.approx(dense, rel=1e-9)
 
 
-def dense_bincount_line_gram(model):
-    """G built one dense bincount of len_p * len_q bins per carrier pair, the
-    reference for `_line_gram`."""
-    carriers = model._carriers
-    size = carriers[-1][-1] if carriers else 0
-    gram = np.zeros((size, size), model.dtype)
-    for p, (_, rows_p, len_p, w_p, lo_p, hi_p) in enumerate(carriers):
-        for q, (_, rows_q, len_q, w_q, lo_q, hi_q) in enumerate(carriers[p:], p):
-            key = rows_p * len_q + rows_q
-            weight = w_p.real ** 2 + w_p.imag ** 2 if p == q else w_p * np.conj(w_q)
-            pair = np.bincount(key, weight.real, len_p * len_q)
-            if np.iscomplexobj(weight):
-                pair = pair + 1j * np.bincount(key, weight.imag, len_p * len_q)
-            pair = pair.reshape(len_p, len_q)
-            gram[lo_p:hi_p, lo_q:hi_q] = pair
-            gram[lo_q:hi_q, lo_p:hi_p] = pair.conj().T
-    return gram
+def assert_pairs_are_the_dense_bincount(model):
+    """Every block pair is stored once, above G's diagonal, bit for bit the
+    dense bincount's block: a block's own carrier pairs as their diagonals,
+    real, with nothing off them, and two blocks' pair dense."""
+    reference = dense_bincount_line_gram(model)
+    count = len(model.blocks)
+    assert list(model._line_gram) == [(k, l) for k in range(count) for l in range(k, count)]
+    for (k, l), pairs in model._line_gram.items():
+        (lo_k, hi_k), (lo_l, hi_l) = model._block_spans[k], model._block_spans[l]
+        if k < l:
+            assert pairs.dtype == model.dtype
+            assert pairs.tobytes() == reference[lo_k:hi_k, lo_l:hi_l].tobytes()
+            continue
+        carriers, length = len(model.blocks[k].carriers), model.blocks[k].length
+        assert pairs.dtype == np.float64 and pairs.shape == (carriers, carriers, length)
+        for i, j in np.ndindex(carriers, carriers):
+            rows, cols = lo_k + i * length, lo_k + j * length
+            block = reference[rows:rows + length, cols:cols + length]
+            assert np.diag(pairs[i, j]).astype(model.dtype).tobytes() == block.tobytes()
+    assert dense_line_gram(model).tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("seed", range(12))
 def test_line_gram_is_the_dense_bincount_bit_for_bit(seed, real):
     rect, comps = random_line_space_config(seed)
-    model = assemble_gamma(comps, rect, real_valued=real)
-    assert model._line_gram.tobytes() == dense_bincount_line_gram(model).tobytes()
+    assert_pairs_are_the_dense_bincount(assemble_gamma(comps, rect, real_valued=real))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_line_gram_pairs_are_the_dense_bincount_for_each_component_count(count, real):
+    rect, comps = random_line_space_config(count, count)
+    assert len(comps) == count
+    assert_pairs_are_the_dense_bincount(assemble_gamma(comps, rect, real_valued=real))
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("side", [8, 48])
 def test_line_gram_is_exactly_hermitian(side, real):
-    # the rank's symmetric eigensolve needs G == G^H bit for bit, its diagonal real
+    # the rank's symmetric eigensolve needs G == G^H bit for bit, its diagonal real:
+    # each block pair is stored once, and a block's own carrier pairs as real diagonals
     comps = [comp(3, 2, 0.9, AR1(1.3, 0.5)), comp(2, -1, 1.6), comp(2, 1, 2.3)]
-    gram = assemble_gamma(comps, LatticeRect(side, side), real_valued=real)._line_gram
+    model = assemble_gamma(comps, LatticeRect(side, side), real_valued=real)
+    assert all(model._line_gram[k, k].dtype == np.float64 for k in range(len(comps)))
+    gram = dense_line_gram(model)
     assert np.array_equal(gram, gram.conj().T)
     assert not np.any(np.diagonal(gram).imag)
 
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("seed", range(8))
+def test_gram_reads_match_the_dense_line_gram(seed, real):
+    # the rank's gathers of B and G_rest, and the products of the sample gap and
+    # the sample rank, read the stored pairs: rows in any order, a run of them a
+    # slice, lines of one block's different carriers, and empty index sets
+    rect, comps = random_line_space_config(seed)
+    model = assemble_gamma(comps, rect, real_valued=real)
+    dense = dense_line_gram(model)
+    size = dense.shape[0]
+    rng = np.random.default_rng(seed)
+    picks = [rng.permutation(size)[:rng.integers(1, size + 1)], np.arange(size // 3, size),
+             np.arange(0), np.arange(size)]
+    for rows, cols in itertools.product(picks, repeat=2):
+        assert model._gram_entries(rows, cols).tobytes() == dense[np.ix_(rows, cols)].tobytes()
+    a = rng.standard_normal((3, size)) + (0 if real else 1j) * rng.standard_normal((3, size))
+    want = a @ dense
+    assert np.allclose(model._times_gram(a), want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("rect", TILE_EDGE_RECTS, ids=lambda r: f"nm{r.size}")

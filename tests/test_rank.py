@@ -43,6 +43,8 @@ from evarank.rank import (
     verify_certificate,
 )
 
+from dense_line_gram import dense_line_gram
+
 EPS = np.finfo(np.float64).eps
 AR1 = lambda var, ar: ModulatingProcessSpec(ProcessKind.AR1, var, ar)
 WHITE = lambda var: ModulatingProcessSpec(ProcessKind.WHITE, var, 0.0)
@@ -471,7 +473,7 @@ def schur_spectrum(model):
     with the largest diagonal entry, and the block's other rows are dropped;
     otherwise each reached line gives that one row, and the others stay in
     S.  P is checked to be block-diagonal in those 2x2 and 1x1 blocks."""
-    gram = model._line_gram
+    gram = dense_line_gram(model)
     starts = np.cumsum([0] + [b.length * len(b.carriers) for b in model.blocks])
     k = int(np.argmax([b.length for b in model.blocks]))  # the first on ties
     block = model.blocks[k]
@@ -567,7 +569,7 @@ def test_gamma_rank_of_tall_factor_and_empty_model(real_valued):
     # a cut below roundoff counts S's roundoff eigenvalues, but never past N*M
     assert gamma_rank(model, rel_tol=1e-300)[0] == rect.size
     empty = assemble_gamma([], rect, real_valued=real_valued)
-    assert empty._line_gram.shape == (0, 0)
+    assert empty._line_gram == {} and dense_line_gram(empty).shape == (0, 0)
     rank, spectrum = gamma_rank(empty)
     assert rank == 0
     assert np.array_equal(spectrum, np.zeros(rect.size))
@@ -641,7 +643,8 @@ def test_gamma_rank_equals_dense_rank_and_formula_on_interior_configs(
 
 def g_route_rank(model):
     """The rank of the line Gram G itself, under the cut Gamma would get."""
-    return numerical_rank(model._line_gram, rel_tol=1e3 * model.rect.size * np.finfo(float).eps)[0]
+    return numerical_rank(dense_line_gram(model),
+                          rel_tol=1e3 * model.rect.size * np.finfo(float).eps)[0]
 
 
 # fixed, well separated frequencies, with the real model's collisions among them:
@@ -828,17 +831,21 @@ def test_ranked_grams_are_exactly_hermitian(monkeypatch):
                                LatticeRect(32, 32), real_valued=real_valued)
         estimate_rank(model, draw_lines(model, 512, seed=1))
         assert grams[-1].shape == (min(512, line_count(model)),) * 2
-    assert len(grams) == 2 * (len(cli._grid_cells({})) + 1)
+    # a one-component cell leaves nothing after the elimination: no eigensolve
+    multi = sum(len(comps) > 1 for _, comps in cli._grid_cells({}))
+    assert multi == 3 and len(grams) == 2 * (multi + 1)
     for gram in grams:
         assert np.array_equal(gram, gram.conj().T)
 
 
 def test_gamma_rank_holds_one_schur_sized_array_beside_g():
-    # the benchmark's rank slopes at 48 x 48 --real: G (756 square), S (284
-    # square) and X, the 456 pivot rows' entries in the rest (222 lines with two
-    # points or more give two rows, 12 with one point one), which the Gram of X
-    # reads whole, plus one of that Gram's row tiles for the steps' copies and
-    # numpy's buffers; a second S-sized array breaks it
+    # the benchmark's rank slopes at 48 x 48 --real: G's stored block pairs (the
+    # dense 472 x 284 pair of the two components and each one's 2 x 2 carrier
+    # diagonals, where the dense G would be 756 square), S (284 square) and X,
+    # the 456 pivot rows' entries in the rest (222 lines with two points or more
+    # give two rows, 12 with one point one), which the Gram of X reads whole,
+    # plus one of that Gram's row tiles for the steps' copies and numpy's
+    # buffers; a second S-sized array breaks it
     model = rank_model()
     points = np.bincount(model.blocks[0].rows, minlength=model.blocks[0].length)
     rest, pivots = 756 - 2 * 236, 2 * np.count_nonzero(points > 1) + np.count_nonzero(points == 1)
@@ -849,10 +856,30 @@ def test_gamma_rank_holds_one_schur_sized_array_beside_g():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    item = model._line_gram.itemsize
-    assert model._line_gram.shape == (756, 756) and item == 8
-    held = 756 * 756 + rest * rest + pivots * rest + _TILE_ROWS * rest
-    assert peak <= held * item
+    stored = sum(pairs.nbytes for pairs in model._line_gram.values())
+    assert stored == (472 * 284 + 4 * 236 + 4 * 142) * 8
+    held = rest * rest + pivots * rest + _TILE_ROWS * rest
+    assert peak <= stored + held * 8
+
+
+@pytest.mark.parametrize("real_valued", [False, True], ids=["complex", "real"])
+def test_one_component_rank_allocates_less_than_one_line_gram(real_valued):
+    # a (3, 2) component at 64 x 64, 316 samples per carrier, 314 of them reached:
+    # its lines are pivots read from the stored diagonals, and nothing is left to
+    # gather or eigensolve, so the rank's peak stays below one sum(rows)-square
+    # array of the model's dtype
+    model = assemble_gamma([comp(3, 2, 0.9, AR1(1.0, 0.5))], LatticeRect(64, 64),
+                           real_valued=real_valued)
+    width = line_count(model)
+    assert width == (2 if real_valued else 1) * 316
+    tracemalloc.start()
+    try:
+        assert gamma_rank(model)[0] == predict_rank(model.components, model.rect,
+                                                    real_valued=real_valued).formula_value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < width * width * np.dtype(model.dtype).itemsize
 
 
 # --- dependent / independent point sets ---------------------------------------
